@@ -36,7 +36,6 @@ from .rules import (
     rav_committee,
     rav_marginals,
     sav_scores,
-    type_cowinner_ccav_gav,
     winning_committees,
 )
 

@@ -12,7 +12,6 @@ unit prices, within 1+epsilon for priced ones).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .core import (
@@ -23,11 +22,21 @@ from .core import (
     Election,
     Op,
     PriceTable,
+    _actions_key,
     apply_action,
     apply_actions,
     ballot_masks,
 )
-from .rules import Rule, gav_committee, is_cowinner, rav_committee, rav_marginals
+from .rules import (
+    Rule,
+    _score_shares,
+    _thiele_gains,
+    _thiele_greedy,
+    _thiele_weights,
+    gav_committee,
+    is_cowinner,
+    rav_committee,
+)
 
 VALUE_DP_CAP = 1_000_000
 
@@ -49,7 +58,8 @@ def sav_max_gain(e: Election, p: int, budget: int, prices: PriceTable) -> frozen
 
 
 def _max_gain_table(e: Election, p: int, prices: PriceTable, max_budget: int) -> list[frozenset[int]]:
-    """Best voter set per budget 0..max_budget (exact knapsack)."""
+    """Best voter set per budget 0..max_budget (exact knapsack on SAV shares)."""
+    shares = _score_shares(Rule.SAV, e.m)
     items = []
     for v in range(e.n):
         if p in e.ballots[v].approved:
@@ -57,9 +67,9 @@ def _max_gain_table(e: Election, p: int, prices: PriceTable, max_budget: int) ->
         price = prices.add_price(v, p)
         if price == FORBIDDEN or price > max_budget:
             continue
-        items.append((v, price, Fraction(1, len(e.ballots[v].approved) + 1)))
-    empty = (Fraction(0), ())
-    dp: list[tuple[Fraction, tuple[int, ...]]] = [empty] * (max_budget + 1)
+        items.append((v, price, shares[len(e.ballots[v].approved) + 1]))
+    empty = (0, ())
+    dp: list[tuple[int, tuple[int, ...]]] = [empty] * (max_budget + 1)
     for v, price, gain in items:
         for t in range(max_budget, price - 1, -1):
             base_gain, base_set = dp[t - price]
@@ -116,10 +126,10 @@ def gav_add_for_p(instance: BriberyInstance) -> BriberySolution:
         cost = 0
         while True:
             if p in gav_committee(cur, k):
-                if best is None or (cost, _key(actions)) < (best[0], _key(best[1])):
+                if best is None or (cost, _actions_key(actions)) < (best[0], _actions_key(best[1])):
                     best = (cost, tuple(actions))
                 break
-            prefix = _gav_prefix(cur, target_round - 1)
+            prefix = _thiele_greedy(ballot_masks(cur), cur.m, Rule.GAV, target_round - 1)
             covered = set()
             for c in prefix:
                 for v in range(cur.n):
@@ -144,18 +154,6 @@ def gav_add_for_p(instance: BriberyInstance) -> BriberySolution:
     return BriberySolution(actions, cost, cost <= instance.budget)
 
 
-def _key(actions) -> tuple:
-    return tuple(a.sort_key() for a in actions)
-
-
-def _gav_prefix(e: Election, rounds: int) -> list[int]:
-    from .rules import _gav_from_approvers
-    from .core import approver_masks
-    if rounds == 0:
-        return []
-    return _gav_from_approvers(approver_masks(e), rounds)
-
-
 def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fraction(1, 10)) -> BriberySolution:
     """Add approvals for p so that some greedy round must pick it.
 
@@ -170,46 +168,34 @@ def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fractio
         raise ValueError("epsilon must be positive")
     _require_add(instance, restricted_only=True)
     e, p, k = instance.election, instance.p, instance.k
-    if p in rav_committee(e, k):
+    masks = ballot_masks(e)
+    picks = _thiele_greedy(masks, e.m, Rule.RAV, k)
+    if p in picks:
         return BriberySolution((), 0, True)
     epsilon = Fraction(epsilon)
-    masks = ballot_masks(e)
     best: tuple[int, tuple[AtomicAction, ...]] | None = None
     for target_round in range(1, k + 1):
-        committee = rav_committee(e, target_round - 1) if target_round > 1 else frozenset()
-        if p in committee:
-            continue
-        marginals = rav_marginals(e, committee)
-        scale = math.lcm(*range(1, target_round + 1))
-        own = 0
-        cmask = 0
-        for c in committee:
-            cmask |= 1 << c
+        # The greedy's first target_round - 1 picks do not depend on k.
+        committee = sum(1 << c for c in picks[:target_round - 1])
+        weights = _thiele_weights(Rule.RAV, target_round)
+        gains = _thiele_gains(masks, e.m, committee, weights)
         items: list[tuple[int, int, int]] = []  # voter, price, scaled gain
         for v in range(e.n):
-            weight = scale // ((masks[v] & cmask).bit_count() + 1)
-            if masks[v] >> p & 1:
-                own += weight
-            else:
+            if not masks[v] >> p & 1:
                 price = instance.prices.add_price(v, p)
                 if price != FORBIDDEN:
-                    items.append((v, price, weight))
-        lower_rivals = [marginals[c] * scale for c in range(e.m)
-                        if c < p and c not in committee]
-        upper_rivals = [marginals[c] * scale for c in range(e.m)
-                        if c > p and c not in committee]
-        theta = 0
-        if lower_rivals:
-            theta = max(theta, int(max(lower_rivals)) + 1 - own)
-        if upper_rivals:
-            theta = max(theta, math.ceil(max(upper_rivals)) - own)
+                    items.append((v, price, weights[(masks[v] & committee).bit_count()]))
+        # p's gain must beat lower-index rivals and tie higher-index ones;
+        # theta <= 0 means it already does.
+        rivals = [gains[c] + (c < p) for c in range(e.m) if c != p and not committee >> c & 1]
+        theta = max(rivals, default=0) - gains[p]
         solved = _min_cost_cover(items, theta, epsilon)
         if solved is None:
             continue
         cost, voters = solved
         actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in sorted(voters))
         assert p in rav_committee(apply_actions(e, actions), k)
-        if best is None or (cost, _key(actions)) < (best[0], _key(best[1])):
+        if best is None or (cost, _actions_key(actions)) < (best[0], _actions_key(best[1])):
             best = (cost, actions)
     if best is None:
         return BriberySolution((), None, False)

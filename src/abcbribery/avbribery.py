@@ -24,17 +24,14 @@ from .core import (
     Op,
     PriceTable,
     ResourceGuardError,
+    _actions_key,
     apply_action,
     ballot_masks,
 )
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import Rule, _av_from_ballots, _score_cowinner, av_scores, is_cowinner
+from .rules import Rule, av_scores, is_cowinner
 
 DEFAULT_GUESS_CAP = 500_000
-
-
-def _actions_key(actions) -> tuple:
-    return tuple(a.sort_key() for a in actions)
 
 
 def _require(instance: BriberyInstance, op: Op):
@@ -247,7 +244,7 @@ def av_priced_swap_exact(instance: BriberyInstance, *,
         raise ResourceGuardError(
             f"C({m - 1},{k - 1})*(n+1) committee/threshold guesses exceed {guess_cap}")
     masks = ballot_masks(e)
-    scores = _av_from_ballots(masks, m)
+    scores = av_scores(e)
     restricted = instance.restricted_to_p
     move_prices = []
     next_hops = []

@@ -1,9 +1,10 @@
 """Core data model: elections, prices, atomic bribery actions, file formats.
 
-Elections are immutable value objects.  All score arithmetic elsewhere in the
-package uses exact rationals (``Rational`` is the stdlib ``Fraction``); prices
-and budgets are nonnegative integers, with ``FORBIDDEN`` (infinity) marking
-operations that must never be chosen.
+Elections are immutable value objects.  Score arithmetic elsewhere in the
+package is exact: scores are lcm-scaled integers inside the package and
+``Fraction`` values (``Rational``) at the public boundary.  Prices and budgets
+are nonnegative integers, with ``FORBIDDEN`` (infinity) marking operations
+that must never be chosen.
 """
 
 from __future__ import annotations
@@ -136,6 +137,23 @@ def make_election(candidate_names: Iterable[str], ballots: Iterable[tuple[str, I
     return Election(cands, tuple(out))
 
 
+def _iter_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """Bit j of out[i] is bit i of masks[j]: voter masks <-> candidate masks."""
+    out = [0] * width
+    for i, mask in enumerate(masks):
+        for j in _iter_bits(mask):
+            out[j] |= 1 << i
+    return out
+
+
 def ballot_masks(e: Election) -> list[int]:
     """Per-voter bitmask over candidate indices."""
     return [sum(1 << c for c in b.approved) for b in e.ballots]
@@ -177,6 +195,11 @@ class AtomicAction:
     def sort_key(self) -> tuple:
         return (self.voter, self.kind.value, -1 if self.source is None else self.source,
                 -1 if self.target is None else self.target)
+
+
+def _actions_key(actions: Iterable[AtomicAction]) -> tuple:
+    """Deterministic order on action lists, for breaking ties between solutions."""
+    return tuple(a.sort_key() for a in actions)
 
 
 def _check_price(value, what: str):

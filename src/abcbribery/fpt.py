@@ -18,7 +18,7 @@ candidate-to-type assignments instead of on type sets.
 from __future__ import annotations
 
 import itertools
-from math import comb, inf
+from math import comb
 
 from .core import (
     FORBIDDEN,
@@ -28,29 +28,20 @@ from .core import (
     Election,
     Op,
     ResourceGuardError,
+    _actions_key,
+    _iter_bits,
+    _transpose,
     apply_actions,
     approver_masks,
-    ballot_masks,
 )
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import Rule, _gav_from_approvers, is_cowinner
+from .rules import Rule, _is_cowinner_from_ballots, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
 FLOW_VOTER_CAP = 4
 
 _INTERCHANGEABLE = frozenset({Rule.AV, Rule.SAV, Rule.CCAV, Rule.PAV})
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _key(actions) -> tuple:
-    return tuple(a.sort_key() for a in actions)
 
 
 def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
@@ -76,7 +67,7 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
                 continue
             actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in chosen)
             if is_cowinner(apply_actions(e, actions), rule, k, p):
-                key = (cost, _key(actions))
+                key = (cost, _actions_key(actions))
                 if best is None or key < best[:2]:
                     best = (cost, key[1], actions)
     if best is None:
@@ -247,7 +238,7 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
         if v == e.n:
             actions = tuple(chosen)
             if cost <= instance.budget and is_cowinner(apply_actions(e, actions), rule, k, p):
-                key = (cost, _key(actions))
+                key = (cost, _actions_key(actions))
                 if best is None or key < best[:2]:
                     best = (cost, key[1], actions)
             return
@@ -314,20 +305,16 @@ def _reachable_types(instance: BriberyInstance, candidate: int, start: int) -> d
     return out
 
 
-def _ccav_type_winnable(types: tuple[int, ...], p_type: int, k: int) -> bool:
-    size = min(k, len(types))
-    best_all = -1
-    best_with_p = -1
-    for combo in itertools.combinations(types, size):
-        union = 0
-        for mask in combo:
-            union |= mask
-        coverage = union.bit_count()
-        if coverage > best_all:
-            best_all = coverage
-        if p_type in combo and coverage > best_with_p:
-            best_with_p = coverage
-    return best_with_p == best_all
+def _type_cowinner_ccav(types: tuple[int, ...], p_type: int, k: int) -> bool:
+    """Can a candidate of type p_type join an optimal CCAV committee?
+
+    ``types`` are the distinct approver masks present.  Coverage depends only
+    on which types a committee holds, and more types never cover less, so
+    the committee scan runs over the types themselves as candidates.
+    """
+    ballots = _transpose(list(types), max(t.bit_length() for t in types))
+    return _is_cowinner_from_ballots(ballots, len(types), Rule.CCAV, min(k, len(types)),
+                                     types.index(p_type))
 
 
 def _conversion_actions(instance: BriberyInstance, assignment: list[int],
@@ -394,10 +381,10 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                 if cost > budget or (best is not None and cost >= best[0]):
                     continue
                 if rule is Rule.CCAV:
-                    if not _ccav_type_winnable(types, p_type, k):
+                    if not _type_cowinner_ccav(types, p_type, k):
                         continue
                     actions = _conversion_actions(instance, assignment, columns)
-                    key = (cost, _key(actions))
+                    key = (cost, _actions_key(actions))
                     if best is None or key < best[:2]:
                         best = (cost, key[1], actions)
                 else:
@@ -407,7 +394,7 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                     if refined is not None:
                         rcost, rassign = refined
                         actions = _conversion_actions(instance, rassign, columns)
-                        key = (rcost, _key(actions))
+                        key = (rcost, _actions_key(actions))
                         if best is None or key < best[:2]:
                             best = (rcost, key[1], actions)
     if best is None:
@@ -482,7 +469,8 @@ def _gav_assignment_search(instance: BriberyInstance, reach: list[dict[int, int]
             return
         if c == m:
             if len(covered) == len(types):
-                if p in _gav_from_approvers(assignment, k):
+                ballots = _transpose(assignment, instance.election.n)
+                if _is_cowinner_from_ballots(ballots, m, Rule.GAV, k, p):
                     if best is None or cost < best[0]:
                         best = (cost, assignment.copy())
             return

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     FORBIDDEN,
@@ -25,9 +24,10 @@ from .core import (
     Op,
     PriceTable,
     ResourceGuardError,
+    _iter_bits,
     ballot_masks,
 )
-from .rules import Rule, _is_cowinner_from_ballots, _score_cowinner
+from .rules import Rule, _is_cowinner_from_ballots, _score_cowinner, _score_shares, _scores
 
 DEFAULT_MAX_CONFIGS = 2_000_000
 
@@ -37,13 +37,6 @@ class _Option:
     cost: int
     mask: int
     actions: tuple[AtomicAction, ...]
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]], op: Op,
@@ -151,22 +144,13 @@ def _config_counts(options: list[list[_Option]], limit: int) -> list[int]:
     return counts
 
 
-def _av_delta(old: int, new: int) -> list[tuple[int, int]]:
-    out = [(c, -1) for c in _iter_bits(old & ~new)]
-    out.extend((c, 1) for c in _iter_bits(new & ~old))
-    return out
-
-
-def _sav_delta(old: int, new: int) -> list[tuple[int, Fraction]]:
-    out: dict[int, Fraction] = {}
-    if old:
-        share = Fraction(1, old.bit_count())
-        for c in _iter_bits(old):
-            out[c] = out.get(c, Fraction(0)) - share
-    if new:
-        share = Fraction(1, new.bit_count())
-        for c in _iter_bits(new):
-            out[c] = out.get(c, Fraction(0)) + share
+def _score_delta(old: int, new: int, shares: list[int]) -> list[tuple[int, int]]:
+    """Score changes when one ballot goes from old to new (AV or SAV shares)."""
+    out: dict[int, int] = {}
+    for c in _iter_bits(old):
+        out[c] = -shares[old.bit_count()]
+    for c in _iter_bits(new):
+        out[c] = out.get(c, 0) + shares[new.bit_count()]
     return [(c, d) for c, d in out.items() if d]
 
 
@@ -186,21 +170,9 @@ def _search(e: Election, rule: Rule, k: int, p: int, options: list[list[_Option]
     chosen: list[_Option | None] = [None] * n
 
     incremental = rule in (Rule.AV, Rule.SAV)
-    if rule is Rule.AV:
-        scores: list = [0] * m
-        for mask in ballots:
-            for c in _iter_bits(mask):
-                scores[c] += 1
-        delta_of = _av_delta
-    elif rule is Rule.SAV:
-        scores = [Fraction(0)] * m
-        for mask in ballots:
-            for c, d in _sav_delta(0, mask):
-                scores[c] += d
-        delta_of = _sav_delta
-    else:
-        scores = None
-        delta_of = None
+    if incremental:
+        shares = _score_shares(rule, m)
+        scores = _scores(ballots, m, rule)
 
     def leaf_ok() -> bool:
         if incremental:
@@ -225,7 +197,7 @@ def _search(e: Election, rule: Rule, k: int, p: int, options: list[list[_Option]
             ballots[i] = opt.mask
             chosen[i] = opt
             if incremental:
-                delta = delta_of(old, opt.mask)
+                delta = _score_delta(old, opt.mask, shares)
                 for c, d in delta:
                     scores[c] += d
             result = dfs(i + 1, remaining - opt.cost)

@@ -3,24 +3,30 @@
 AV and SAV are separable score rules; CCAV and PAV are optimization rules
 solved exactly by guarded brute force at desk scale; GAV and RAV are greedy
 rules made deterministic by breaking round ties toward the lowest candidate
-index.  Everything fractional is an exact Rational.
+index.
+
+CCAV, PAV, GAV and RAV are Thiele rules: a voter's (t+1)-th approved
+committee member is worth w(t), with w = (1, 0, 0, ...) for the coverage
+rules and w(t) = 1/(t+1) for the harmonic ones.  One committee scan serves
+CCAV and PAV, and one greedy serves GAV and RAV.  Scores are exact integers
+inside the package: harmonic weights are scaled by lcm(1..k) and SAV shares
+by lcm(1..m).  The public functions return ``Fraction`` values.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .core import (
     Election,
     ElectionError,
     ResourceGuardError,
+    _iter_bits,
     approver_masks,
     ballot_masks,
-    candidate_types,
 )
 
 COMMITTEE_ENUM_CAP = 10**6
@@ -35,142 +41,102 @@ class Rule(Enum):
     RAV = "rav"
 
 
-@functools.lru_cache(maxsize=None)
-def _harmonic(t: int) -> Fraction:
-    return _harmonic(t - 1) + Fraction(1, t) if t else Fraction(0)
-
-
 def _check_k(e: Election, k: int):
     if not 1 <= k <= e.m:
         raise ElectionError(f"committee size {k} out of range 1..{e.m}")
 
 
-def av_scores(e: Election) -> list[int]:
-    """Number of approving voters per candidate."""
-    scores = [0] * e.m
-    for b in e.ballots:
-        for c in b.approved:
-            scores[c] += 1
-    return scores
+# --- integer kernel over ballot masks, shared with every solver ---------------
 
 
-def sav_scores(e: Election) -> list[Fraction]:
-    """Each voter splits one point equally among approved candidates."""
-    scores = [Fraction(0)] * e.m
-    for b in e.ballots:
-        if b.approved:
-            share = Fraction(1, len(b.approved))
-            for c in b.approved:
-                scores[c] += share
-    return scores
+def _scale(top: int) -> int:
+    """lcm(1..top): the least multiplier making 1/1, ..., 1/top integers."""
+    return lcm(*range(1, top + 1))
 
 
-def ccav_coverage(e: Election, committee: frozenset[int]) -> int:
-    """Number of ballots approving at least one committee member."""
-    return sum(1 for b in e.ballots if b.approved & committee)
+def _score_shares(rule: Rule, m: int) -> list[int]:
+    """Per-candidate share of a ballot approving s candidates, s = 0..m.
+
+    AV gives each approved candidate 1; SAV splits lcm(1..m) equally.
+    """
+    if rule is Rule.AV:
+        return [1] * (m + 1)
+    scale = _scale(m)
+    return [0] + [scale // s for s in range(1, m + 1)]
 
 
-def pav_score(e: Election, committee: frozenset[int]) -> Fraction:
-    """Sum over voters of the harmonic number of their committee intersection."""
-    total = Fraction(0)
-    for b in e.ballots:
-        total += _harmonic(len(b.approved & committee))
-    return total
-
-
-# --- mask-level implementations, shared with the brute-force oracle ---------
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _av_from_ballots(ballots: list[int], m: int) -> list[int]:
+def _scores(ballots: list[int], m: int, rule: Rule) -> list[int]:
+    """AV counts, or SAV scores scaled by lcm(1..m)."""
+    shares = _score_shares(rule, m)
     scores = [0] * m
     for mask in ballots:
+        share = shares[mask.bit_count()]
         for c in _iter_bits(mask):
-            scores[c] += 1
+            scores[c] += share
     return scores
 
 
-def _sav_from_ballots(ballots: list[int], m: int) -> list[Fraction]:
-    scores = [Fraction(0)] * m
+def _thiele_weights(rule: Rule, k: int) -> list[int]:
+    """w(0..k-1): a voter's gain from its 1st, 2nd, ... approved member.
+
+    Harmonic weights 1/(t+1) are scaled by lcm(1..k), so weights[0] is the
+    scale.
+    """
+    if rule in (Rule.CCAV, Rule.GAV):
+        return [1] + [0] * (k - 1)
+    scale = _scale(k)
+    return [scale // (t + 1) for t in range(k)]
+
+
+def _satisfaction(rule: Rule, k: int) -> list[int]:
+    """A voter's value for approving t = 0..k committee members."""
+    return list(itertools.accumulate(_thiele_weights(rule, k), initial=0))
+
+
+def _committee_value(ballots: list[int], committee: int, satisfaction: list[int]) -> int:
+    """Sum over voters of satisfaction[number of approved committee members]."""
+    value = 0
     for mask in ballots:
-        size = mask.bit_count()
-        if size:
-            share = Fraction(1, size)
-            for c in _iter_bits(mask):
-                scores[c] += share
-    return scores
+        value += satisfaction[(mask & committee).bit_count()]
+    return value
 
 
-def _approvers_from_ballots(ballots: list[int], m: int) -> list[int]:
-    approvers = [0] * m
-    for i, mask in enumerate(ballots):
-        bit = 1 << i
-        for c in _iter_bits(mask):
-            approvers[c] |= bit
-    return approvers
+def _committee_scan(ballots: list[int], m: int, rule: Rule, k: int, cap: int):
+    """(members, value) for every size-k committee, in lexicographic order."""
+    if comb(m, k) > cap:
+        raise ResourceGuardError(f"C({m},{k}) committees exceed the cap of {cap}")
+    satisfaction = _satisfaction(rule, k)
+    for combo in itertools.combinations(range(m), k):
+        committee = 0
+        for c in combo:
+            committee |= 1 << c
+        yield combo, _committee_value(ballots, committee, satisfaction)
 
 
-def _gav_from_approvers(approvers: list[int], k: int) -> list[int]:
-    """Deterministic greedy coverage committee as an ordered pick list."""
-    m = len(approvers)
-    covered = 0
-    picks: list[int] = []
-    chosen = [False] * m
-    for _ in range(k):
-        best = -1
-        best_gain = -1
-        for c in range(m):
-            if chosen[c]:
-                continue
-            gain = (approvers[c] & ~covered).bit_count()
-            if gain > best_gain:
-                best, best_gain = c, gain
-        picks.append(best)
-        chosen[best] = True
-        covered |= approvers[best]
-    return picks
+def _thiele_gains(ballots: list[int], m: int, committee: int, weights: list[int]) -> list[int]:
+    """Value gained by adding each candidate to the committee (0 for members)."""
+    gains = [0] * m
+    for mask in ballots:
+        weight = weights[(mask & committee).bit_count()]
+        if weight:
+            for c in _iter_bits(mask & ~committee):
+                gains[c] += weight
+    return gains
 
 
-def _rav_from_ballots(ballots: list[int], m: int, k: int) -> list[int]:
+def _thiele_greedy(ballots: list[int], m: int, rule: Rule, k: int) -> list[int]:
+    """Greedy committee as an ordered pick list, ties toward the lowest index."""
+    weights = _thiele_weights(rule, k)
     picks: list[int] = []
     committee = 0
     for _ in range(k):
-        marginals = [Fraction(0)] * m
-        for mask in ballots:
-            weight = Fraction(1, (mask & committee).bit_count() + 1)
-            for c in _iter_bits(mask & ~committee):
-                marginals[c] += weight
-        best = -1
-        best_gain = None
-        for c in range(m):
-            if committee >> c & 1:
-                continue
-            if best_gain is None or marginals[c] > best_gain:
-                best, best_gain = c, marginals[c]
+        gains = _thiele_gains(ballots, m, committee, weights)
+        for c in picks:
+            gains[c] = -1
+        best = gains.index(max(gains))
         picks.append(best)
         committee |= 1 << best
     return picks
-
-
-def _coverage_objective(ballots: list[int]):
-    def objective(committee_mask: int) -> int:
-        return sum(1 for mask in ballots if mask & committee_mask)
-    return objective
-
-
-def _pav_objective(ballots: list[int]):
-    def objective(committee_mask: int) -> Fraction:
-        total = Fraction(0)
-        for mask in ballots:
-            total += _harmonic((mask & committee_mask).bit_count())
-        return total
-    return objective
 
 
 def _score_cowinner(scores, k: int, p: int) -> bool:
@@ -179,58 +145,65 @@ def _score_cowinner(scores, k: int, p: int) -> bool:
 
 def _is_cowinner_from_ballots(ballots: list[int], m: int, rule: Rule, k: int, p: int,
                               cap: int = COMMITTEE_ENUM_CAP) -> bool:
-    if rule is Rule.AV:
-        return _score_cowinner(_av_from_ballots(ballots, m), k, p)
-    if rule is Rule.SAV:
-        return _score_cowinner(_sav_from_ballots(ballots, m), k, p)
-    if rule is Rule.GAV:
-        return p in _gav_from_approvers(_approvers_from_ballots(ballots, m), k)
-    if rule is Rule.RAV:
-        return p in _rav_from_ballots(ballots, m, k)
-    objective = _coverage_objective(ballots) if rule is Rule.CCAV else _pav_objective(ballots)
-    if comb(m, k) > cap:
-        raise ResourceGuardError(f"C({m},{k}) committees exceed the cap of {cap}")
-    best_all = None
-    best_with_p = None
-    pbit = 1 << p
-    for combo in itertools.combinations(range(m), k):
-        mask = 0
-        for c in combo:
-            mask |= 1 << c
-        value = objective(mask)
-        if best_all is None or value > best_all:
+    if rule in (Rule.AV, Rule.SAV):
+        return _score_cowinner(_scores(ballots, m, rule), k, p)
+    if rule in (Rule.GAV, Rule.RAV):
+        return p in _thiele_greedy(ballots, m, rule, k)
+    best_all = best_with_p = -1
+    for combo, value in _committee_scan(ballots, m, rule, k, cap):
+        if value > best_all:
             best_all = value
-        if mask & pbit and (best_with_p is None or value > best_with_p):
+        if value > best_with_p and p in combo:
             best_with_p = value
     return best_with_p == best_all
 
 
-# --- public committee operations --------------------------------------------
+# --- public scores and committee operations ----------------------------------
+
+
+def av_scores(e: Election) -> list[int]:
+    """Number of approving voters per candidate."""
+    return [column.bit_count() for column in approver_masks(e)]
+
+
+def sav_scores(e: Election) -> list[Fraction]:
+    """Each voter splits one point equally among approved candidates."""
+    scale = _scale(e.m)
+    return [Fraction(s, scale) for s in _scores(ballot_masks(e), e.m, Rule.SAV)]
+
+
+def _thiele_value(e: Election, rule: Rule, committee: frozenset[int]) -> int:
+    return _committee_value(ballot_masks(e), sum(1 << c for c in committee),
+                            _satisfaction(rule, len(committee)))
+
+
+def ccav_coverage(e: Election, committee: frozenset[int]) -> int:
+    """Number of ballots approving at least one committee member."""
+    return _thiele_value(e, Rule.CCAV, committee)
+
+
+def pav_score(e: Election, committee: frozenset[int]) -> Fraction:
+    """Sum over voters of the harmonic number of their committee intersection."""
+    return Fraction(_thiele_value(e, Rule.PAV, committee), _scale(len(committee)))
 
 
 def gav_committee(e: Election, k: int) -> frozenset[int]:
     """Greedy coverage committee, ties broken toward the lowest index."""
     _check_k(e, k)
-    return frozenset(_gav_from_approvers(approver_masks(e), k))
+    return frozenset(_thiele_greedy(ballot_masks(e), e.m, Rule.GAV, k))
 
 
 def rav_committee(e: Election, k: int) -> frozenset[int]:
     """Greedy committee maximizing the harmonic (PAV) score round by round."""
     _check_k(e, k)
-    return frozenset(_rav_from_ballots(ballot_masks(e), e.m, k))
+    return frozenset(_thiele_greedy(ballot_masks(e), e.m, Rule.RAV, k))
 
 
 def rav_marginals(e: Election, committee: frozenset[int]) -> list[Fraction]:
     """Harmonic-score gain of adding each candidate to the given committee."""
-    cmask = 0
-    for c in committee:
-        cmask |= 1 << c
-    marginals = [Fraction(0)] * e.m
-    for mask in ballot_masks(e):
-        weight = Fraction(1, (mask & cmask).bit_count() + 1)
-        for c in _iter_bits(mask & ~cmask):
-            marginals[c] += weight
-    return marginals
+    weights = _thiele_weights(Rule.RAV, len(committee) + 1)
+    gains = _thiele_gains(ballot_masks(e), e.m, sum(1 << c for c in committee), weights)
+    return [Fraction(g, weights[0]) for g in gains]
 
 
 def iter_winning_committees(e: Election, rule: Rule, k: int):
@@ -242,7 +215,7 @@ def iter_winning_committees(e: Election, rule: Rule, k: int):
     _check_k(e, k)
     if rule not in (Rule.AV, Rule.SAV):
         raise ValueError("lazy committee streaming applies to the score rules only")
-    scores = av_scores(e) if rule is Rule.AV else sav_scores(e)
+    scores = _scores(ballot_masks(e), e.m, rule)
     cutoff = sorted(scores, reverse=True)[k - 1]
     fixed = frozenset(c for c in range(e.m) if scores[c] > cutoff)
     tied = [c for c in range(e.m) if scores[c] == cutoff]
@@ -254,8 +227,9 @@ def winning_committees(e: Election, rule: Rule, k: int,
                        cap: int = COMMITTEE_ENUM_CAP) -> set[frozenset[int]]:
     """All tied winning committees; deterministic singleton for GAV/RAV."""
     _check_k(e, k)
+    ballots = ballot_masks(e)
     if rule in (Rule.AV, Rule.SAV):
-        scores = av_scores(e) if rule is Rule.AV else sav_scores(e)
+        scores = _scores(ballots, e.m, rule)
         cutoff = sorted(scores, reverse=True)[k - 1]
         tied = sum(1 for s in scores if s == cutoff)
         above = sum(1 for s in scores if s > cutoff)
@@ -263,22 +237,12 @@ def winning_committees(e: Election, rule: Rule, k: int,
             raise ResourceGuardError(
                 f"C({tied},{k - above}) tie completions exceed the cap of {cap}")
         return set(iter_winning_committees(e, rule, k))
-    if rule is Rule.GAV:
-        return {gav_committee(e, k)}
-    if rule is Rule.RAV:
-        return {rav_committee(e, k)}
-    ballots = ballot_masks(e)
-    if comb(e.m, k) > cap:
-        raise ResourceGuardError(f"C({e.m},{k}) committees exceed the cap of {cap}")
-    objective = _coverage_objective(ballots) if rule is Rule.CCAV else _pav_objective(ballots)
-    best_value = None
+    if rule in (Rule.GAV, Rule.RAV):
+        return {frozenset(_thiele_greedy(ballots, e.m, rule, k))}
+    best_value = -1
     best: list[frozenset[int]] = []
-    for combo in itertools.combinations(range(e.m), k):
-        mask = 0
-        for c in combo:
-            mask |= 1 << c
-        value = objective(mask)
-        if best_value is None or value > best_value:
+    for combo, value in _committee_scan(ballots, e.m, rule, k, cap):
+        if value > best_value:
             best_value, best = value, [frozenset(combo)]
         elif value == best_value:
             best.append(frozenset(combo))
@@ -289,67 +253,3 @@ def is_cowinner(e: Election, rule: Rule, k: int, p: int, cap: int = COMMITTEE_EN
     """Does candidate p belong to at least one winning committee?"""
     _check_k(e, k)
     return _is_cowinner_from_ballots(ballot_masks(e), e.m, rule, k, p, cap)
-
-
-def type_cowinner_ccav_gav(e: Election, rule: Rule, k: int, p: int) -> bool:
-    """Co-winner test for CCAV/GAV evaluated over candidate types.
-
-    For CCAV the committee objective depends only on the set of member types,
-    so the test enumerates type subsets; with k > n every candidate is a
-    co-winner (a maximum cover needs at most n types, leaving room for p),
-    while the k = n boundary genuinely requires the enumeration.  For GAV the
-    deterministic tie-break makes membership depend on candidate indices, so
-    the greedy is replayed over the grouped type structure instead.
-    """
-    if rule not in (Rule.CCAV, Rule.GAV):
-        raise ValueError("type-based co-winner test covers CCAV and GAV only")
-    _check_k(e, k)
-    n = e.n
-    groups: dict[int, list[int]] = {}
-    p_type = None
-    for tp, members in candidate_types(e).items():
-        mask = 0
-        for v in tp:
-            mask |= 1 << v
-        groups[mask] = sorted(members)
-        if p in members:
-            p_type = mask
-
-    if rule is Rule.GAV:
-        # One gain computation per type and round; the pick within a type is
-        # its lowest unpicked index, matching the candidate-level greedy.
-        covered = 0
-        remaining = {mask: list(members) for mask, members in groups.items()}
-        for _ in range(k):
-            best_gain = -1
-            best_cand = None
-            best_mask = None
-            for mask in sorted(remaining):
-                members = remaining[mask]
-                if not members:
-                    continue
-                gain = (mask & ~covered).bit_count()
-                if gain > best_gain or (gain == best_gain and members[0] < best_cand):
-                    best_gain, best_cand, best_mask = gain, members[0], mask
-            if best_cand == p:
-                return True
-            remaining[best_mask].pop(0)
-            covered |= best_mask
-        return False
-
-    if k >= n + 1:
-        return True
-    type_masks = sorted(groups)
-    size = min(k, len(type_masks))
-    best_all = -1
-    best_with_p = -1
-    for combo in itertools.combinations(type_masks, size):
-        union = 0
-        for mask in combo:
-            union |= mask
-        coverage = union.bit_count()
-        if coverage > best_all:
-            best_all = coverage
-        if p_type in combo and coverage > best_with_p:
-            best_with_p = coverage
-    return best_with_p == best_all

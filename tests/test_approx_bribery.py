@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from abcbribery import (
     is_cowinner,
     make_election,
     rav_committee,
+    solution_cost,
 )
+from abcbribery import approx
 from abcbribery.approx import (
     gav_add_for_p,
     rav_add_for_p,
@@ -22,7 +25,7 @@ from abcbribery.approx import (
     sav_max_gain,
 )
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
-from abcbribery.oracle import oracle_bribery
+from abcbribery.oracle import oracle_bribery, oracle_margin
 
 from helpers import random_sized_election, verdict
 
@@ -158,6 +161,29 @@ def test_rav_add_for_p_priced_bound():
                 assert Fraction(11, 10) * exact.cost > inst.budget
         else:
             assert not sol.feasible
+
+
+def test_rav_add_for_p_price_scaled_fallback(monkeypatch):
+    # With no room for the exact value-indexed knapsack, every round that
+    # needs approvals goes through the (1+epsilon) price-scaled sweep.
+    monkeypatch.setattr(approx, "VALUE_DP_CAP", 0)
+    epsilon = Fraction(1, 10)
+    cfg = SuiteConfig(op=Op.ADD, count=120, seed=59, priced=True, restricted_to_p=True,
+                      price_choices=(1, 2, 3, 5, 8))
+    bought = 0
+    for inst in suite_instances(cfg):
+        sol = rav_add_for_p(inst, epsilon)
+        opt = oracle_margin(inst.election, Rule.RAV, inst.k, inst.p, Op.ADD, inst.prices,
+                            restricted=True)
+        if sol.cost is None:
+            assert opt == math.inf
+            continue
+        assert inst.p in rav_committee(apply_actions(inst.election, sol.actions), inst.k)
+        assert solution_cost(sol.actions, inst.prices) == sol.cost
+        assert sol.feasible == (sol.cost <= inst.budget)
+        assert opt <= sol.cost <= (1 + epsilon) * opt
+        bought += sol.cost > 0
+    assert bought >= 30
 
 
 def test_add_for_p_solutions_stay_on_p():

@@ -1,0 +1,44 @@
+"""Source hygiene: no unused imports, and each private helper defined once."""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import abcbribery
+
+PACKAGE = Path(abcbribery.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":  # its imports are the public re-exports
+            continue
+        tree = _tree(path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused
+
+
+def test_private_helpers_defined_once():
+    defined = defaultdict(list)
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[node.name].append(path.name)
+    duplicates = {name: where for name, where in defined.items() if len(where) > 1}
+    assert not duplicates, duplicates

@@ -20,9 +20,10 @@ from abcbribery import (
     rav_committee,
     rav_marginals,
     sav_scores,
-    type_cowinner_ccav_gav,
     winning_committees,
 )
+from abcbribery.core import approver_masks
+from abcbribery.fpt import _type_cowinner_ccav
 from abcbribery.generators import Stream64
 
 from helpers import random_sized_election
@@ -159,6 +160,12 @@ def test_is_cowinner_matches_committee_membership():
                 assert is_cowinner(e, rule, k, p) == member, (rule, e, k, p)
 
 
+def _types(e, p):
+    """Distinct candidate types (approver masks) and the type of p."""
+    columns = approver_masks(e)
+    return tuple(sorted(set(columns))), columns[p]
+
+
 def test_type_cowinner_large_committee():
     stream = Stream64(17)
     for _ in range(30):
@@ -167,32 +174,82 @@ def test_type_cowinner_large_committee():
             continue
         k = stream.randint(e.n + 1, e.m)
         for p in range(e.m):
-            assert type_cowinner_ccav_gav(e, Rule.CCAV, k, p)
+            assert _type_cowinner_ccav(*_types(e, p), k)
+            assert is_cowinner(e, Rule.CCAV, k, p)
 
 
 def test_type_cowinner_k_equals_n_boundary():
     # Two voters with disjoint singleton ballots: max coverage needs both
     # approved candidates, so p is in no optimal committee although k = n.
     e = make_election(["a", "b", "p"], [("v1", ["a"]), ("v2", ["b"])])
-    assert not type_cowinner_ccav_gav(e, Rule.CCAV, 2, 2)
+    assert not _type_cowinner_ccav(*_types(e, 2), 2)
     assert not is_cowinner(e, Rule.CCAV, 2, 2)
 
 
 def test_type_cowinner_matches_bruteforce(e0):
-    assert type_cowinner_ccav_gav(e0, Rule.CCAV, 2, 3) == is_cowinner(e0, Rule.CCAV, 2, 3)
+    assert _type_cowinner_ccav(*_types(e0, 3), 2) == is_cowinner(e0, Rule.CCAV, 2, 3)
     stream = Stream64(23)
     for _ in range(120):
         e = random_sized_election(stream, 7, 5)
         k = stream.randint(1, e.m)
-        for rule in (Rule.CCAV, Rule.GAV):
-            for p in range(e.m):
-                assert type_cowinner_ccav_gav(e, rule, k, p) == is_cowinner(e, rule, k, p)
+        for p in range(e.m):
+            assert _type_cowinner_ccav(*_types(e, p), k) == is_cowinner(e, Rule.CCAV, k, p)
 
 
 def test_type_cowinner_single_type():
     e = make_election(["a", "b", "p"], [("v1", ["a", "b", "p"])])
     for p in range(3):
-        assert type_cowinner_ccav_gav(e, Rule.CCAV, 1, p)
+        assert _type_cowinner_ccav(*_types(e, p), 1)
+        assert is_cowinner(e, Rule.CCAV, 1, p)
+
+
+def _fraction_reference(e):
+    """AV and SAV scores, CC and PAV committee values, from the definitions."""
+    ballots = [b.approved for b in e.ballots]
+    av = [sum(c in a for a in ballots) for c in range(e.m)]
+    sav = [sum(Fraction(1, len(a)) for a in ballots if c in a) for c in range(e.m)]
+
+    def cc(w):
+        return sum(1 for a in ballots if a & w)
+
+    def pav(w):
+        return sum(Fraction(1, t) for a in ballots for t in range(1, len(a & w) + 1))
+    return av, sav, cc, pav
+
+
+def _reference_winners(e, rule, k):
+    av, sav, cc, pav = _fraction_reference(e)
+    if rule in (Rule.GAV, Rule.RAV):
+        objective = cc if rule is Rule.GAV else pav
+        w = frozenset()
+        for _ in range(k):
+            gain = {c: objective(w | {c}) - objective(w) for c in range(e.m) if c not in w}
+            w |= {min(c for c in gain if gain[c] == max(gain.values()))}
+        return {w}
+    value = {Rule.AV: lambda w: sum(av[c] for c in w), Rule.SAV: lambda w: sum(sav[c] for c in w),
+             Rule.CCAV: cc, Rule.PAV: pav}[rule]
+    committees = [frozenset(w) for w in itertools.combinations(range(e.m), k)]
+    best = max(map(value, committees))
+    return {w for w in committees if value(w) == best}
+
+
+def test_kernel_matches_fraction_reference():
+    stream = Stream64(41)
+    for _ in range(40):
+        e = random_sized_election(stream, 7, 7)
+        av, sav, _, pav = _fraction_reference(e)
+        assert av_scores(e) == av
+        assert sav_scores(e) == sav
+        for k in range(1, e.m + 1):
+            for rule in Rule:
+                expected = _reference_winners(e, rule, k)
+                assert winning_committees(e, rule, k) == expected, (rule, e, k)
+                for p in range(e.m):
+                    assert is_cowinner(e, rule, k, p) == any(p in w for w in expected)
+            for w in map(frozenset, itertools.combinations(range(e.m), k)):
+                assert pav_score(e, w) == pav(w)
+                assert rav_marginals(e, w) == [0 if c in w else pav(w | {c}) - pav(w)
+                                               for c in range(e.m)]
 
 
 # --- guarantees and symmetry --------------------------------------------------
@@ -224,9 +281,6 @@ def test_rav_score_guarantee():
 
 
 def _greedy_has_tie(e, k, rule):
-    from abcbribery.rules import _gav_from_approvers
-    from abcbribery.core import approver_masks, ballot_masks
-
     if rule is Rule.GAV:
         approvers = approver_masks(e)
         covered = 0
