@@ -33,8 +33,11 @@ LANES = {
     "pricedswap-sav": (lambda i: priced_swap_to_p_type_enum(i, Rule.SAV), Rule.SAV,
                        dict(op=Op.SWAP, priced=True, restricted_to_p=True,
                             max_candidates=5, max_voters=4)),
+    "flow-ccav": (lambda i: ccav_gav_flow_bribery(i, Rule.CCAV), Rule.CCAV,
+                  dict(op=Op.ADD, priced=True, max_candidates=5, max_voters=4,
+                       price_choices=(1, 2, 3))),
     "flow-gav": (lambda i: ccav_gav_flow_bribery(i, Rule.GAV), Rule.GAV,
-                 dict(op=Op.DELETE, priced=True, max_candidates=5, max_voters=3,
+                 dict(op=Op.DELETE, priced=True, max_candidates=5, max_voters=4,
                       price_choices=(1, 2))),
 }
 

@@ -194,7 +194,9 @@ def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fractio
             continue
         cost, voters = solved
         actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in sorted(voters))
-        assert p in rav_committee(apply_actions(e, actions), k)
+        if p not in rav_committee(apply_actions(e, actions), k):
+            raise RuntimeError(f"the cover for round {target_round} does not put p "
+                               "on the RAV committee")
         if best is None or (cost, _actions_key(actions)) < (best[0], _actions_key(best[1])):
             best = (cost, actions)
     if best is None:

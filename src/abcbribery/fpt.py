@@ -4,14 +4,16 @@ Four families: subset enumeration over voters for restricted additions; full
 enumeration over type-restricted candidate pools for unit-price additions and
 swaps; the same with per-type-pair cheapest pools for priced swaps toward the
 preferred candidate; and, for the coverage rules, guessing the candidate
-types present after bribery and pricing each guess with a min-cost flow whose
-sink arcs carry lower bounds.
+types present after bribery.  A guess whose cheapest-conversion lower bound
+cannot beat the best answer is skipped; a CCAV guess that remains is priced
+with a min-cost flow whose sink arcs carry lower bounds, and a GAV guess goes
+straight to a search over concrete assignments.
 
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
 score and coverage rules here.  The deterministic lowest-index tie-break of
 GAV and RAV makes membership index-dependent, so for those two the pools are
-not restricted and the flow algorithm re-checks winners on concrete
+not restricted and the type-guessing algorithm checks winners on concrete
 candidate-to-type assignments instead of on type sets.
 """
 
@@ -153,7 +155,8 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
 
     if interchangeable and instance.budget >= n:
         actions = _approve_p_everywhere(e, p, instance.op)
-        assert is_cowinner(apply_actions(e, actions), rule, k, p)
+        if not is_cowinner(apply_actions(e, actions), rule, k, p):
+            raise RuntimeError("approving p in every vote did not make p a co-winner")
         return BriberySolution(actions, len(actions), True)
     return BriberySolution((), None, False)
 
@@ -337,12 +340,14 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     """Exact priced additions/deletions for the coverage rules CCAV and GAV.
 
     Guess the set of candidate types present after bribery and the type p
-    ends up with; a min-cost flow (candidates feed type nodes whose sink arcs
-    require one unit each) prices the guess.  For CCAV any guess whose type
-    set lets p's type join an optimal committee is acceptable.  For GAV,
-    whose deterministic tie-break sees candidate indices, affordable guesses
-    are refined by enumerating concrete candidate-to-type assignments and
-    replaying the greedy.
+    ends up with.  A guess is priced only if it can still beat the best
+    answer so far: the sum of each candidate's cheapest conversion into the
+    guessed types bounds its cost from below.  For CCAV, any guess whose type
+    set lets p's type join an optimal committee is acceptable, and a min-cost
+    flow (candidates feed type nodes whose sink arcs require one unit each)
+    finds its cheapest assignment.  GAV's deterministic tie-break sees
+    candidate indices, so its guesses go straight to a search over concrete
+    candidate-to-type assignments that replays the greedy; no flow is built.
     """
     if rule not in (Rule.CCAV, Rule.GAV):
         raise ValueError("the flow algorithm covers CCAV and GAV only")
@@ -363,7 +368,7 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     universe = sorted(set().union(*[set(r) for r in reach]))
     budget = instance.budget
 
-    best: tuple[int, tuple, tuple[AtomicAction, ...]] | None = None
+    best: tuple[int, tuple[AtomicAction, ...]] | None = None
     guesses = 0
     for p_type in sorted(reach[p]):
         others = [t for t in universe if t != p_type]
@@ -374,32 +379,52 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                     raise ResourceGuardError(
                         f"type-set guesses exceed the cap of {guess_cap}")
                 types = tuple(sorted(extra + (p_type,)))
-                solved = _solve_type_guess(instance, reach, types, p_type, p)
-                if solved is None:
-                    continue
-                cost, assignment = solved
-                if cost > budget or (best is not None and cost >= best[0]):
+                # Costs are integers, so "cheaper than best" is "<= best - 1".
+                limit = budget if best is None else min(budget, best[0] - 1)
+                bound = _guess_lower_bound(reach, types, p_type, p)
+                if bound is None or bound > limit:
                     continue
                 if rule is Rule.CCAV:
                     if not _type_cowinner_ccav(types, p_type, k):
                         continue
-                    actions = _conversion_actions(instance, assignment, columns)
-                    key = (cost, _actions_key(actions))
-                    if best is None or key < best[:2]:
-                        best = (cost, key[1], actions)
+                    solved = _solve_type_guess(instance, reach, types, p_type, p)
+                    if solved is None or solved[0] > limit:
+                        continue
                 else:
-                    refined = _gav_assignment_search(
-                        instance, reach, columns, types, p_type, p, k,
-                        budget if best is None else min(budget, best[0] - 1))
-                    if refined is not None:
-                        rcost, rassign = refined
-                        actions = _conversion_actions(instance, rassign, columns)
-                        key = (rcost, _actions_key(actions))
-                        if best is None or key < best[:2]:
-                            best = (rcost, key[1], actions)
+                    solved = _gav_assignment_search(
+                        instance, reach, types, p_type, p, k, limit)
+                    if solved is None:
+                        continue
+                cost, assignment = solved
+                best = (cost, _conversion_actions(instance, assignment, columns))
     if best is None:
         return BriberySolution((), None, False)
-    return BriberySolution(best[2], best[0], True)
+    return BriberySolution(best[1], best[0], True)
+
+
+def _guess_lower_bound(reach: list[dict[int, int]], types: tuple[int, ...],
+                       p_type: int, p: int) -> int | None:
+    """Sum of each candidate's cheapest conversion into the guessed types.
+
+    p is pinned to p_type.  None when some candidate reaches no guessed type
+    or some guessed type is reached by no candidate: no assignment realizes
+    the guess then.
+    """
+    total = 0
+    unreached = set(types)
+    for c, costs in enumerate(reach):
+        targets = (p_type,) if c == p else types
+        cheapest = None
+        for t in targets:
+            cost = costs.get(t)
+            if cost is not None:
+                unreached.discard(t)
+                if cheapest is None or cost < cheapest:
+                    cheapest = cost
+        if cheapest is None:
+            return None
+        total += cheapest
+    return None if unreached else total
 
 
 def _solve_type_guess(instance: BriberyInstance, reach: list[dict[int, int]],
@@ -435,24 +460,20 @@ def _solve_type_guess(instance: BriberyInstance, reach: list[dict[int, int]],
 
 
 def _gav_assignment_search(instance: BriberyInstance, reach: list[dict[int, int]],
-                           columns: list[int], types: tuple[int, ...], p_type: int,
-                           p: int, k: int, budget: int):
-    """Cheapest assignment onto the guessed types that makes p win the greedy."""
+                           types: tuple[int, ...], p_type: int, p: int, k: int,
+                           budget: int):
+    """Cheapest assignment onto the guessed types that makes p win the greedy.
+
+    The caller has checked with ``_guess_lower_bound`` that every candidate
+    reaches a guessed type.
+    """
     m = len(reach)
-    if budget < 0:
-        return None
     choices: list[list[tuple[int, int]]] = []
     for c in range(m):
         if c == p:
-            cost = reach[c].get(p_type)
-            if cost is None:
-                return None
-            choices.append([(cost, p_type)])
-            continue
-        here = sorted((reach[c][t], t) for t in types if t in reach[c])
-        if not here:
-            return None
-        choices.append(here)
+            choices.append([(reach[c][p_type], p_type)])
+        else:
+            choices.append(sorted((reach[c][t], t) for t in types if t in reach[c]))
     min_rest = [0] * (m + 1)
     for c in range(m - 1, -1, -1):
         min_rest[c] = min_rest[c + 1] + choices[c][0][0]

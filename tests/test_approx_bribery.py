@@ -143,6 +143,15 @@ def test_rav_add_for_p_already_winning(e0):
                                          restricted_to_p=True)).cost == 0
 
 
+def test_rav_add_for_p_certifies_cover(e0, monkeypatch):
+    # Each round's cover is replayed through the RAV committee, not trusted.
+    inst = BriberyInstance(e0, 3, 2, 9, Op.ADD, restricted_to_p=True)
+    assert rav_add_for_p(inst).feasible
+    monkeypatch.setattr(approx, "rav_committee", lambda e, k: [])
+    with pytest.raises(RuntimeError, match="RAV committee"):
+        rav_add_for_p(inst)
+
+
 def test_rav_add_for_p_unit_matches_oracle():
     cfg = SuiteConfig(op=Op.ADD, count=120, seed=56, restricted_to_p=True)
     for inst in suite_instances(cfg):

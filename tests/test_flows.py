@@ -72,16 +72,76 @@ def test_matches_bruteforce_on_random_networks():
         assert cost == expected, net
         if flows is not None:
             solved += 1
-            balance = [0] * n
-            for f, a in zip(flows, net.arcs):
-                assert a.lower <= f <= a.capacity
-                balance[a.tail] -= f
-                balance[a.head] += f
-            for v in range(1, n - 1):
-                assert balance[v] == 0
-            assert balance[n - 1] == net.required_flow
-            assert sum(f * a.cost for f, a in zip(flows, net.arcs)) == cost
+            _assert_valid_flow(net, cost, flows)
     assert solved > 30
+
+
+def _assert_valid_flow(net: FlowNetwork, cost: int, flows: tuple[int, ...]):
+    balance = [0] * net.num_nodes
+    for f, a in zip(flows, net.arcs):
+        assert a.lower <= f <= a.capacity
+        balance[a.tail] -= f
+        balance[a.head] += f
+    for v in range(net.num_nodes):
+        if v not in (net.source, net.sink):
+            assert balance[v] == 0
+    assert balance[net.sink] == net.required_flow
+    assert sum(f * a.cost for f, a in zip(flows, net.arcs)) == cost
+
+
+def _networkx_min_cost(nx, net: FlowNetwork):
+    """Reference optimum from networkx: lower bounds become node demands."""
+    demand = [0] * net.num_nodes
+    demand[net.source] -= net.required_flow
+    demand[net.sink] += net.required_flow
+    graph = nx.MultiDiGraph()
+    base = 0
+    for a in net.arcs:
+        graph.add_edge(a.tail, a.head, capacity=a.capacity - a.lower, weight=a.cost)
+        demand[a.tail] += a.lower
+        demand[a.head] -= a.lower
+        base += a.lower * a.cost
+    for v in range(net.num_nodes):
+        graph.add_node(v, demand=demand[v])
+    try:
+        cost, _ = nx.network_simplex(graph)
+    except nx.NetworkXUnfeasible:
+        return None
+    return base + cost
+
+
+def test_matches_networkx_on_random_networks():
+    # Networks too big for the brute force above, sources and sinks anywhere.
+    nx = pytest.importorskip("networkx")
+    stream = Stream64(8)
+    solved = infeasible = 0
+    for _ in range(300):
+        n = stream.randint(2, 8)
+        arcs = []
+        for _ in range(stream.randint(1, 16)):
+            u = stream.randint(0, n - 1)
+            v = stream.randint(0, n - 1)
+            if u == v:
+                continue
+            cap = stream.randint(0, 4)
+            lower = stream.randint(0, cap) if stream.chance(0.25) else 0
+            arcs.append(Arc(u, v, lower, cap, stream.randint(0, 6)))
+        if not arcs:
+            continue
+        source = stream.randint(0, n - 1)
+        sink = (source + stream.randint(1, n - 1)) % n
+        net = FlowNetwork(n, tuple(arcs), source, sink, stream.randint(0, 4))
+        expected = _networkx_min_cost(nx, net)
+        try:
+            cost, flows = min_cost_flow_lb(net)
+        except InfeasibleFlowError:
+            assert expected is None, net
+            infeasible += 1
+            continue
+        assert cost == expected, net
+        _assert_valid_flow(net, cost, flows)
+        solved += 1
+    assert solved > 50 and infeasible > 50
 
 
 def test_negative_cost_rejected():

@@ -12,8 +12,10 @@ from abcbribery import (
     make_election,
     solution_cost,
 )
+from abcbribery import fpt
 from abcbribery.avbribery import av_add, av_swap_unit
 from abcbribery.fpt import (
+    FLOW_VOTER_CAP,
     _conversion_cost,
     _reachable_types,
     add_for_p_subset_enum,
@@ -62,6 +64,16 @@ def test_unpriced_type_enum_large_budget_accepts():
             inst = BriberyInstance(e, p, k, e.n, Op.ADD)
             sol = unpriced_type_enum(inst, rule)
             assert sol.feasible and sol.cost <= e.n
+
+
+def test_unpriced_type_enum_certifies_fallback(monkeypatch):
+    # The approve-p-everywhere answer is replayed, not trusted.
+    e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"])])
+    inst = BriberyInstance(e, 1, 1, 2, Op.ADD)
+    assert unpriced_type_enum(inst, Rule.AV).feasible
+    monkeypatch.setattr(fpt, "is_cowinner", lambda *args: False)
+    with pytest.raises(RuntimeError, match="approving p in every vote"):
+        unpriced_type_enum(inst, Rule.AV)
 
 
 def test_unpriced_type_enum_e0_swap(e0):
@@ -164,6 +176,14 @@ def test_flow_bribery_rejects_swaps(e0):
         ccav_gav_flow_bribery(BriberyInstance(e0, 3, 2, 3, Op.SWAP), Rule.CCAV)
 
 
+def _assert_certified(inst, rule, got):
+    assert verdict(got) == verdict(oracle_bribery(inst, rule)), (rule, inst)
+    if got.feasible:
+        final = apply_actions(inst.election, got.actions)
+        assert is_cowinner(final, rule, inst.k, inst.p)
+        assert solution_cost(got.actions, inst.prices) == got.cost <= inst.budget
+
+
 def test_flow_bribery_matches_oracle():
     seed = 66
     for rule in (Rule.CCAV, Rule.GAV):
@@ -174,34 +194,69 @@ def test_flow_bribery_matches_oracle():
                                   max_candidates=5, max_voters=3,
                                   price_choices=(1, 2))
                 for inst in suite_instances(cfg):
-                    got = ccav_gav_flow_bribery(inst, rule)
-                    assert verdict(got) == verdict(oracle_bribery(inst, rule)), \
-                        (rule, op, priced, inst)
-                    if got.feasible:
-                        final = apply_actions(inst.election, got.actions)
-                        assert is_cowinner(final, rule, inst.k, inst.p)
-                        assert solution_cost(got.actions, inst.prices) == got.cost
+                    _assert_certified(inst, rule, ccav_gav_flow_bribery(inst, rule))
+
+
+def test_flow_matches_oracle_at_voter_cap():
+    # Exactly FLOW_VOTER_CAP voters, p not yet a co-winner.
+    seed = 90
+    for rule in (Rule.CCAV, Rule.GAV):
+        for op in (Op.ADD, Op.DELETE):
+            for priced in (False, True):
+                seed += 1
+                cfg = SuiteConfig(op=op, count=400, seed=seed, priced=priced,
+                                  max_candidates=5, max_voters=FLOW_VOTER_CAP,
+                                  max_budget=6, price_choices=(1, 2, 3))
+                chosen = [inst for inst in suite_instances(cfg)
+                          if inst.election.n == FLOW_VOTER_CAP
+                          and not is_cowinner(inst.election, rule, inst.k, inst.p)]
+                assert len(chosen) >= 10
+                for inst in chosen[:15]:
+                    _assert_certified(inst, rule, ccav_gav_flow_bribery(inst, rule))
+
+
+def test_flow_solve_counts_are_pinned(monkeypatch):
+    # Deterministic work: GAV guesses never build a flow, and CCAV prices only
+    # the guesses its lower bound cannot rule out (15,528 flows before pruning).
+    cfg = SuiteConfig(op=Op.DELETE, count=35, seed=96, priced=True,
+                      max_candidates=5, max_voters=4, max_budget=6)
+    inst = list(suite_instances(cfg))[34]
+    calls = 0
+    solve = fpt.min_cost_flow_lb
+
+    def counting(net):
+        nonlocal calls
+        calls += 1
+        return solve(net)
+
+    monkeypatch.setattr(fpt, "min_cost_flow_lb", counting)
+    for rule, flows in ((Rule.CCAV, 3), (Rule.GAV, 0)):
+        calls = 0
+        got = ccav_gav_flow_bribery(inst, rule)
+        assert (got.feasible, got.cost, calls) == (True, 2, flows), rule
+        _assert_certified(inst, rule, got)
 
 
 def test_flow_budget_boundary():
     # feasibility flips exactly where the oracle says it does
     cfg = SuiteConfig(op=Op.DELETE, count=60, seed=80, priced=True,
                       max_candidates=5, max_voters=3, price_choices=(1, 2))
-    flipped = 0
-    for inst in suite_instances(cfg):
-        exact = oracle_bribery(BriberyInstance(
-            inst.election, inst.p, inst.k, 8, inst.op, priced=inst.priced,
-            prices=inst.prices), Rule.CCAV)
-        if not exact.feasible or exact.cost == 0:
-            continue
-        below = BriberyInstance(inst.election, inst.p, inst.k, exact.cost - 1,
-                                inst.op, priced=inst.priced, prices=inst.prices)
-        at = BriberyInstance(inst.election, inst.p, inst.k, exact.cost,
-                             inst.op, priced=inst.priced, prices=inst.prices)
-        assert not ccav_gav_flow_bribery(below, Rule.CCAV).feasible
-        assert ccav_gav_flow_bribery(at, Rule.CCAV).feasible
-        flipped += 1
-    assert flipped >= 5
+    for rule in (Rule.CCAV, Rule.GAV):
+        flipped = 0
+        for inst in suite_instances(cfg):
+            exact = oracle_bribery(BriberyInstance(
+                inst.election, inst.p, inst.k, 8, inst.op, priced=inst.priced,
+                prices=inst.prices), rule)
+            if not exact.feasible or exact.cost == 0:
+                continue
+            below = BriberyInstance(inst.election, inst.p, inst.k, exact.cost - 1,
+                                    inst.op, priced=inst.priced, prices=inst.prices)
+            at = BriberyInstance(inst.election, inst.p, inst.k, exact.cost,
+                                 inst.op, priced=inst.priced, prices=inst.prices)
+            assert not ccav_gav_flow_bribery(below, rule).feasible
+            assert ccav_gav_flow_bribery(at, rule).feasible
+            flipped += 1
+        assert flipped >= 5, rule
 
 
 def test_conversion_costs_are_independent():
