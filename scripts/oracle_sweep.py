@@ -1,7 +1,10 @@
 """Cross-validate every constructive solver against the brute-force oracle.
 
 A lighter, configurable version of the acceptance suite; useful when hunting
-for counterexamples with bigger counts or different size mixes.
+for counterexamples with bigger counts or different size mixes.  The
+``margins`` lane checks the oracle against itself: the shared sweep
+``oracle_margins`` against one ``oracle_margin`` call per candidate, for every
+rule and operation.
 """
 
 import argparse
@@ -17,7 +20,7 @@ from abcbribery.fpt import (
     unpriced_type_enum,
 )
 from abcbribery.generators import SuiteConfig, suite_instances
-from abcbribery.oracle import oracle_bribery
+from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
 LANES = {
     "av-add": (av_add, Rule.AV, dict(op=Op.ADD, priced=True)),
@@ -41,16 +44,45 @@ LANES = {
                       price_choices=(1, 2))),
 }
 
+MARGINS = "margins"
+
+
+def margin_mismatches(count: int, seed: int) -> tuple[int, int]:
+    """Shared-sweep margins against per-candidate margins, ``count`` instances
+    per operation; prints each mismatch and returns (instances, mismatches)."""
+    bad = 0
+    for op in Op:
+        cfg = SuiteConfig(op=op, count=count, seed=seed, priced=True, max_candidates=5,
+                          max_voters=5)
+        for index, instance in enumerate(suite_instances(cfg)):
+            e, k, prices = instance.election, instance.k, instance.prices
+            for rule in Rule:
+                got = oracle_margins(e, rule, k, op, prices)
+                want = [oracle_margin(e, rule, k, p, op, prices) for p in range(e.m)]
+                if got != want:
+                    bad += 1
+                    print(f"  mismatch in {MARGINS} ({op.value} #{index}, {rule.value}): "
+                          f"got {got}, per candidate {want}")
+    return count * len(Op), bad
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--lanes", nargs="*", default=sorted(LANES))
+    lanes = sorted(LANES) + [MARGINS]
+    parser.add_argument("--lanes", nargs="*", default=lanes, choices=lanes)
     args = parser.parse_args()
     grand_total = 0
     grand_bad = 0
     for lane in args.lanes:
+        if lane == MARGINS:
+            start = time.time()
+            total, bad = margin_mismatches(args.count, args.seed)
+            grand_total += total
+            grand_bad += bad
+            print(f"{lane}: {total} instances, {bad} mismatches, {time.time() - start:.1f}s")
+            continue
         solver, rule, shape = LANES[lane]
         cfg = SuiteConfig(count=args.count, seed=args.seed, **shape)
         start = time.time()

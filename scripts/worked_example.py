@@ -6,7 +6,7 @@ and operation the exact solvers cover, plus the oracle for the rest.
 
 from abcbribery import BriberyInstance, Op, Rule, av_scores, make_election, winning_committees
 from abcbribery.avbribery import av_add, av_delete, av_swap_unit
-from abcbribery.oracle import oracle_margin
+from abcbribery.oracle import oracle_margins
 
 ELECTION = make_election(
     "a b c p".split(),
@@ -43,10 +43,9 @@ def main():
     print()
     print("margins under the other rules (oracle, swap operation):")
     for rule in (Rule.SAV, Rule.CCAV, Rule.GAV, Rule.PAV, Rule.RAV):
-        margins = {}
-        for cand in e.candidates:
-            value = oracle_margin(e, rule, K, cand.index, Op.SWAP)
-            margins[cand.name] = "inf" if value == float("inf") else value
+        values = oracle_margins(e, rule, K, Op.SWAP)
+        margins = {name: "inf" if value == float("inf") else value
+                   for name, value in zip(names, values)}
         print(f"  {rule.value}: {margins}")
 
 

@@ -8,6 +8,8 @@ without an explicit oracle request, 5 invalid action in a solution file.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from .core import (
     format_action,
 )
 from .generators import Graph, X3CInstance, gen_is_to_av_swap, gen_random_election, gen_x3c_to_sav_swap
-from .oracle import oracle_bribery, oracle_margin
+from .oracle import oracle_bribery, oracle_margin, oracle_margins
 from .rules import Rule, av_scores, ccav_coverage, is_cowinner, pav_score, sav_scores, winning_committees
 
 EXIT_OK = 0
@@ -187,20 +189,22 @@ def cmd_rank(args) -> int:
     rule = _rule(args.rule)
     op = _op(args.op)
     table = prices if args.priced else PriceTable()
-    margins = []
-    for cand in e.candidates:
-        if rule is Rule.AV:
+    if rule is Rule.AV:
+        values = []
+        for cand in e.candidates:
             instance = BriberyInstance(
                 election=e, p=cand.index, k=k, budget=10**9, op=op,
                 priced=args.priced, restricted_to_p=args.restrict_to_p, prices=table)
             solve, _ = _route(instance, rule, "exact", Fraction(1, 10))
-            solution = solve(instance)
-            margin = solution.cost if solution.cost is not None else None
-        else:
-            value = oracle_margin(e, rule, k, cand.index, op, table,
-                                  restricted=args.restrict_to_p)
-            margin = None if value == float("inf") else int(value)
-        margins.append((cand.name, margin))
+            values.append(solve(instance).cost)
+    elif args.restrict_to_p:
+        # option lists depend on the candidate, so each gets its own search
+        values = [oracle_margin(e, rule, k, cand.index, op, table, restricted=True)
+                  for cand in e.candidates]
+    else:
+        values = oracle_margins(e, rule, k, op, table)
+    margins = [(cand.name, None if value is None or value == math.inf else int(value))
+               for cand, value in zip(e.candidates, values)]
     margins.sort(key=lambda item: (item[1] is None, item[1], item[0]))
     print(f"rule: {rule.value}  op: {op.value}  k: {k}")
     for name, margin in margins:
@@ -289,7 +293,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if winning else EXIT_INFEASIBLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="abcbribery",
         description="Winners and bribery margins for approval-based committee elections")

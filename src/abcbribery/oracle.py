@@ -4,8 +4,16 @@ The search enumerates, per vote, every ballot reachable under the operation
 kind together with its cheapest action sequence (Dijkstra over ballot states
 for swaps, where relaying an approval through intermediate candidates can be
 cheaper than a direct move).  Final elections are then enumerated by
-iterative deepening over total cost, so the first hit is the optimum.  Purely
-exponential; guarded by a configuration-count estimate.
+iterative deepening over total cost, so the first hit is the optimum.
+
+One sweep can serve several target candidates at once: the options and the
+per-cost configuration counts do not depend on the target unless the
+bribery is restricted to p, so ``oracle_margins`` searches once for every
+candidate.  Each leaf is tested for every target still pending, and each
+target keeps the first witness the depth-first order reaches at its cheapest
+cost -- the same witness a single-target search finds.  Purely exponential;
+guarded by a configuration-count estimate and by the length of each voter's
+option list.
 """
 
 from __future__ import annotations
@@ -39,16 +47,26 @@ class _Option:
     actions: tuple[AtomicAction, ...]
 
 
+def _guard_options(voter: int, count: int, max_configs: int) -> None:
+    """One voter with more options than the cap implies more configurations."""
+    if count > max_configs:
+        raise ResourceGuardError(
+            f"voter {voter} has {count} reachable ballots, above the cap of "
+            f"{max_configs} configurations")
+
+
 def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]], op: Op,
-                      cost_cap: int | None) -> list[_Option]:
+                      cost_cap: int | None, max_configs: int) -> list[_Option]:
     """All subsets of independent add/delete cells, cheapest-first."""
+    if cost_cap is None:  # uncapped, the list holds every subset: check before building
+        _guard_options(voter, 1 << len(cells), max_configs)
     options = [_Option(0, start, ())]
     for cand, price in cells:
+        grown = [opt for opt in options if cost_cap is None or opt.cost + price <= cost_cap]
+        _guard_options(voter, len(options) + len(grown), max_configs)
         extra = []
-        for opt in options:
+        for opt in grown:
             cost = opt.cost + price
-            if cost_cap is not None and cost > cost_cap:
-                continue
             if op is Op.ADD:
                 mask = opt.mask | (1 << cand)
                 action = AtomicAction(Op.ADD, voter, target=cand)
@@ -62,7 +80,8 @@ def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]], op: 
 
 
 def _swap_options(voter: int, start: int, m: int, prices: PriceTable,
-                  restricted: bool, p: int, cost_cap: int | None) -> list[_Option]:
+                  restricted: bool, p: int, cost_cap: int | None,
+                  max_configs: int) -> list[_Option]:
     """Cheapest reachable ballots under swaps, via Dijkstra over ballot states."""
     dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, AtomicAction]] = {}
@@ -86,10 +105,13 @@ def _swap_options(voter: int, start: int, m: int, prices: PriceTable,
                 if cost_cap is not None and nd > cost_cap:
                     continue
                 new = (mask & ~(1 << source)) | (1 << target)
-                if new not in dist or nd < dist[new]:
-                    dist[new] = nd
-                    parent[new] = (mask, AtomicAction(Op.SWAP, voter, source=source, target=target))
-                    heapq.heappush(heap, (nd, new))
+                if new not in dist:
+                    _guard_options(voter, len(dist) + 1, max_configs)
+                elif nd >= dist[new]:
+                    continue
+                dist[new] = nd
+                parent[new] = (mask, AtomicAction(Op.SWAP, voter, source=source, target=target))
+                heapq.heappush(heap, (nd, new))
     options = []
     for mask, d in dist.items():
         actions = []
@@ -104,13 +126,14 @@ def _swap_options(voter: int, start: int, m: int, prices: PriceTable,
 
 
 def _vote_options(e: Election, prices: PriceTable, op: Op, restricted: bool, p: int,
-                  cost_cap: int | None) -> list[list[_Option]]:
+                  cost_cap: int | None, max_configs: int) -> list[list[_Option]]:
     masks = ballot_masks(e)
     out = []
     for v in range(e.n):
         start = masks[v]
         if op is Op.SWAP:
-            out.append(_swap_options(v, start, e.m, prices, restricted, p, cost_cap))
+            out.append(_swap_options(v, start, e.m, prices, restricted, p, cost_cap,
+                                     max_configs))
         else:
             if op is Op.ADD:
                 cands = [c for c in range(e.m) if not start >> c & 1]
@@ -120,7 +143,7 @@ def _vote_options(e: Election, prices: PriceTable, op: Op, restricted: bool, p: 
             else:
                 cells = [(c, prices.delete_price(v, c)) for c in _iter_bits(start)]
             cells = [(c, pr) for c, pr in cells if pr != FORBIDDEN]
-            out.append(_cellwise_options(v, start, cells, op, cost_cap))
+            out.append(_cellwise_options(v, start, cells, op, cost_cap, max_configs))
     return out
 
 
@@ -154,8 +177,9 @@ def _score_delta(old: int, new: int, shares: list[int]) -> list[tuple[int, int]]
     return [(c, d) for c, d in out.items() if d]
 
 
-def _search(e: Election, rule: Rule, k: int, p: int, options: list[list[_Option]],
-            budget: int | None, max_configs: int) -> tuple[int, tuple[AtomicAction, ...]] | None:
+def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[list[_Option]],
+            budget: int | None, max_configs: int) -> dict[int, tuple[int, tuple[AtomicAction, ...]]]:
+    """Cheapest cost and first witness per target; targets without one are absent."""
     n = len(options)
     m = e.m
     limit = sum(max(o.cost for o in opts) for opts in options)
@@ -168,25 +192,30 @@ def _search(e: Election, rule: Rule, k: int, p: int, options: list[list[_Option]
 
     ballots = ballot_masks(e)
     chosen: list[_Option | None] = [None] * n
+    found: dict[int, tuple[int, tuple[AtomicAction, ...]]] = {}
+    pending = list(targets)
 
     incremental = rule in (Rule.AV, Rule.SAV)
     if incremental:
         shares = _score_shares(rule, m)
         scores = _scores(ballots, m, rule)
 
-    def leaf_ok() -> bool:
+    def cowinner(p: int) -> bool:
         if incremental:
             return _score_cowinner(scores, k, p)
         return _is_cowinner_from_ballots(ballots, m, rule, k, p)
 
-    def dfs(i: int, remaining: int) -> tuple[AtomicAction, ...] | None:
+    def dfs(i: int, remaining: int) -> bool:
+        """Visit the configurations of cost exactly `remaining`; True once none is pending."""
         if i == n:
-            if remaining == 0 and leaf_ok():
-                out: list[AtomicAction] = []
-                for opt in chosen:
-                    out.extend(opt.actions)
-                return tuple(out)
-            return None
+            if remaining == 0:
+                hits = [p for p in pending if cowinner(p)]
+                if hits:
+                    actions = tuple(a for opt in chosen for a in opt.actions)
+                    for p in hits:
+                        found[p] = (t, actions)  # t: the cost level being swept
+                        pending.remove(p)
+            return not pending
         lower = remaining - suffix_max[i + 1]
         for opt in options[i]:
             if opt.cost > remaining:
@@ -200,39 +229,38 @@ def _search(e: Election, rule: Rule, k: int, p: int, options: list[list[_Option]
                 delta = _score_delta(old, opt.mask, shares)
                 for c, d in delta:
                     scores[c] += d
-            result = dfs(i + 1, remaining - opt.cost)
+            done = dfs(i + 1, remaining - opt.cost)
             if incremental:
                 for c, d in delta:
                     scores[c] -= d
             ballots[i] = old
             chosen[i] = None
-            if result is not None:
-                return result
-        return None
+            if done:
+                return True
+        return False
 
     explored = 0
     for t in range(limit + 1):
-        explored += counts[t] if t < len(counts) else 0
+        explored += counts[t]
         if explored > max_configs:
             raise ResourceGuardError(
                 f"enumerating final elections up to cost {t} needs {explored} "
                 f"configurations, above the cap of {max_configs}")
-        witness = dfs(0, t)
-        if witness is not None:
-            return t, witness
-    return None
+        if dfs(0, t):
+            break
+    return found
 
 
 def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
                    max_configs: int = DEFAULT_MAX_CONFIGS) -> BriberySolution:
     """Minimum-cost solution within the budget by exhaustive enumeration."""
-    e = instance.election
+    e, p = instance.election, instance.p
     options = _vote_options(e, instance.prices, instance.op, instance.restricted_to_p,
-                            instance.p, instance.budget)
-    found = _search(e, rule, instance.k, instance.p, options, instance.budget, max_configs)
-    if found is None:
+                            p, instance.budget, max_configs)
+    found = _search(e, rule, instance.k, [p], options, instance.budget, max_configs)
+    if p not in found:
         return BriberySolution((), None, False)
-    cost, actions = found
+    cost, actions = found[p]
     return BriberySolution(actions, cost, cost <= instance.budget)
 
 
@@ -244,6 +272,21 @@ def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,
         raise ElectionError("restricted-to-p is meaningless for deletions")
     if prices is None:
         prices = PriceTable.unit()
-    options = _vote_options(e, prices, op, restricted, p, None)
-    found = _search(e, rule, k, p, options, None, max_configs)
-    return math.inf if found is None else found[0]
+    options = _vote_options(e, prices, op, restricted, p, None, max_configs)
+    found = _search(e, rule, k, [p], options, None, max_configs)
+    return found[p][0] if p in found else math.inf
+
+
+def oracle_margins(e: Election, rule: Rule, k: int, op: Op,
+                   prices: PriceTable | None = None, *,
+                   max_configs: int = DEFAULT_MAX_CONFIGS) -> list[int | float]:
+    """Every candidate's unrestricted margin, in index order, from one search.
+
+    Equals ``[oracle_margin(e, rule, k, p, op, prices) for p in range(e.m)]``,
+    and raises ``ResourceGuardError`` exactly when one of those calls would.
+    """
+    if prices is None:
+        prices = PriceTable.unit()
+    options = _vote_options(e, prices, op, False, 0, None, max_configs)
+    found = _search(e, rule, k, list(range(e.m)), options, None, max_configs)
+    return [found[p][0] if p in found else math.inf for p in range(e.m)]

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
-from abcbribery.cli import main
-from abcbribery import parse_election
+from abcbribery import Op, PriceTable, Rule, oracle, parse_election, serialize_election
+from abcbribery.cli import build_parser, main
+from abcbribery.generators import SuiteConfig, suite_instances
 
 
 @pytest.fixture
@@ -190,3 +193,75 @@ def test_identical_runs_identical_output(e0_file, capsys):
     _, out2, _ = run(capsys, "bribe", e0_file, "--rule", "av", "--op", "swap",
                      "--p", "p", "--budget", "3")
     assert out1 == out2
+
+
+@pytest.fixture
+def priced_file(tmp_path):
+    """Five candidates, four voters, k = 1, seeded prices 1-3."""
+    inst = next(suite_instances(SuiteConfig(op=Op.SWAP, count=1, seed=31, priced=True,
+                                            max_candidates=5, max_voters=4)))
+    path = tmp_path / "priced.elect"
+    path.write_text(serialize_election(inst.election, inst.prices, k=inst.k))
+    return str(path)
+
+
+@pytest.mark.parametrize("rule", [r.value for r in Rule if r is not Rule.AV])
+def test_rank_equals_per_candidate_oracle_margins(priced_file, capsys, rule):
+    with open(priced_file, encoding="utf-8") as handle:
+        e, prices, k = parse_election(handle.read())
+    ops = {"add": Op.ADD, "delete": Op.DELETE, "swap": Op.SWAP}
+    for op, restricted in [("add", False), ("delete", False), ("swap", False),
+                           ("add", True), ("swap", True)]:
+        for priced in (False, True):
+            flags = ["--priced"] * priced + ["--restrict-to-p"] * restricted
+            code, out, _ = run(capsys, "rank", priced_file, "--rule", rule, "--op", op, *flags)
+            table = prices if priced else PriceTable()
+            want = sorted((oracle.oracle_margin(e, Rule(rule), k, c.index, ops[op], table,
+                                                restricted=restricted), c.name)
+                          for c in e.candidates)
+            assert code == 0
+            assert out.splitlines()[1:] == [
+                f"{name}: {'inf' if margin == math.inf else margin}" for margin, name in want]
+
+
+def test_rank_restricted_delete_is_a_parameter_error(e0_file, capsys):
+    code, _, err = run(capsys, "rank", e0_file, "--rule", "sav", "--op", "delete",
+                       "--restrict-to-p")
+    assert code == 2
+    assert "restricted-to-p" in err
+
+
+def test_rank_option_lists_built_once_unless_restricted(priced_file, capsys, monkeypatch):
+    calls = []
+    real = oracle._vote_options
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_vote_options", counted)
+    assert run(capsys, "rank", priced_file, "--rule", "pav", "--op", "swap")[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(capsys, "rank", priced_file, "--rule", "pav", "--op", "swap",
+               "--restrict-to-p")[0] == 0
+    assert len(calls) == 5
+
+
+def test_rank_option_list_guard_exit(tmp_path, capsys):
+    # one voter with 21 unapproved candidates has 2^21 addition ballots,
+    # above the oracle's default cap of 2,000,000 configurations
+    names = " ".join(f"c{i}" for i in range(22))
+    path = tmp_path / "wide.elect"
+    path.write_text(f"candidates: {names}\nvoter v1: c0\n")
+    code, _, err = run(capsys, "rank", str(path), "--rule", "sav", "--op", "add", "--k", "1")
+    assert code == 3
+    assert "2097152 reachable ballots" in err
+
+
+def test_parser_built_once_per_process(e0_file, capsys):
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "winners", e0_file, "--rule", "av", "--k", "2")[0] == 0
+    assert run(capsys, "rank", e0_file, "--rule", "av", "--op", "add")[0] == 0
+    assert build_parser.cache_info().misses == 1

@@ -14,7 +14,7 @@ from abcbribery import (
     solution_cost,
 )
 from abcbribery.generators import SuiteConfig, suite_instances
-from abcbribery.oracle import oracle_bribery, oracle_margin
+from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
 from helpers import verdict
 
@@ -120,3 +120,83 @@ def test_resource_guard():
     inst = BriberyInstance(e, 0, 4, 8, Op.DELETE)
     with pytest.raises(ResourceGuardError):
         oracle_bribery(inst, Rule.AV, max_configs=1000)
+
+
+def _margins_or_guard(e, rule, k, op, prices, max_configs):
+    """Per-candidate oracle_margin, or "guard" when any of the calls trips it."""
+    out = []
+    for p in range(e.m):
+        try:
+            out.append(oracle_margin(e, rule, k, p, op, prices, max_configs=max_configs))
+        except ResourceGuardError:
+            return "guard"
+    return out
+
+
+def _shared_or_guard(e, rule, k, op, prices, max_configs):
+    try:
+        return oracle_margins(e, rule, k, op, prices, max_configs=max_configs)
+    except ResourceGuardError:
+        return "guard"
+
+
+@pytest.mark.parametrize("priced", [False, True])
+def test_shared_margins_equal_per_candidate_margins(priced):
+    hits = 0
+    for rule in Rule:
+        for op in Op:
+            cfg = SuiteConfig(op=op, count=12, seed=95, priced=priced, price_choices=(1, 2, 3),
+                              max_candidates=6, max_voters=6)
+            for inst in suite_instances(cfg):
+                e, k = inst.election, inst.k
+                want = [oracle_margin(e, rule, k, p, op, inst.prices) for p in range(e.m)]
+                assert oracle_margins(e, rule, k, op, inst.prices) == want
+                hits += sum(0 < margin < math.inf for margin in want)
+    assert hits > 100
+
+
+@pytest.mark.parametrize("max_configs", [12, 40, 150])
+def test_shared_margins_guard_parity(max_configs):
+    outcomes = set()
+    for rule in Rule:
+        for op in Op:
+            cfg = SuiteConfig(op=op, count=10, seed=96, priced=True, max_candidates=6, max_voters=6)
+            for inst in suite_instances(cfg):
+                args = (inst.election, rule, inst.k, op, inst.prices, max_configs)
+                want = _margins_or_guard(*args)
+                assert _shared_or_guard(*args) == want
+                outcomes.add(want == "guard")
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("op, approved, length", [
+    (Op.ADD, ["c0"], 16),                         # 4 free cells: 2^4 ballots
+    (Op.DELETE, ["c0", "c1", "c2", "c3", "c4"], 32),  # 5 deletable cells
+    (Op.SWAP, ["c0"], 5),                         # the approval can sit on any candidate
+])
+def test_option_list_guard_boundary(op, approved, length):
+    # c0 already wins, so the search itself needs a single configuration and
+    # only the length of the one voter's option list meets the cap.
+    e = make_election([f"c{i}" for i in range(5)], [("v1", approved)])
+    assert oracle_margin(e, Rule.SAV, 1, 0, op, max_configs=length) == 0
+    assert oracle_margins(e, Rule.SAV, 1, op, max_configs=length)[0] == 0
+    with pytest.raises(ResourceGuardError, match="reachable ballots"):
+        oracle_margin(e, Rule.SAV, 1, 0, op, max_configs=length - 1)
+    with pytest.raises(ResourceGuardError, match="reachable ballots"):
+        oracle_margins(e, Rule.SAV, 1, op, max_configs=length - 1)
+
+
+def test_option_list_guard_boundary_within_budget():
+    # with a budget of 1 the voter keeps its ballot or buys one of 4 additions
+    e = make_election([f"c{i}" for i in range(5)], [("v1", ["c0"])])
+    inst = BriberyInstance(e, 0, 1, 1, Op.ADD)
+    assert oracle_bribery(inst, Rule.AV, max_configs=5).cost == 0
+    with pytest.raises(ResourceGuardError, match="reachable ballots"):
+        oracle_bribery(inst, Rule.AV, max_configs=4)
+
+
+def test_option_list_guard_before_building():
+    # 3 voters with 15 free cells each: 2^15 ballots apiece, refused before any is built
+    e = make_election([f"c{i}" for i in range(16)], [(f"v{i}", ["c0"]) for i in range(3)])
+    with pytest.raises(ResourceGuardError, match="32768 reachable ballots"):
+        oracle_margin(e, Rule.AV, 1, 1, Op.ADD, max_configs=1000)
