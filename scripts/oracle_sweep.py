@@ -33,6 +33,11 @@ LANES = {
                     dict(op=Op.ADD, priced=True, restricted_to_p=True, max_voters=5)),
     "typeenum-pav": (lambda i: unpriced_type_enum(i, Rule.PAV), Rule.PAV,
                      dict(op=Op.SWAP, max_voters=4)),
+    # GAV and RAV enumerate over every candidate, not a per-type pool.
+    "typeenum-gav": (lambda i: unpriced_type_enum(i, Rule.GAV), Rule.GAV,
+                     dict(op=Op.SWAP, max_voters=4)),
+    "typeenum-rav": (lambda i: unpriced_type_enum(i, Rule.RAV), Rule.RAV,
+                     dict(op=Op.SWAP, max_voters=4)),
     "pricedswap-sav": (lambda i: priced_swap_to_p_type_enum(i, Rule.SAV), Rule.SAV,
                        dict(op=Op.SWAP, priced=True, restricted_to_p=True,
                             max_candidates=5, max_voters=4)),

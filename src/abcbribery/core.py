@@ -149,8 +149,11 @@ def _transpose(masks: list[int], width: int) -> list[int]:
     """Bit j of out[i] is bit i of masks[j]: voter masks <-> candidate masks."""
     out = [0] * width
     for i, mask in enumerate(masks):
-        for j in _iter_bits(mask):
-            out[j] |= 1 << i
+        bit = 1 << i
+        while mask:  # _iter_bits inlined: every GAV/RAV co-winner test transposes
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
     return out
 
 

@@ -9,6 +9,10 @@ cannot beat the best answer is skipped; a CCAV guess that remains is priced
 with a min-cost flow whose sink arcs carry lower bounds, and a GAV guess goes
 straight to a search over concrete assignments.
 
+The enumerations test each candidate action set by flipping bits of the
+ballot bitmasks and running the rule kernel on them; no ``Election`` is built
+per set, and actions are built only for the set a solver returns.
+
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
 score and coverage rules here.  The deterministic lowest-index tie-break of
@@ -30,14 +34,14 @@ from .core import (
     Election,
     Op,
     ResourceGuardError,
-    _actions_key,
     _iter_bits,
     _transpose,
     apply_actions,
     approver_masks,
+    ballot_masks,
 )
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import Rule, _is_cowinner_from_ballots, is_cowinner
+from .rules import Rule, _greedy_picks, _is_cowinner_from_ballots, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
@@ -61,20 +65,25 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
     if len(eligible) > voter_cap:
         raise ResourceGuardError(
             f"{len(eligible)} eligible voters exceed the subset cap of {voter_cap}")
-    best: tuple[int, tuple, tuple[AtomicAction, ...]] | None = None
+    ballots = ballot_masks(e)
+    bit = 1 << p
+    best: tuple[int, tuple[int, ...]] | None = None
     for size in range(len(eligible) + 1):
         for chosen in itertools.combinations(eligible, size):
             cost = sum(instance.prices.add_price(v, p) for v in chosen)
+            # Only a strictly cheaper set can replace the first one found.
             if cost > instance.budget or (best is not None and cost >= best[0]):
                 continue
-            actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in chosen)
-            if is_cowinner(apply_actions(e, actions), rule, k, p):
-                key = (cost, _actions_key(actions))
-                if best is None or key < best[:2]:
-                    best = (cost, key[1], actions)
+            for v in chosen:
+                ballots[v] |= bit
+            if _is_cowinner_from_ballots(ballots, e.m, rule, k, p):
+                best = (cost, chosen)
+            for v in chosen:
+                ballots[v] &= ~bit
     if best is None:
         return BriberySolution((), None, False)
-    return BriberySolution(best[2], best[0], True)
+    return BriberySolution(tuple(AtomicAction(Op.ADD, v, target=p) for v in best[1]),
+                           best[0], True)
 
 
 def _type_pool(e: Election, p: int) -> set[int]:
@@ -114,30 +123,23 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
         pool = set(range(e.m))
         cap = instance.budget
 
+    # A cell is one atomic action, flipped on the ballot masks as a bit pair
+    # (swaps) or a single bit (additions).  A swap's source was approved and
+    # its target was not, so two swaps in one vote clash exactly when their
+    # flips overlap; additions never clash.
     if instance.op is Op.ADD:
-        cells = [(v, c) for v in range(e.n) for c in sorted(pool)
+        cells = [AtomicAction(Op.ADD, v, target=c) for v in range(e.n) for c in sorted(pool)
                  if c not in e.ballots[v].approved
                  and (not instance.restricted_to_p or c == p)]
-        make = lambda cell: AtomicAction(Op.ADD, cell[0], target=cell[1])
-        valid = lambda chosen: True
+        flips = [(a.voter, 1 << a.target) for a in cells]
     else:
-        cells = [(v, s, t) for v in range(e.n)
+        cells = [AtomicAction(Op.SWAP, v, source=s, target=t) for v in range(e.n)
                  for s in sorted(e.ballots[v].approved & pool)
                  for t in sorted(pool - e.ballots[v].approved)
                  if not instance.restricted_to_p or t == p]
-        make = lambda cell: AtomicAction(Op.SWAP, cell[0], source=cell[1], target=cell[2])
+        flips = [(a.voter, 1 << a.source | 1 << a.target) for a in cells]
 
-        def valid(chosen) -> bool:
-            by_vote: dict[int, list] = {}
-            for cell in chosen:
-                by_vote.setdefault(cell[0], []).append(cell)
-            for group in by_vote.values():
-                if len({c[1] for c in group}) < len(group):
-                    return False
-                if len({c[2] for c in group}) < len(group):
-                    return False
-            return True
-
+    base = ballot_masks(e)
     cap = min(cap, len(cells))
     explored = 0
     for size in range(cap + 1):
@@ -146,12 +148,16 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
             raise ResourceGuardError(
                 f"enumerating action sets of size {size} needs {explored} "
                 f"combinations, above the cap of {enum_cap}")
-        for chosen in itertools.combinations(cells, size):
-            if not valid(chosen):
-                continue
-            actions = tuple(make(cell) for cell in chosen)
-            if is_cowinner(apply_actions(e, actions), rule, k, p):
-                return BriberySolution(actions, size, True)
+        for chosen in itertools.combinations(range(len(cells)), size):
+            ballots = base.copy()
+            for i in chosen:
+                v, flip = flips[i]
+                if (ballots[v] ^ base[v]) & flip:
+                    break
+                ballots[v] ^= flip
+            else:
+                if _is_cowinner_from_ballots(ballots, e.m, rule, k, p):
+                    return BriberySolution(tuple(cells[i] for i in chosen), size, True)
 
     if interchangeable and instance.budget >= n:
         actions = _approve_p_everywhere(e, p, instance.op)
@@ -231,31 +237,33 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
             raise ResourceGuardError(
                 f"swap combinations exceed the cap of {enum_cap}")
 
-    best: tuple[int, tuple, tuple[AtomicAction, ...]] | None = None
+    ballots = ballot_masks(e)
+    best: tuple[int, tuple[AtomicAction, ...]] | None = None
     chosen: list[AtomicAction] = []
 
     def dfs(v: int, cost: int):
         nonlocal best
+        # Only a strictly cheaper leaf can replace the first one found.
         if best is not None and cost >= best[0]:
             return
         if v == e.n:
-            actions = tuple(chosen)
-            if cost <= instance.budget and is_cowinner(apply_actions(e, actions), rule, k, p):
-                key = (cost, _actions_key(actions))
-                if best is None or key < best[:2]:
-                    best = (cost, key[1], actions)
+            if cost <= instance.budget and _is_cowinner_from_ballots(ballots, e.m, rule, k, p):
+                best = (cost, tuple(chosen))
             return
         for price, action in options[v]:
             if action is not None:
+                flip = 1 << action.source | 1 << p
+                ballots[v] ^= flip
                 chosen.append(action)
             dfs(v + 1, cost + price)
             if action is not None:
+                ballots[v] ^= flip
                 chosen.pop()
 
     dfs(0, 0)
     if best is None:
         return BriberySolution((), None, False)
-    return BriberySolution(best[2], best[0], True)
+    return BriberySolution(best[1], best[0], True)
 
 
 # --- type guessing with a min-cost flow for the coverage rules ---------------
@@ -366,33 +374,49 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     columns = approver_masks(e)
     reach = [_reachable_types(instance, c, columns[c]) for c in range(m)]
     universe = sorted(set().union(*[set(r) for r in reach]))
+    # Guesses are bitmasks over the universe; each candidate's reachable
+    # types are listed cheapest first, so its cheapest guessed type is the
+    # first one in the guess.
+    bit = {t: 1 << i for i, t in enumerate(universe)}
+    ladders = [sorted((cost, bit[t], t) for t, cost in r.items()) for r in reach]
+    reached_by_others = 0
+    for c in range(m):
+        if c != p:
+            for t in reach[c]:
+                reached_by_others |= bit[t]
     budget = instance.budget
 
     best: tuple[int, tuple[AtomicAction, ...]] | None = None
     guesses = 0
     for p_type in sorted(reach[p]):
         others = [t for t in universe if t != p_type]
+        ladders[p] = [(reach[p][p_type], bit[p_type], p_type)]
+        reached = reached_by_others | bit[p_type]
         for size in range(1, min(m, len(universe)) + 1):
             for extra in itertools.combinations(others, size - 1):
                 guesses += 1
                 if guesses > guess_cap:
                     raise ResourceGuardError(
                         f"type-set guesses exceed the cap of {guess_cap}")
-                types = tuple(sorted(extra + (p_type,)))
+                guess = bit[p_type]
+                for t in extra:
+                    guess |= bit[t]
+                if guess & ~reached:  # a guessed type no candidate can take
+                    continue
                 # Costs are integers, so "cheaper than best" is "<= best - 1".
                 limit = budget if best is None else min(budget, best[0] - 1)
-                bound = _guess_lower_bound(reach, types, p_type, p)
+                bound = _guess_lower_bound(ladders, guess)
                 if bound is None or bound > limit:
                     continue
                 if rule is Rule.CCAV:
+                    types = tuple(sorted(extra + (p_type,)))
                     if not _type_cowinner_ccav(types, p_type, k):
                         continue
                     solved = _solve_type_guess(instance, reach, types, p_type, p)
                     if solved is None or solved[0] > limit:
                         continue
                 else:
-                    solved = _gav_assignment_search(
-                        instance, reach, types, p_type, p, k, limit)
+                    solved = _gav_assignment_search(ladders, guess, p, k, limit)
                     if solved is None:
                         continue
                 cost, assignment = solved
@@ -402,29 +426,23 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     return BriberySolution(best[1], best[0], True)
 
 
-def _guess_lower_bound(reach: list[dict[int, int]], types: tuple[int, ...],
-                       p_type: int, p: int) -> int | None:
+def _guess_lower_bound(ladders: list[list[tuple[int, int, int]]], guess: int) -> int | None:
     """Sum of each candidate's cheapest conversion into the guessed types.
 
-    p is pinned to p_type.  None when some candidate reaches no guessed type
-    or some guessed type is reached by no candidate: no assignment realizes
-    the guess then.
+    ``ladders[c]`` lists candidate c's reachable types as (cost, type bit,
+    type), cheapest first (p's holds only its pinned type), and ``guess`` is
+    the bitmask of the guessed types' bits.  None when some candidate reaches
+    no guessed type: no assignment realizes the guess then.
     """
     total = 0
-    unreached = set(types)
-    for c, costs in enumerate(reach):
-        targets = (p_type,) if c == p else types
-        cheapest = None
-        for t in targets:
-            cost = costs.get(t)
-            if cost is not None:
-                unreached.discard(t)
-                if cheapest is None or cost < cheapest:
-                    cheapest = cost
-        if cheapest is None:
+    for ladder in ladders:
+        for cost, type_bit, _ in ladder:
+            if type_bit & guess:
+                total += cost
+                break
+        else:
             return None
-        total += cheapest
-    return None if unreached else total
+    return total
 
 
 def _solve_type_guess(instance: BriberyInstance, reach: list[dict[int, int]],
@@ -459,45 +477,38 @@ def _solve_type_guess(instance: BriberyInstance, reach: list[dict[int, int]],
     return total, assignment
 
 
-def _gav_assignment_search(instance: BriberyInstance, reach: list[dict[int, int]],
-                           types: tuple[int, ...], p_type: int, p: int, k: int,
-                           budget: int):
+def _gav_assignment_search(ladders: list[list[tuple[int, int, int]]], guess: int,
+                           p: int, k: int, budget: int):
     """Cheapest assignment onto the guessed types that makes p win the greedy.
 
-    The caller has checked with ``_guess_lower_bound`` that every candidate
-    reaches a guessed type.
+    ``ladders`` and ``guess`` are as for ``_guess_lower_bound``, which the
+    caller has run: every candidate reaches a guessed type.
     """
-    m = len(reach)
-    choices: list[list[tuple[int, int]]] = []
-    for c in range(m):
-        if c == p:
-            choices.append([(reach[c][p_type], p_type)])
-        else:
-            choices.append(sorted((reach[c][t], t) for t in types if t in reach[c]))
+    m = len(ladders)
+    choices = [[step for step in ladder if step[1] & guess] for ladder in ladders]
     min_rest = [0] * (m + 1)
     for c in range(m - 1, -1, -1):
         min_rest[c] = min_rest[c + 1] + choices[c][0][0]
+    size = guess.bit_count()
 
     best: tuple[int, list[int]] | None = None
-    assignment = [0] * m
+    assignment = [0] * m  # the candidates' approver masks: the greedy's columns
 
-    def dfs(c: int, cost: int, covered: frozenset[int]):
+    def dfs(c: int, cost: int, covered: int):
+        """``covered`` holds the bits of the guessed types taken so far."""
         nonlocal best
         bound = budget if best is None else min(budget, best[0] - 1)
         if cost + min_rest[c] > bound:
             return
-        if len(types) - len(covered) > m - c:
+        if size - covered.bit_count() > m - c:
             return
         if c == m:
-            if len(covered) == len(types):
-                ballots = _transpose(assignment, instance.election.n)
-                if _is_cowinner_from_ballots(ballots, m, Rule.GAV, k, p):
-                    if best is None or cost < best[0]:
-                        best = (cost, assignment.copy())
+            if covered == guess and p in _greedy_picks(assignment, Rule.GAV, k):
+                best = (cost, assignment.copy())
             return
-        for extra, t in choices[c]:
+        for extra, type_bit, t in choices[c]:
             assignment[c] = t
-            dfs(c + 1, cost + extra, covered | {t})
+            dfs(c + 1, cost + extra, covered | type_bit)
 
-    dfs(0, 0, frozenset())
+    dfs(0, 0, 0)
     return best

@@ -9,11 +9,14 @@ iterative deepening over total cost, so the first hit is the optimum.
 One sweep can serve several target candidates at once: the options and the
 per-cost configuration counts do not depend on the target unless the
 bribery is restricted to p, so ``oracle_margins`` searches once for every
-candidate.  Each leaf is tested for every target still pending, and each
-target keeps the first witness the depth-first order reaches at its cheapest
-cost -- the same witness a single-target search finds.  Purely exponential;
-guarded by a configuration-count estimate and by the length of each voter's
-option list.
+candidate.  Each leaf runs the co-winner kernel once, and its candidate
+bitmask answers for every target still pending (AV and SAV instead keep
+incremental scores and compare them per target).  Each target keeps the first
+witness the depth-first order reaches at its cheapest cost -- the same
+witness a single-target search finds.  ``oracle_bribery`` replays its witness
+on the election and reruns the co-winner test before returning it.  Purely
+exponential; guarded by a configuration-count estimate and by the length of
+each voter's option list.
 """
 
 from __future__ import annotations
@@ -33,9 +36,17 @@ from .core import (
     PriceTable,
     ResourceGuardError,
     _iter_bits,
+    apply_actions,
     ballot_masks,
 )
-from .rules import Rule, _is_cowinner_from_ballots, _score_cowinner, _score_shares, _scores
+from .rules import (
+    Rule,
+    _cowinner_mask,
+    _is_cowinner_from_ballots,
+    _score_cowinner,
+    _score_shares,
+    _scores,
+)
 
 DEFAULT_MAX_CONFIGS = 2_000_000
 
@@ -167,7 +178,7 @@ def _config_counts(options: list[list[_Option]], limit: int) -> list[int]:
     return counts
 
 
-def _score_delta(old: int, new: int, shares: list[int]) -> list[tuple[int, int]]:
+def _score_delta(old: int, new: int, shares: tuple[int, ...]) -> list[tuple[int, int]]:
     """Score changes when one ballot goes from old to new (AV or SAV shares)."""
     out: dict[int, int] = {}
     for c in _iter_bits(old):
@@ -200,19 +211,21 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[l
         shares = _score_shares(rule, m)
         scores = _scores(ballots, m, rule)
 
-    def cowinner(p: int) -> bool:
+    def pending_winners() -> list[int]:
+        """The pending targets that win in the current configuration."""
         if incremental:
-            return _score_cowinner(scores, k, p)
-        return _is_cowinner_from_ballots(ballots, m, rule, k, p)
+            return [p for p in pending if _score_cowinner(scores, k, p)]
+        mask = _cowinner_mask(ballots, m, rule, k)
+        return [p for p in pending if mask >> p & 1]
 
     def dfs(i: int, remaining: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
         if i == n:
             if remaining == 0:
-                hits = [p for p in pending if cowinner(p)]
-                if hits:
+                winners = pending_winners()
+                if winners:
                     actions = tuple(a for opt in chosen for a in opt.actions)
-                    for p in hits:
+                    for p in winners:
                         found[p] = (t, actions)  # t: the cost level being swept
                         pending.remove(p)
             return not pending
@@ -261,6 +274,10 @@ def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
     if p not in found:
         return BriberySolution((), None, False)
     cost, actions = found[p]
+    # The witness is replayed on the election, not trusted from the search.
+    final = ballot_masks(apply_actions(e, actions))
+    if not _is_cowinner_from_ballots(final, e.m, rule, instance.k, p):
+        raise RuntimeError("the oracle's witness does not make p a co-winner")
     return BriberySolution(actions, cost, cost <= instance.budget)
 
 

@@ -7,16 +7,26 @@ index.
 
 CCAV, PAV, GAV and RAV are Thiele rules: a voter's (t+1)-th approved
 committee member is worth w(t), with w = (1, 0, 0, ...) for the coverage
-rules and w(t) = 1/(t+1) for the harmonic ones.  One committee scan serves
-CCAV and PAV, and one greedy serves GAV and RAV.  Scores are exact integers
+rules and w(t) = 1/(t+1) for the harmonic ones.  Scores are exact integers
 inside the package: harmonic weights are scaled by lcm(1..k) and SAV shares
 by lcm(1..m).  The public functions return ``Fraction`` values.
+
+Every co-winner question goes through one kernel on ballot bitmasks,
+``_cowinner_mask``, which returns the set of candidates belonging to some
+winning committee as a bitmask, so one call answers for every candidate.
+CCAV and PAV scan a table of all size-k committee bitmasks, built once per
+(m, k) after the committee cap is checked and kept in a small LRU cache; the
+committees tied for the best value are unioned.  GAV and RAV run one greedy
+on candidate columns (approver bitmasks): ``levels[t]`` holds the voters with
+exactly t committee members, and a candidate gains w(t) per approver at
+level t.  AV and SAV compare scores.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, lcm
 
@@ -25,6 +35,7 @@ from .core import (
     ElectionError,
     ResourceGuardError,
     _iter_bits,
+    _transpose,
     approver_masks,
     ballot_masks,
 )
@@ -54,15 +65,16 @@ def _scale(top: int) -> int:
     return lcm(*range(1, top + 1))
 
 
-def _score_shares(rule: Rule, m: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _score_shares(rule: Rule, m: int) -> tuple[int, ...]:
     """Per-candidate share of a ballot approving s candidates, s = 0..m.
 
     AV gives each approved candidate 1; SAV splits lcm(1..m) equally.
     """
     if rule is Rule.AV:
-        return [1] * (m + 1)
+        return (1,) * (m + 1)
     scale = _scale(m)
-    return [0] + [scale // s for s in range(1, m + 1)]
+    return (0,) + tuple(scale // s for s in range(1, m + 1))
 
 
 def _scores(ballots: list[int], m: int, rule: Rule) -> list[int]:
@@ -76,24 +88,26 @@ def _scores(ballots: list[int], m: int, rule: Rule) -> list[int]:
     return scores
 
 
-def _thiele_weights(rule: Rule, k: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _thiele_weights(rule: Rule, k: int) -> tuple[int, ...]:
     """w(0..k-1): a voter's gain from its 1st, 2nd, ... approved member.
 
     Harmonic weights 1/(t+1) are scaled by lcm(1..k), so weights[0] is the
     scale.
     """
     if rule in (Rule.CCAV, Rule.GAV):
-        return [1] + [0] * (k - 1)
+        return (1,) + (0,) * (k - 1)
     scale = _scale(k)
-    return [scale // (t + 1) for t in range(k)]
+    return tuple(scale // (t + 1) for t in range(k))
 
 
-def _satisfaction(rule: Rule, k: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _satisfaction(rule: Rule, k: int) -> tuple[int, ...]:
     """A voter's value for approving t = 0..k committee members."""
-    return list(itertools.accumulate(_thiele_weights(rule, k), initial=0))
+    return tuple(itertools.accumulate(_thiele_weights(rule, k), initial=0))
 
 
-def _committee_value(ballots: list[int], committee: int, satisfaction: list[int]) -> int:
+def _committee_value(ballots: list[int], committee: int, satisfaction: tuple[int, ...]) -> int:
     """Sum over voters of satisfaction[number of approved committee members]."""
     value = 0
     for mask in ballots:
@@ -101,61 +115,116 @@ def _committee_value(ballots: list[int], committee: int, satisfaction: list[int]
     return value
 
 
-def _committee_scan(ballots: list[int], m: int, rule: Rule, k: int, cap: int):
-    """(members, value) for every size-k committee, in lexicographic order."""
+@lru_cache(maxsize=8)
+def _committee_table(m: int, k: int) -> tuple[int, ...]:
+    """Every size-k committee over m candidates as a bitmask.
+
+    Callers check comb(m, k) against their cap first, so a guarded size is
+    never built and each kept table holds at most cap entries.
+    """
+    return tuple(sum(1 << c for c in combo) for combo in itertools.combinations(range(m), k))
+
+
+def _optimal_committees(ballots: list[int], m: int, rule: Rule, k: int, cap: int) -> list[int]:
+    """Bitmasks of the size-k committees of maximal value (CCAV, PAV)."""
     if comb(m, k) > cap:
         raise ResourceGuardError(f"C({m},{k}) committees exceed the cap of {cap}")
     satisfaction = _satisfaction(rule, k)
-    for combo in itertools.combinations(range(m), k):
-        committee = 0
-        for c in combo:
-            committee |= 1 << c
-        yield combo, _committee_value(ballots, committee, satisfaction)
+    best_value = -1
+    best: list[int] = []
+    for committee in _committee_table(m, k):
+        value = 0
+        for mask in ballots:
+            value += satisfaction[(mask & committee).bit_count()]
+        if value > best_value:
+            best_value, best = value, [committee]
+        elif value == best_value:
+            best.append(committee)
+    return best
 
 
-def _thiele_gains(ballots: list[int], m: int, committee: int, weights: list[int]) -> list[int]:
-    """Value gained by adding each candidate to the committee (0 for members)."""
-    gains = [0] * m
-    for mask in ballots:
-        weight = weights[(mask & committee).bit_count()]
-        if weight:
-            for c in _iter_bits(mask & ~committee):
-                gains[c] += weight
+def _level_gains(columns: list[int], levels: list[int], weights: tuple[int, ...]) -> list[int]:
+    """Each candidate's gain: w(t) times its approvers at level t, summed over t.
+
+    ``levels[t]`` holds the voters approving exactly t committee members.
+    """
+    gains = [0] * len(columns)
+    for w, level in zip(weights, levels):
+        if w and level:
+            gains = [gain + w * (column & level).bit_count()
+                     for gain, column in zip(gains, columns)]
     return gains
 
 
-def _thiele_greedy(ballots: list[int], m: int, rule: Rule, k: int) -> list[int]:
-    """Greedy committee as an ordered pick list, ties toward the lowest index."""
+def _thiele_gains(ballots: list[int], m: int, committee: int,
+                  weights: tuple[int, ...]) -> list[int]:
+    """Value gained by adding each candidate to the committee (0 for members)."""
+    levels = [0] * len(weights)
+    for v, mask in enumerate(ballots):
+        levels[(mask & committee).bit_count()] |= 1 << v
+    gains = _level_gains(_transpose(ballots, m), levels, weights)
+    for c in _iter_bits(committee):
+        gains[c] = 0
+    return gains
+
+
+def _greedy_picks(columns: list[int], rule: Rule, k: int) -> list[int]:
+    """Greedy pick list over candidate columns (approver masks), ties toward
+    the lowest index.  Rounds with no gain still pick, the lowest free index.
+    """
     weights = _thiele_weights(rule, k)
+    # Voters past the last nonzero weight gain nothing more: for the coverage
+    # rules only level 0, the uncovered voters, is kept.
+    depth = len(weights) - weights.count(0)
+    levels = [0]
+    for column in columns:
+        levels[0] |= column
     picks: list[int] = []
-    committee = 0
     for _ in range(k):
-        gains = _thiele_gains(ballots, m, committee, weights)
+        gains = _level_gains(columns, levels, weights)
         for c in picks:
             gains[c] = -1
         best = gains.index(max(gains))
         picks.append(best)
-        committee |= 1 << best
+        column = columns[best]
+        moved = 0
+        for t, level in enumerate(levels):
+            levels[t] = (level & ~column) | moved
+            moved = level & column
+        if len(levels) < depth:
+            levels.append(moved)
     return picks
+
+
+def _thiele_greedy(ballots: list[int], m: int, rule: Rule, k: int) -> list[int]:
+    """Greedy committee as an ordered pick list, ties toward the lowest index."""
+    return _greedy_picks(_transpose(ballots, m), rule, k)
 
 
 def _score_cowinner(scores, k: int, p: int) -> bool:
     return sum(1 for s in scores if s > scores[p]) <= k - 1
 
 
+def _cowinner_mask(ballots: list[int], m: int, rule: Rule, k: int,
+                   cap: int = COMMITTEE_ENUM_CAP) -> int:
+    """Bitmask of every candidate belonging to some winning committee."""
+    if rule in (Rule.AV, Rule.SAV):
+        scores = _scores(ballots, m, rule)
+        cutoff = sorted(scores, reverse=True)[k - 1]
+        return sum(1 << c for c, s in enumerate(scores) if s >= cutoff)
+    if rule in (Rule.GAV, Rule.RAV):
+        return sum(1 << c for c in _thiele_greedy(ballots, m, rule, k))
+    mask = 0
+    for committee in _optimal_committees(ballots, m, rule, k, cap):
+        mask |= committee
+    return mask
+
+
 def _is_cowinner_from_ballots(ballots: list[int], m: int, rule: Rule, k: int, p: int,
                               cap: int = COMMITTEE_ENUM_CAP) -> bool:
     if rule in (Rule.AV, Rule.SAV):
         return _score_cowinner(_scores(ballots, m, rule), k, p)
-    if rule in (Rule.GAV, Rule.RAV):
-        return p in _thiele_greedy(ballots, m, rule, k)
-    best_all = best_with_p = -1
-    for combo, value in _committee_scan(ballots, m, rule, k, cap):
-        if value > best_all:
-            best_all = value
-        if value > best_with_p and p in combo:
-            best_with_p = value
-    return best_with_p == best_all
+    return bool(_cowinner_mask(ballots, m, rule, k, cap) >> p & 1)
 
 
 # --- public scores and committee operations ----------------------------------
@@ -239,14 +308,8 @@ def winning_committees(e: Election, rule: Rule, k: int,
         return set(iter_winning_committees(e, rule, k))
     if rule in (Rule.GAV, Rule.RAV):
         return {frozenset(_thiele_greedy(ballots, e.m, rule, k))}
-    best_value = -1
-    best: list[frozenset[int]] = []
-    for combo, value in _committee_scan(ballots, e.m, rule, k, cap):
-        if value > best_value:
-            best_value, best = value, [frozenset(combo)]
-        elif value == best_value:
-            best.append(frozenset(combo))
-    return set(best)
+    return {frozenset(_iter_bits(committee))
+            for committee in _optimal_committees(ballots, e.m, rule, k, cap)}
 
 
 def is_cowinner(e: Election, rule: Rule, k: int, p: int, cap: int = COMMITTEE_ENUM_CAP) -> bool:

@@ -1,4 +1,4 @@
-"""Shared test utilities: deterministic random elections and result shapes."""
+"""Shared test utilities: deterministic random elections, result shapes and call counters."""
 
 from abcbribery import BriberySolution, make_election
 from abcbribery.generators import Stream64
@@ -22,3 +22,15 @@ def random_sized_election(stream: Stream64, m_max: int, n_max: int, probability:
     m = stream.randint(2, m_max)
     n = stream.randint(1, n_max)
     return random_election(stream, m, n, probability)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name with a call counter; returns the one-element count list."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls

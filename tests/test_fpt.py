@@ -26,7 +26,7 @@ from abcbribery.fpt import (
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery
 
-from helpers import random_sized_election, verdict
+from helpers import count_calls, random_sized_election, verdict
 
 
 def test_subset_enum_e0_matches_av(e0):
@@ -131,6 +131,24 @@ def test_unpriced_type_enum_clone_invariance():
                 BriberyInstance(more, p, k, budget, op), rule))
             assert before == after, (rule, op, cloned, k, budget)
         checked += 1
+
+
+def test_enumerations_test_masks_not_elections(monkeypatch):
+    # Below the approve-p-everywhere budget no Election is built: every action
+    # set is tested on flipped ballot masks, and p never wins with one move.
+    e = make_election(["a", "b", "p"],
+                      [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
+    applied = count_calls(monkeypatch, fpt, "apply_actions")
+    checks = count_calls(monkeypatch, fpt, "_is_cowinner_from_ballots")
+    swap = BriberyInstance(e, 2, 1, 1, Op.SWAP)
+    assert not unpriced_type_enum(swap, Rule.PAV).feasible
+    assert checks[0] == 1 + 8  # the empty set and each of the 8 single swaps
+    add = BriberyInstance(e, 2, 1, 1, Op.ADD, restricted_to_p=True)
+    assert not add_for_p_subset_enum(add, Rule.PAV).feasible
+    priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
+    assert not priced_swap_to_p_type_enum(priced, Rule.PAV).feasible
+    assert checks[0] > 1 + 8 + 2
+    assert applied[0] == 0
 
 
 def test_priced_swap_to_p_unit_agrees_with_unpriced(e0):

@@ -13,10 +13,11 @@ from abcbribery import (
     make_election,
     solution_cost,
 )
+from abcbribery import oracle
 from abcbribery.generators import SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
-from helpers import verdict
+from helpers import count_calls, verdict
 
 
 def test_e0_paper_margins(e0):
@@ -200,3 +201,35 @@ def test_option_list_guard_before_building():
     e = make_election([f"c{i}" for i in range(16)], [(f"v{i}", ["c0"]) for i in range(3)])
     with pytest.raises(ResourceGuardError, match="32768 reachable ballots"):
         oracle_margin(e, Rule.AV, 1, 1, Op.ADD, max_configs=1000)
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV, Rule.GAV, Rule.RAV])
+def test_one_cowinner_mask_per_leaf(monkeypatch, rule):
+    # v1 may not drop c0, so c2 (approved by nobody) never joins the single
+    # seat: its margin is infinite, the sweep visits every final election, and
+    # the number of leaves is the product of the option-list lengths.
+    e = make_election(["c0", "c1", "c2"],
+                      [("v1", ["c0", "c1"]), ("v2", ["c0"]), ("v3", ["c1"])])
+    prices = PriceTable(delete={(0, 0): math.inf})
+    leaves = math.prod(len(opts) for opts in oracle._vote_options(
+        e, prices, Op.DELETE, False, 0, None, oracle.DEFAULT_MAX_CONFIGS))
+    calls = count_calls(monkeypatch, oracle, "_cowinner_mask")
+    margins = oracle_margins(e, rule, 1, Op.DELETE, prices)
+    assert margins[2] == math.inf and margins[0] == 0
+    assert calls[0] == leaves == 8
+
+
+def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):
+    e = make_election(["c0", "c1", "c2"], [("v1", ["c0", "c1"]), ("v2", ["c0"])])
+    calls = count_calls(monkeypatch, oracle, "_cowinner_mask")
+    for rule in (Rule.AV, Rule.SAV):
+        assert oracle_margins(e, rule, 1, Op.SWAP)[0] == 0
+    assert calls[0] == 0
+
+
+def test_oracle_witness_is_certified(monkeypatch, e0):
+    inst = BriberyInstance(e0, 3, 2, 9, Op.ADD)
+    assert oracle_bribery(inst, Rule.PAV).feasible
+    monkeypatch.setattr(oracle, "_is_cowinner_from_ballots", lambda *args: False)
+    with pytest.raises(RuntimeError, match="witness"):
+        oracle_bribery(inst, Rule.PAV)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,8 @@ from abcbribery import (
     sav_scores,
     winning_committees,
 )
-from abcbribery.core import approver_masks
+from abcbribery import rules
+from abcbribery.core import approver_masks, ballot_masks
 from abcbribery.fpt import _type_cowinner_ccav
 from abcbribery.generators import Stream64
 
@@ -114,6 +116,23 @@ def test_winning_committees_ccav(e0):
 def test_winning_committees_guard(e0):
     with pytest.raises(ResourceGuardError):
         winning_committees(e0, Rule.PAV, 2, cap=3)
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_committee_guard_boundary(e0, rule, k):
+    # C(4, k) committees: a cap of exactly that passes, one less trips before
+    # the committee table is built.
+    size = math.comb(e0.m, k)
+    rules._committee_table.cache_clear()
+    for check in (lambda cap: is_cowinner(e0, rule, k, 3, cap),
+                  lambda cap: winning_committees(e0, rule, k, cap)):
+        with pytest.raises(ResourceGuardError, match=f"C\\(4,{k}\\) committees"):
+            check(size - 1)
+        assert rules._committee_table.cache_info().currsize == 0
+    assert is_cowinner(e0, rule, k, 3, size) == is_cowinner(e0, rule, k, 3)
+    assert winning_committees(e0, rule, k, size) == winning_committees(e0, rule, k)
+    assert rules._committee_table.cache_info().currsize == 1
 
 
 def test_streaming_survives_huge_tie_families():
@@ -217,15 +236,22 @@ def _fraction_reference(e):
     return av, sav, cc, pav
 
 
+def _reference_greedy(e, rule, k):
+    """GAV or RAV pick order: each round the lowest index of maximal gain."""
+    _, _, cc, pav = _fraction_reference(e)
+    objective = cc if rule is Rule.GAV else pav
+    picks = []
+    for _ in range(k):
+        w = frozenset(picks)
+        gain = {c: objective(w | {c}) - objective(w) for c in range(e.m) if c not in w}
+        picks.append(min(c for c in gain if gain[c] == max(gain.values())))
+    return picks
+
+
 def _reference_winners(e, rule, k):
     av, sav, cc, pav = _fraction_reference(e)
     if rule in (Rule.GAV, Rule.RAV):
-        objective = cc if rule is Rule.GAV else pav
-        w = frozenset()
-        for _ in range(k):
-            gain = {c: objective(w | {c}) - objective(w) for c in range(e.m) if c not in w}
-            w |= {min(c for c in gain if gain[c] == max(gain.values()))}
-        return {w}
+        return {frozenset(_reference_greedy(e, rule, k))}
     value = {Rule.AV: lambda w: sum(av[c] for c in w), Rule.SAV: lambda w: sum(sav[c] for c in w),
              Rule.CCAV: cc, Rule.PAV: pav}[rule]
     committees = [frozenset(w) for w in itertools.combinations(range(e.m), k)]
@@ -250,6 +276,26 @@ def test_kernel_matches_fraction_reference():
                 assert pav_score(e, w) == pav(w)
                 assert rav_marginals(e, w) == [0 if c in w else pav(w | {c}) - pav(w)
                                                for c in range(e.m)]
+
+
+def test_cowinner_mask_and_pick_order_match_reference():
+    # Pick order matters beyond the committee: approx uses greedy prefixes
+    # (GAV) and pick lists (RAV).  k runs up to m, so zero-gain rounds occur.
+    stream = Stream64(43)
+    unapproved_picks = 0  # each one is a zero-gain round
+    for _ in range(40):
+        e = random_sized_election(stream, 7, 7)
+        ballots = ballot_masks(e)
+        for k in range(1, e.m + 1):
+            for rule in (Rule.GAV, Rule.RAV):
+                picks = _reference_greedy(e, rule, k)
+                assert rules._thiele_greedy(ballots, e.m, rule, k) == picks, (rule, e, k)
+                approved = frozenset().union(*(b.approved for b in e.ballots))
+                unapproved_picks += len(set(picks) - approved)
+            for rule in Rule:
+                union = frozenset().union(*_reference_winners(e, rule, k))
+                assert rules._cowinner_mask(ballots, e.m, rule, k) == sum(1 << c for c in union)
+    assert unapproved_picks > 50
 
 
 # --- guarantees and symmetry --------------------------------------------------
