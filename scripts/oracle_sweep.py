@@ -1,53 +1,57 @@
 """Cross-validate every constructive solver against the brute-force oracle.
 
 A lighter, configurable version of the acceptance suite; useful when hunting
-for counterexamples with bigger counts or different size mixes.  The
+for counterexamples with bigger counts or different size mixes.  Each lane is
+a rule, a ``solve`` algorithm and a suite shape; the routing table picks the
+solver, and every answer, the oracle's included, is certified by ``solve``.
+The type-enumeration lanes keep drawing until ``--count`` instances in which
+p is not already a co-winner, so each one reaches the enumeration.  The
 ``margins`` lane checks the oracle against itself: the shared sweep
 ``oracle_margins`` against one ``oracle_margin`` call per candidate, for every
 rule and operation.
 """
 
 import argparse
+import itertools
+import sys
 import time
 
-from abcbribery import Op, Rule
-from abcbribery.approx import gav_add_for_p, rav_add_for_p
-from abcbribery.avbribery import av_add, av_delete, av_priced_swap_exact, av_swap_unit
-from abcbribery.fpt import (
-    add_for_p_subset_enum,
-    ccav_gav_flow_bribery,
-    priced_swap_to_p_type_enum,
-    unpriced_type_enum,
-)
+from abcbribery import Op, Rule, is_cowinner, solve
 from abcbribery.generators import SuiteConfig, suite_instances
-from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
+from abcbribery.oracle import oracle_margin, oracle_margins
 
 LANES = {
-    "av-add": (av_add, Rule.AV, dict(op=Op.ADD, priced=True)),
-    "av-delete": (av_delete, Rule.AV, dict(op=Op.DELETE, priced=True)),
-    "av-swap-unit": (av_swap_unit, Rule.AV, dict(op=Op.SWAP)),
-    "av-swap-priced": (av_priced_swap_exact, Rule.AV, dict(op=Op.SWAP, priced=True)),
-    "gav-add": (gav_add_for_p, Rule.GAV, dict(op=Op.ADD, priced=True, restricted_to_p=True)),
-    "rav-add": (rav_add_for_p, Rule.RAV, dict(op=Op.ADD, restricted_to_p=True)),
-    "subset-ccav": (lambda i: add_for_p_subset_enum(i, Rule.CCAV), Rule.CCAV,
+    "av-add": (Rule.AV, "exact", dict(op=Op.ADD, priced=True)),
+    "av-delete": (Rule.AV, "exact", dict(op=Op.DELETE, priced=True)),
+    "av-swap-unit": (Rule.AV, "exact", dict(op=Op.SWAP)),
+    "av-swap-priced": (Rule.AV, "exact", dict(op=Op.SWAP, priced=True)),
+    "gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, restricted_to_p=True)),
+    "rav-add": (Rule.RAV, "auto", dict(op=Op.ADD, restricted_to_p=True)),
+    "subset-ccav": (Rule.CCAV, "fpt-n",
                     dict(op=Op.ADD, priced=True, restricted_to_p=True, max_voters=5)),
-    "typeenum-pav": (lambda i: unpriced_type_enum(i, Rule.PAV), Rule.PAV,
-                     dict(op=Op.SWAP, max_voters=4)),
+    "typeenum-pav": (Rule.PAV, "exact", dict(op=Op.SWAP, max_voters=4)),
     # GAV and RAV enumerate over every candidate, not a per-type pool.
-    "typeenum-gav": (lambda i: unpriced_type_enum(i, Rule.GAV), Rule.GAV,
-                     dict(op=Op.SWAP, max_voters=4)),
-    "typeenum-rav": (lambda i: unpriced_type_enum(i, Rule.RAV), Rule.RAV,
-                     dict(op=Op.SWAP, max_voters=4)),
-    "pricedswap-sav": (lambda i: priced_swap_to_p_type_enum(i, Rule.SAV), Rule.SAV,
-                       dict(op=Op.SWAP, priced=True, restricted_to_p=True,
-                            max_candidates=5, max_voters=4)),
-    "flow-ccav": (lambda i: ccav_gav_flow_bribery(i, Rule.CCAV), Rule.CCAV,
-                  dict(op=Op.ADD, priced=True, max_candidates=5, max_voters=4,
-                       price_choices=(1, 2, 3))),
-    "flow-gav": (lambda i: ccav_gav_flow_bribery(i, Rule.GAV), Rule.GAV,
-                 dict(op=Op.DELETE, priced=True, max_candidates=5, max_voters=4,
-                      price_choices=(1, 2))),
+    "typeenum-gav": (Rule.GAV, "exact", dict(op=Op.SWAP, max_voters=4)),
+    "typeenum-rav": (Rule.RAV, "exact", dict(op=Op.SWAP, max_voters=4)),
+    "pricedswap-sav": (Rule.SAV, "exact", dict(op=Op.SWAP, priced=True, restricted_to_p=True,
+                                                max_candidates=5, max_voters=4)),
+    "flow-ccav": (Rule.CCAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=5,
+                                           max_voters=4, price_choices=(1, 2, 3))),
+    "flow-gav": (Rule.GAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=5,
+                                         max_voters=4, price_choices=(1, 2))),
 }
+# p already a co-winner is answered at cost 0 before any action set is tried.
+LOSING_ONLY = {"typeenum-pav", "typeenum-gav", "typeenum-rav"}
+
+
+def lane_instances(lane: str, count: int, seed: int):
+    rule, _, shape = LANES[lane]
+    if lane not in LOSING_ONLY:
+        return suite_instances(SuiteConfig(count=count, seed=seed, **shape))
+    draws = suite_instances(SuiteConfig(count=sys.maxsize, seed=seed, **shape))
+    return itertools.islice((inst for inst in draws
+                             if not is_cowinner(inst.election, rule, inst.k, inst.p)), count)
+
 
 MARGINS = "margins"
 
@@ -88,13 +92,12 @@ def main():
             grand_bad += bad
             print(f"{lane}: {total} instances, {bad} mismatches, {time.time() - start:.1f}s")
             continue
-        solver, rule, shape = LANES[lane]
-        cfg = SuiteConfig(count=args.count, seed=args.seed, **shape)
+        rule, algorithm, _ = LANES[lane]
         start = time.time()
         bad = 0
-        for instance in suite_instances(cfg):
-            mine = solver(instance)
-            truth = oracle_bribery(instance, rule)
+        for instance in lane_instances(lane, args.count, args.seed):
+            mine = solve(instance, rule, algorithm)[0]
+            truth = solve(instance, rule, "oracle")[0]
             got = (mine.feasible, mine.cost if mine.feasible else None)
             want = (truth.feasible, truth.cost if truth.feasible else None)
             if got != want:

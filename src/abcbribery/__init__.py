@@ -14,11 +14,9 @@ from .core import (
     Op,
     ParseError,
     PriceTable,
-    Rational,
     ResourceGuardError,
     apply_action,
     apply_actions,
-    candidate_types,
     make_election,
     parse_election,
     parse_solution,
@@ -26,9 +24,11 @@ from .core import (
     solution_cost,
 )
 from .rules import (
+    CertificationError,
     Rule,
     av_scores,
     ccav_coverage,
+    certify,
     gav_committee,
     is_cowinner,
     iter_winning_committees,
@@ -38,5 +38,6 @@ from .rules import (
     sav_scores,
     winning_committees,
 )
+from .solve import UnsupportedCombination, solve
 
 __version__ = "0.1.0"

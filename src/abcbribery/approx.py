@@ -33,9 +33,9 @@ from .rules import (
     _thiele_gains,
     _thiele_greedy,
     _thiele_weights,
+    certify,
     gav_committee,
     is_cowinner,
-    rav_committee,
 )
 
 VALUE_DP_CAP = 1_000_000
@@ -130,11 +130,7 @@ def gav_add_for_p(instance: BriberyInstance) -> BriberySolution:
                     best = (cost, tuple(actions))
                 break
             prefix = _thiele_greedy(ballot_masks(cur), cur.m, Rule.GAV, target_round - 1)
-            covered = set()
-            for c in prefix:
-                for v in range(cur.n):
-                    if c in cur.ballots[v].approved:
-                        covered.add(v)
+            covered = {v for v in range(cur.n) if not cur.ballots[v].approved.isdisjoint(prefix)}
             eligible = [
                 (instance.prices.add_price(v, p), v)
                 for v in range(cur.n)
@@ -194,15 +190,12 @@ def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fractio
             continue
         cost, voters = solved
         actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in sorted(voters))
-        if p not in rav_committee(apply_actions(e, actions), k):
-            raise RuntimeError(f"the cover for round {target_round} does not put p "
-                               "on the RAV committee")
         if best is None or (cost, _actions_key(actions)) < (best[0], _actions_key(best[1])):
             best = (cost, actions)
     if best is None:
         return BriberySolution((), None, False)
     cost, actions = best
-    return BriberySolution(actions, cost, cost <= instance.budget)
+    return certify(instance, Rule.RAV, BriberySolution(actions, cost, cost <= instance.budget))
 
 
 def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,

@@ -219,7 +219,8 @@ def _order_vote_swaps(voter: int, start_mask: int,
             vacant = next(j for j in range(lo + 1, last + 1) if not occ >> nodes[j] & 1)
             for j in range(vacant - 1, lo - 1, -1):
                 src, dst = nodes[j], nodes[j + 1]
-                assert occ >> src & 1 and not occ >> dst & 1
+                if not occ >> src & 1 or occ >> dst & 1:
+                    raise RuntimeError(f"relay swap {src}->{dst} is invalid in vote {voter}")
                 occ = (occ & ~(1 << src)) | (1 << dst)
                 out.append(AtomicAction(Op.SWAP, voter, source=src, target=dst))
             lo = vacant

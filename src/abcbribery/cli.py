@@ -3,6 +3,11 @@
 Exit codes: 0 success (bribe: feasible), 1 infeasible, 2 parse or parameter
 error, 3 resource guard tripped, 4 unsupported rule/operation combination
 without an explicit oracle request, 5 invalid action in a solution file.
+
+``bribe`` and the AV margins of ``rank`` go through ``solve.solve``, which
+routes the cell and certifies the answer.  ``verify`` keeps its own replay
+loop: it reports the index of a failing action (exit 5) and a replay that
+leaves p losing as an answer (exit 1), not as a solver fault.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import approx, avbribery, fpt
 from .core import (
     BriberyInstance,
     Election,
@@ -32,8 +36,10 @@ from .core import (
     format_action,
 )
 from .generators import Graph, X3CInstance, gen_is_to_av_swap, gen_random_election, gen_x3c_to_sav_swap
-from .oracle import oracle_bribery, oracle_margin, oracle_margins
+from .oracle import oracle_margin, oracle_margins
+from .oracle import oracle_bribery  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .rules import Rule, av_scores, ccav_coverage, is_cowinner, pav_score, sav_scores, winning_committees
+from .solve import ALGORITHMS, UnsupportedCombination, solve
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -43,41 +49,27 @@ EXIT_UNSUPPORTED = 4
 EXIT_BAD_ACTION = 5
 
 
-class UnsupportedCombination(Exception):
-    pass
-
-
-def _load(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return parse_election(handle.read())
+def _load(args):
+    """The file's election and prices, and the committee size (--k over the k: line)."""
+    with open(args.file, encoding="utf-8") as handle:
+        e, prices, file_k = parse_election(handle.read())
+    k = args.k if args.k is not None else file_k
+    if k is None:
+        raise ElectionError("no committee size (use --k or a k: line)")
+    return e, prices, k
 
 
 def _committee_str(e: Election, committee) -> str:
     return "{" + ",".join(e.candidates[c].name for c in sorted(committee)) + "}"
 
 
-def _rule(name: str) -> Rule:
-    return Rule(name)
-
-
-def _op(name: str) -> Op:
-    return {"add": Op.ADD, "delete": Op.DELETE, "swap": Op.SWAP}[name]
-
-
 def cmd_winners(args) -> int:
-    e, _, file_k = _load(args.file)
-    k = args.k if args.k is not None else file_k
-    if k is None:
-        print("error: no committee size (use --k or a k: line)", file=sys.stderr)
-        return EXIT_PARSE
-    rule = _rule(args.rule)
+    e, _, k = _load(args)
+    rule = Rule(args.rule)
     print(f"rule: {rule.value}")
     print(f"k: {k}")
-    if rule is Rule.AV:
-        scores = av_scores(e)
-        print("scores: " + " ".join(f"{c.name}={scores[c.index]}" for c in e.candidates))
-    elif rule is Rule.SAV:
-        scores = sav_scores(e)
+    if rule in (Rule.AV, Rule.SAV):
+        scores = (av_scores if rule is Rule.AV else sav_scores)(e)
         print("scores: " + " ".join(f"{c.name}={scores[c.index]}" for c in e.candidates))
     committees = sorted(winning_committees(e, rule, k), key=sorted)
     if rule is Rule.CCAV:
@@ -88,87 +80,15 @@ def cmd_winners(args) -> int:
     return EXIT_OK
 
 
-_EXACT = "exact"
-_APPROX2 = "2-approximation"
-
-
-def _route(instance: BriberyInstance, rule: Rule, algorithm: str, epsilon: Fraction):
-    """Pick the solver for a rule/operation cell; returns (solve, guarantee)."""
-    op, priced, restricted = instance.op, instance.priced, instance.restricted_to_p
-    eps_label = f"(1+{epsilon})-approximation"
-
-    def av_cell():
-        if op is Op.ADD:
-            return avbribery.av_add, _EXACT
-        if op is Op.DELETE:
-            return avbribery.av_delete, _EXACT
-        if not priced:
-            return avbribery.av_swap_unit, _EXACT
-        return avbribery.av_priced_swap_exact, _EXACT
-
-    if algorithm == "oracle":
-        return lambda inst: oracle_bribery(inst, rule), _EXACT
-    if algorithm == "approx":
-        if rule is Rule.SAV and op is Op.ADD and (restricted or not priced):
-            return approx.sav_add_for_p_2approx, _APPROX2
-        if rule is Rule.RAV and op is Op.ADD and restricted:
-            return lambda inst: approx.rav_add_for_p(inst, epsilon), eps_label
-        raise UnsupportedCombination("no approximation algorithm for this cell")
-    if algorithm == "fpt-n":
-        if op is Op.ADD and restricted:
-            return lambda inst: fpt.add_for_p_subset_enum(inst, rule), _EXACT
-        if not priced and op in (Op.ADD, Op.SWAP):
-            return lambda inst: fpt.unpriced_type_enum(inst, rule), _EXACT
-        if op is Op.SWAP and restricted:
-            return lambda inst: fpt.priced_swap_to_p_type_enum(inst, rule), _EXACT
-        if rule in (Rule.CCAV, Rule.GAV) and op in (Op.ADD, Op.DELETE):
-            return lambda inst: fpt.ccav_gav_flow_bribery(inst, rule), _EXACT
-        raise UnsupportedCombination("no voter-parameterized algorithm for this cell")
-    if algorithm == "exact":
-        if rule is Rule.AV:
-            return av_cell()
-        if rule is Rule.GAV and op is Op.ADD and restricted:
-            return approx.gav_add_for_p, _EXACT
-        if rule in (Rule.CCAV, Rule.GAV) and op in (Op.ADD, Op.DELETE):
-            return lambda inst: fpt.ccav_gav_flow_bribery(inst, rule), _EXACT
-        if not priced and op in (Op.ADD, Op.SWAP):
-            return lambda inst: fpt.unpriced_type_enum(inst, rule), _EXACT
-        if op is Op.SWAP and restricted:
-            return lambda inst: fpt.priced_swap_to_p_type_enum(inst, rule), _EXACT
-        raise UnsupportedCombination("no exact polynomial/FPT algorithm for this cell")
-    # auto: the solver the complexity landscape recommends per cell
-    if rule is Rule.AV:
-        return av_cell()
-    if rule is Rule.SAV and op is Op.ADD and (restricted or not priced):
-        return approx.sav_add_for_p_2approx, _APPROX2
-    if rule is Rule.GAV and op is Op.ADD and restricted:
-        return approx.gav_add_for_p, _EXACT
-    if rule is Rule.RAV and op is Op.ADD and restricted:
-        return lambda inst: approx.rav_add_for_p(inst, epsilon), (_EXACT if not priced else eps_label)
-    if rule in (Rule.CCAV, Rule.GAV) and op in (Op.ADD, Op.DELETE):
-        return lambda inst: fpt.ccav_gav_flow_bribery(inst, rule), _EXACT
-    if not priced and op in (Op.ADD, Op.SWAP):
-        return lambda inst: fpt.unpriced_type_enum(inst, rule), _EXACT
-    if priced and op is Op.SWAP and restricted:
-        return lambda inst: fpt.priced_swap_to_p_type_enum(inst, rule), _EXACT
-    raise UnsupportedCombination(
-        "no algorithm for this rule/operation cell; rerun with --algorithm oracle")
-
-
 def cmd_bribe(args) -> int:
-    e, prices, file_k = _load(args.file)
-    k = args.k if args.k is not None else file_k
-    if k is None:
-        print("error: no committee size (use --k or a k: line)", file=sys.stderr)
-        return EXIT_PARSE
-    rule = _rule(args.rule)
+    e, prices, k = _load(args)
+    rule = Rule(args.rule)
     instance = BriberyInstance(
         election=e, p=e.candidate_index(args.p), k=k, budget=args.budget,
-        op=_op(args.op), priced=args.priced, restricted_to_p=args.restrict_to_p,
+        op=Op(args.op), priced=args.priced, restricted_to_p=args.restrict_to_p,
         prices=prices if args.priced else PriceTable())
     epsilon = Fraction(args.epsilon).limit_denominator(10**6)
-    solve, guarantee = _route(instance, rule, args.algorithm, epsilon)
-    solution = solve(instance)
+    solution, guarantee = solve(instance, rule, args.algorithm, epsilon)
     print(f"rule: {rule.value}  op: {instance.op.value}  p: {args.p}  "
           f"k: {k}  budget: {args.budget}")
     print(f"guarantee: {guarantee}")
@@ -181,13 +101,9 @@ def cmd_bribe(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    e, prices, file_k = _load(args.file)
-    k = args.k if args.k is not None else file_k
-    if k is None:
-        print("error: no committee size (use --k or a k: line)", file=sys.stderr)
-        return EXIT_PARSE
-    rule = _rule(args.rule)
-    op = _op(args.op)
+    e, prices, k = _load(args)
+    rule = Rule(args.rule)
+    op = Op(args.op)
     table = prices if args.priced else PriceTable()
     if rule is Rule.AV:
         values = []
@@ -195,8 +111,7 @@ def cmd_rank(args) -> int:
             instance = BriberyInstance(
                 election=e, p=cand.index, k=k, budget=10**9, op=op,
                 priced=args.priced, restricted_to_p=args.restrict_to_p, prices=table)
-            solve, _ = _route(instance, rule, "exact", Fraction(1, 10))
-            values.append(solve(instance).cost)
+            values.append(solve(instance, rule, "exact")[0].cost)
     elif args.restrict_to_p:
         # option lists depend on the candidate, so each gets its own search
         values = [oracle_margin(e, rule, k, cand.index, op, table, restricted=True)
@@ -227,46 +142,33 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 def cmd_gen(args) -> int:
     if args.kind == "random":
         e = gen_random_election(args.m, args.n, args.prob, args.seed)
-        text = serialize_election(e, k=args.k)
         header = f"# random election m={args.m} n={args.n} prob={args.prob} seed={args.seed}\n"
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(header + text)
+            handle.write(header + serialize_election(e, k=args.k))
         print(f"wrote {args.out}: {e.m} candidates, {e.n} voters")
         return EXIT_OK
     if args.kind == "is-reduction":
         g = Graph(args.vertices, tuple(sorted(_parse_edges(args.edges))))
         instance = gen_is_to_av_swap(g, args.h)
-        text = serialize_election(instance.election, instance.prices, k=instance.k)
         header = (f"# independent-set reduction: {args.vertices} vertices, h={args.h}\n"
                   f"# p: p  op: swap (restricted to p, priced)  budget: {instance.budget}\n")
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(header + text)
-        print(f"wrote {args.out}: {instance.election.m} candidates, "
-              f"{instance.election.n} voters, k={instance.k}, budget={instance.budget}")
-        return EXIT_OK
-    sets = []
-    for part in args.sets.split(";"):
-        sets.append(frozenset(int(tok) for tok in part.split(",")))
-    n = len(sets) // 3
-    x = X3CInstance(n, tuple(sets))
-    instance = gen_x3c_to_sav_swap(x, args.alpha)
-    text = serialize_election(instance.election, k=instance.k)
-    header = (f"# exact-cover reduction: n={n} alpha={args.alpha}\n"
-              f"# p: p  op: swap (restricted to p, unit prices)  budget: {instance.budget}\n")
+    else:
+        sets = [frozenset(int(tok) for tok in part.split(",")) for part in args.sets.split(";")]
+        n = len(sets) // 3
+        instance = gen_x3c_to_sav_swap(X3CInstance(n, tuple(sets)), args.alpha)
+        header = (f"# exact-cover reduction: n={n} alpha={args.alpha}\n"
+                  f"# p: p  op: swap (restricted to p, unit prices)  budget: {instance.budget}\n")
+    e = instance.election
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(header + text)
-    print(f"wrote {args.out}: {instance.election.m} candidates, "
-          f"{instance.election.n} voters, k={instance.k}, budget={instance.budget}")
+        handle.write(header + serialize_election(e, instance.prices, k=instance.k))
+    print(f"wrote {args.out}: {e.m} candidates, "
+          f"{e.n} voters, k={instance.k}, budget={instance.budget}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    e, prices, file_k = _load(args.file)
-    k = args.k if args.k is not None else file_k
-    if k is None:
-        print("error: no committee size (use --k or a k: line)", file=sys.stderr)
-        return EXIT_PARSE
-    rule = _rule(args.rule)
+    e, prices, k = _load(args)
+    rule = Rule(args.rule)
     with open(args.solution, encoding="utf-8") as handle:
         text = handle.read()
     try:
@@ -309,26 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=cmd_winners)
 
     b = sub.add_parser("bribe", help="solve one bribery instance")
-    b.add_argument("file")
-    b.add_argument("--rule", choices=rules, required=True)
-    b.add_argument("--k", type=int)
-    b.add_argument("--op", choices=["add", "delete", "swap"], required=True)
+    r = sub.add_parser("rank", help="bribery margin of every candidate")
+    for cmd in (b, r):
+        cmd.add_argument("file")
+        cmd.add_argument("--rule", choices=rules, required=True)
+        cmd.add_argument("--k", type=int)
+        cmd.add_argument("--op", choices=[op.value for op in Op], required=True)
+        cmd.add_argument("--priced", action="store_true", help="use the file's price table")
+        cmd.add_argument("--restrict-to-p", action="store_true")
     b.add_argument("--p", required=True, help="preferred candidate name")
     b.add_argument("--budget", type=int, required=True)
-    b.add_argument("--priced", action="store_true", help="use the file's price table")
-    b.add_argument("--restrict-to-p", action="store_true")
-    b.add_argument("--algorithm", choices=["auto", "exact", "approx", "fpt-n", "oracle"],
-                   default="auto")
+    b.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     b.add_argument("--epsilon", default="0.1", help="accuracy for the priced RAV scheme")
     b.set_defaults(func=cmd_bribe)
-
-    r = sub.add_parser("rank", help="bribery margin of every candidate")
-    r.add_argument("file")
-    r.add_argument("--rule", choices=rules, required=True)
-    r.add_argument("--k", type=int)
-    r.add_argument("--op", choices=["add", "delete", "swap"], required=True)
-    r.add_argument("--priced", action="store_true")
-    r.add_argument("--restrict-to-p", action="store_true")
     r.set_defaults(func=cmd_rank)
 
     g = sub.add_parser("gen", help="generate an election file")

@@ -2,7 +2,7 @@
 
 Elections are immutable value objects.  Score arithmetic elsewhere in the
 package is exact: scores are lcm-scaled integers inside the package and
-``Fraction`` values (``Rational``) at the public boundary.  Prices and budgets
+``Fraction`` values at the public boundary.  Prices and budgets
 are nonnegative integers, with ``FORBIDDEN`` (infinity) marking operations
 that must never be chosen.
 """
@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping
-
-Rational = Fraction
 
 # Sentinel price for forbidden operations.  Compares correctly against any
 # integer cost; it must never be summed into a solution cost.
@@ -228,10 +225,6 @@ class PriceTable:
             for v in table.values():
                 _check_price(v, what)
 
-    @classmethod
-    def unit(cls) -> "PriceTable":
-        return cls()
-
     def add_price(self, voter: int, candidate: int) -> Price:
         return self.add.get((voter, candidate), 1)
 
@@ -258,7 +251,7 @@ class BriberyInstance:
     op: Op
     priced: bool = False
     restricted_to_p: bool = False
-    prices: PriceTable = field(default_factory=PriceTable.unit)
+    prices: PriceTable = field(default_factory=PriceTable)
 
     def __post_init__(self):
         if not 0 <= self.p < self.election.m:
@@ -277,14 +270,25 @@ class BriberyInstance:
 class BriberySolution:
     """Ordered action list with its total price.
 
-    ``cost`` is None when no winning action set was found within the solver's
-    search bound; ``feasible`` means cost <= budget and replaying the actions
-    makes the preferred candidate a co-winner.
+    The result contract of every solver: ``cost`` None means no winning
+    action set was found within the solver's search bound, and then
+    ``actions`` is empty and ``feasible`` False.  Otherwise ``cost`` is a
+    nonnegative integer, replaying ``actions`` makes the preferred candidate
+    a co-winner at exactly that price, and ``feasible`` is cost <= budget; a
+    solver may return such a witness above the budget.  ``rules.certify``
+    checks the part that needs the instance.
     """
 
     actions: tuple[AtomicAction, ...]
     cost: int | None
     feasible: bool
+
+    def __post_init__(self):
+        if self.cost is None:
+            if self.actions or self.feasible is not False:
+                raise ElectionError("a solution without a cost has no actions and is infeasible")
+        elif not isinstance(self.cost, int) or isinstance(self.cost, bool) or self.cost < 0:
+            raise ElectionError(f"solution cost must be a nonnegative integer: {self.cost!r}")
 
 
 def apply_action(e: Election, a: AtomicAction) -> Election:
@@ -332,18 +336,6 @@ def solution_cost(actions: Iterable[AtomicAction], prices: PriceTable) -> int:
             raise InfeasibleActionError(f"forbidden operation: {a}")
         total += price
     return total
-
-
-def candidate_types(e: Election) -> dict[frozenset[int], list[int]]:
-    """Partition candidates by their approver sets (sets of voter indices)."""
-    groups: dict[frozenset[int], list[int]] = {}
-    approvers: list[set[int]] = [set() for _ in range(e.m)]
-    for i, b in enumerate(e.ballots):
-        for c in b.approved:
-            approvers[c].add(i)
-    for c in range(e.m):
-        groups.setdefault(frozenset(approvers[c]), []).append(c)
-    return groups
 
 
 # ---------------------------------------------------------------------------

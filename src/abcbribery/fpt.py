@@ -36,12 +36,12 @@ from .core import (
     ResourceGuardError,
     _iter_bits,
     _transpose,
-    apply_actions,
     approver_masks,
     ballot_masks,
 )
+from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import Rule, _greedy_picks, _is_cowinner_from_ballots, is_cowinner
+from .rules import Rule, _greedy_picks, _is_cowinner_from_ballots, certify, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
@@ -161,9 +161,7 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
 
     if interchangeable and instance.budget >= n:
         actions = _approve_p_everywhere(e, p, instance.op)
-        if not is_cowinner(apply_actions(e, actions), rule, k, p):
-            raise RuntimeError("approving p in every vote did not make p a co-winner")
-        return BriberySolution(actions, len(actions), True)
+        return certify(instance, rule, BriberySolution(actions, len(actions), True))
     return BriberySolution((), None, False)
 
 
@@ -269,49 +267,24 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
 # --- type guessing with a min-cost flow for the coverage rules ---------------
 
 
-def _conversion_cost(instance: BriberyInstance, candidate: int, start: int, target: int):
-    """Price of turning one candidate's approver set into the target, or None."""
-    if instance.op is Op.ADD:
-        if start & ~target:
-            return None
-        cost = 0
-        for v in _iter_bits(target & ~start):
-            price = instance.prices.add_price(v, candidate)
-            if price == FORBIDDEN:
-                return None
-            cost += price
-        return cost
-    if target & ~start:
-        return None
-    cost = 0
-    for v in _iter_bits(start & ~target):
-        price = instance.prices.delete_price(v, candidate)
-        if price == FORBIDDEN:
-            return None
-        cost += price
-    return cost
-
-
 def _reachable_types(instance: BriberyInstance, candidate: int, start: int) -> dict[int, int]:
-    """Type mask -> conversion cost for one candidate."""
+    """Type mask -> cheapest conversion cost for one candidate.
+
+    Each voter whose approval may be bought (added or deleted) flips one bit;
+    additions restricted to p leave every other candidate where it starts.
+    """
     if instance.op is Op.ADD:
-        free = [v for v in _iter_bits(((1 << instance.election.n) - 1) & ~start)
-                if instance.prices.add_price(v, candidate) != FORBIDDEN]
-        base = start
-        grow = True
-        price_of = lambda v: instance.prices.add_price(v, candidate)
+        buyable = 0 if instance.restricted_to_p and candidate != instance.p else ~start
+        movable, price_of = buyable & ((1 << instance.election.n) - 1), instance.prices.add_price
     else:
-        free = [v for v in _iter_bits(start)
-                if instance.prices.delete_price(v, candidate) != FORBIDDEN]
-        base = start
-        grow = False
-        price_of = lambda v: instance.prices.delete_price(v, candidate)
-    out: dict[int, int] = {base: 0}
-    for v in free:
-        bit = 1 << v
-        price = price_of(v)
+        movable, price_of = start, instance.prices.delete_price
+    out: dict[int, int] = {start: 0}
+    for v in _iter_bits(movable):
+        price = price_of(v, candidate)
+        if price == FORBIDDEN:
+            continue
         for mask, cost in list(out.items()):
-            new = mask | bit if grow else mask & ~bit
+            new = mask ^ 1 << v
             out[new] = min(out.get(new, cost + price), cost + price)
     return out
 

@@ -13,8 +13,8 @@ candidate.  Each leaf runs the co-winner kernel once, and its candidate
 bitmask answers for every target still pending (AV and SAV instead keep
 incremental scores and compare them per target).  Each target keeps the first
 witness the depth-first order reaches at its cheapest cost -- the same
-witness a single-target search finds.  ``oracle_bribery`` replays its witness
-on the election and reruns the co-winner test before returning it.  Purely
+witness a single-target search finds.  ``oracle_bribery`` passes its witness
+through ``rules.certify`` before returning it.  Purely
 exponential; guarded by a configuration-count estimate and by the length of
 each voter's option list.
 """
@@ -36,17 +36,17 @@ from .core import (
     PriceTable,
     ResourceGuardError,
     _iter_bits,
-    apply_actions,
     ballot_masks,
 )
 from .rules import (
     Rule,
     _cowinner_mask,
-    _is_cowinner_from_ballots,
     _score_cowinner,
     _score_shares,
     _scores,
+    certify,
 )
+from .rules import _is_cowinner_from_ballots  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 
 DEFAULT_MAX_CONFIGS = 2_000_000
 
@@ -274,11 +274,7 @@ def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
     if p not in found:
         return BriberySolution((), None, False)
     cost, actions = found[p]
-    # The witness is replayed on the election, not trusted from the search.
-    final = ballot_masks(apply_actions(e, actions))
-    if not _is_cowinner_from_ballots(final, e.m, rule, instance.k, p):
-        raise RuntimeError("the oracle's witness does not make p a co-winner")
-    return BriberySolution(actions, cost, cost <= instance.budget)
+    return certify(instance, rule, BriberySolution(actions, cost, cost <= instance.budget))
 
 
 def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,
@@ -287,9 +283,7 @@ def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,
     """Minimum bribery cost making p a co-winner; infinity when impossible."""
     if restricted and op is Op.DELETE:
         raise ElectionError("restricted-to-p is meaningless for deletions")
-    if prices is None:
-        prices = PriceTable.unit()
-    options = _vote_options(e, prices, op, restricted, p, None, max_configs)
+    options = _vote_options(e, prices or PriceTable(), op, restricted, p, None, max_configs)
     found = _search(e, rule, k, [p], options, None, max_configs)
     return found[p][0] if p in found else math.inf
 
@@ -302,8 +296,6 @@ def oracle_margins(e: Election, rule: Rule, k: int, op: Op,
     Equals ``[oracle_margin(e, rule, k, p, op, prices) for p in range(e.m)]``,
     and raises ``ResourceGuardError`` exactly when one of those calls would.
     """
-    if prices is None:
-        prices = PriceTable.unit()
-    options = _vote_options(e, prices, op, False, 0, None, max_configs)
+    options = _vote_options(e, prices or PriceTable(), op, False, 0, None, max_configs)
     found = _search(e, rule, k, list(range(e.m)), options, None, max_configs)
     return [found[p][0] if p in found else math.inf for p in range(e.m)]

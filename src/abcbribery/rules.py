@@ -20,6 +20,9 @@ committees tied for the best value are unioned.  GAV and RAV run one greedy
 on candidate columns (approver bitmasks): ``levels[t]`` holds the voters with
 exactly t committee members, and a candidate gains w(t) per approver at
 level t.  AV and SAV compare scores.
+
+``certify`` reruns the kernel on a solver's answer: every answer ``solve``
+returns has passed it.
 """
 
 from __future__ import annotations
@@ -31,13 +34,17 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .core import (
+    BriberyInstance,
+    BriberySolution,
     Election,
     ElectionError,
     ResourceGuardError,
     _iter_bits,
     _transpose,
+    apply_actions,
     approver_masks,
     ballot_masks,
+    solution_cost,
 )
 
 COMMITTEE_ENUM_CAP = 10**6
@@ -316,3 +323,37 @@ def is_cowinner(e: Election, rule: Rule, k: int, p: int, cap: int = COMMITTEE_EN
     """Does candidate p belong to at least one winning committee?"""
     _check_k(e, k)
     return _is_cowinner_from_ballots(ballot_masks(e), e.m, rule, k, p, cap)
+
+
+class CertificationError(RuntimeError):
+    """A solver's answer failed ``certify``: a fault in the solver."""
+
+
+def certify(instance: BriberyInstance, rule: Rule, solution: BriberySolution) -> BriberySolution:
+    """Return the solution once its witness checks out against the instance.
+
+    The actions must be the instance's operation (toward p when restricted),
+    replay on the election, reprice to ``cost`` and make p a co-winner, and
+    ``feasible`` must equal cost <= budget.  A solution without a cost has
+    nothing to replay.  Raises ``CertificationError``, never through
+    ``assert``, so ``python -O`` keeps the check.
+    """
+    if solution.cost is None:
+        return solution
+    p = instance.p
+    for action in solution.actions:
+        if action.kind is not instance.op or (instance.restricted_to_p and action.target != p):
+            raise CertificationError(f"{action} is outside the instance's operation")
+    try:
+        final = apply_actions(instance.election, solution.actions)
+        cost = solution_cost(solution.actions, instance.prices)
+    except ElectionError as exc:
+        raise CertificationError(f"the actions do not replay: {exc}") from None
+    if cost != solution.cost:
+        raise CertificationError(f"the actions cost {cost}, not {solution.cost}")
+    if not is_cowinner(final, rule, instance.k, p):
+        raise CertificationError("the actions do not make p a co-winner")
+    if solution.feasible != (cost <= instance.budget):
+        raise CertificationError(f"feasible is {solution.feasible} at cost {cost} "
+                                 f"and budget {instance.budget}")
+    return solution

@@ -5,7 +5,11 @@ from abcbribery.generators import Stream64
 
 
 def verdict(solution: BriberySolution):
-    """Comparable outcome: feasibility plus cost when feasible."""
+    """Comparable outcome: feasibility plus cost when feasible.
+
+    Kept because solvers may return a witness above the budget where others
+    return cost None, so raw (feasible, cost) pairs differ on the same verdict.
+    """
     return (solution.feasible, solution.cost if solution.feasible else None)
 
 

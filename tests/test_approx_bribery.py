@@ -7,6 +7,7 @@ import pytest
 from abcbribery import (
     FORBIDDEN,
     BriberyInstance,
+    CertificationError,
     Op,
     PriceTable,
     Rule,
@@ -17,7 +18,7 @@ from abcbribery import (
     rav_committee,
     solution_cost,
 )
-from abcbribery import approx
+from abcbribery import approx, rules
 from abcbribery.approx import (
     gav_add_for_p,
     rav_add_for_p,
@@ -144,11 +145,11 @@ def test_rav_add_for_p_already_winning(e0):
 
 
 def test_rav_add_for_p_certifies_cover(e0, monkeypatch):
-    # Each round's cover is replayed through the RAV committee, not trusted.
+    # The returned cover is replayed through the RAV kernel, not trusted.
     inst = BriberyInstance(e0, 3, 2, 9, Op.ADD, restricted_to_p=True)
     assert rav_add_for_p(inst).feasible
-    monkeypatch.setattr(approx, "rav_committee", lambda e, k: [])
-    with pytest.raises(RuntimeError, match="RAV committee"):
+    monkeypatch.setattr(rules, "is_cowinner", lambda *args: False)
+    with pytest.raises(CertificationError, match="co-winner"):
         rav_add_for_p(inst)
 
 

@@ -5,6 +5,7 @@ from abcbribery import (
     BriberyInstance,
     Op,
     PriceTable,
+    ResourceGuardError,
     Rule,
     apply_actions,
     is_cowinner,
@@ -133,3 +134,11 @@ def test_witnesses_replay_and_price_correctly():
                 assert is_cowinner(apply_actions(inst.election, sol.actions),
                                    Rule.AV, inst.k, inst.p)
                 assert solution_cost(sol.actions, inst.prices) == sol.cost
+
+
+def test_priced_swap_guess_guard_at_its_boundary(e0):
+    # C(3, 1) committees with p times 10 thresholds (0..n) make 30 guesses.
+    inst = BriberyInstance(e0, 3, 2, 9, Op.SWAP, priced=True)
+    assert av_priced_swap_exact(inst, guess_cap=30).cost == 3
+    with pytest.raises(ResourceGuardError, match="exceed 29"):
+        av_priced_swap_exact(inst, guess_cap=29)

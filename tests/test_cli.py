@@ -265,3 +265,43 @@ def test_parser_built_once_per_process(e0_file, capsys):
         assert run(capsys, "winners", e0_file, "--rule", "av", "--k", "2")[0] == 0
     assert run(capsys, "rank", e0_file, "--rule", "av", "--op", "add")[0] == 0
     assert build_parser.cache_info().misses == 1
+
+
+def _guarded_file(tmp_path, solver):
+    """An election whose bribe trips the named solver's guard at its default cap."""
+    twenty = [f"c{i}" for i in range(20)]
+    if solver == "av-priced-swap":
+        # C(20, 9) committees with p times 4 thresholds > 500,000 guesses
+        candidates, ballots = twenty + ["p"], [twenty] * 3
+    elif solver == "unit-type-enum":
+        # 3 candidates of each approver set over 4 voters: 2,400 single swaps,
+        # so the pairs exceed 2,000,000 action sets
+        types = [(f"t{t}x{j}", t) for t in range(16) for j in range(3)]
+        candidates = [name for name, _ in types] + ["p"]
+        ballots = [[name for name, t in types if t >> v & 1] for v in range(4)]
+    elif solver == "priced-swap-enum":
+        # 201 options in each of 3 votes > 2,000,000 combinations
+        many = [f"c{i}" for i in range(200)]
+        candidates, ballots = many + ["p"], [many] * 3
+    else:
+        # p may take any of 16 approver sets, each with up to 2^15 type sets
+        # beside it: > 300,000 guesses
+        candidates, ballots = twenty[:16] + ["p"], [twenty[:16]] * 4
+    path = tmp_path / f"{solver}.elect"
+    path.write_text("candidates: " + " ".join(candidates) + "\n"
+                    + "".join(f"voter v{i}: {' '.join(b)}\n" for i, b in enumerate(ballots)))
+    return str(path)
+
+
+@pytest.mark.parametrize("solver, flags, message", [
+    ("av-priced-swap", ["--rule", "av", "--op", "swap", "--priced", "--k", "10"],
+     "committee/threshold guesses"),
+    ("unit-type-enum", ["--rule", "pav", "--op", "swap", "--k", "1"], "action sets of size 2"),
+    ("priced-swap-enum", ["--rule", "gav", "--op", "swap", "--priced", "--restrict-to-p",
+                          "--k", "1"], "swap combinations"),
+    ("flow", ["--rule", "ccav", "--op", "add", "--k", "1"], "type-set guesses"),
+])
+def test_solver_guard_exits_3_with_default_caps(tmp_path, capsys, solver, flags, message):
+    path = _guarded_file(tmp_path, solver)
+    code, _, err = run(capsys, "bribe", path, "--p", "p", "--budget", "3", *flags)
+    assert code == 3 and message in err, err

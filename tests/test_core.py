@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,16 +6,15 @@ from abcbribery import (
     FORBIDDEN,
     AtomicAction,
     BriberyInstance,
+    BriberySolution,
     ElectionError,
     InfeasibleActionError,
     InvalidActionError,
     Op,
     ParseError,
     PriceTable,
-    Rational,
     apply_action,
     apply_actions,
-    candidate_types,
     make_election,
     parse_election,
     parse_solution,
@@ -131,25 +127,6 @@ def test_solution_cost_forbidden(e0):
         solution_cost([AtomicAction(Op.ADD, 0, target=3)], prices)
 
 
-def test_candidate_types_e0(e0):
-    groups = candidate_types(e0)
-    assert len(groups) == 4
-    assert all(len(members) == 1 for members in groups.values())
-
-
-def test_candidate_types_merge():
-    e = make_election(["a", "b", "c"], [("v1", ["a", "b"]), ("v2", ["a", "b", "c"])])
-    groups = candidate_types(e)
-    assert sorted(map(sorted, groups.values())) == [[0, 1], [2]]
-
-
-def test_candidate_types_no_voters():
-    e = make_election(["a", "b", "c"], [])
-    groups = candidate_types(e)
-    assert list(groups) == [frozenset()]
-    assert sorted(groups[frozenset()]) == [0, 1, 2]
-
-
 def test_instance_validation(e0):
     with pytest.raises(ElectionError):
         BriberyInstance(e0, 3, 2, 3, Op.DELETE, restricted_to_p=True)
@@ -250,17 +227,11 @@ def test_unit_cost_counts_actions(seed, count):
     assert solution_cost(actions, PriceTable()) == len(actions)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    a=st.integers(-(2**63), 2**63), b=st.integers(1, 2**63),
-    c=st.integers(-(2**63), 2**63), d=st.integers(1, 2**63),
-)
-def test_rational_arithmetic(a, b, c, d):
-    x = Rational(a, b)
-    y = Rational(c, d)
-    total = x + y
-    assert math.gcd(total.numerator, total.denominator) == 1
-    assert total.denominator > 0
-    assert (x < y) == (a * d < c * b)
-    assert x == Rational(a, b)
-    assert total == Fraction(a * d + c * b, b * d)
+def test_solution_contract():
+    add = AtomicAction(Op.ADD, 0, target=3)
+    BriberySolution((), None, False)
+    BriberySolution((add,), 5, False)  # a witness above the budget is legal
+    for actions, cost, feasible in [((add,), None, False), ((), None, True),
+                                    ((), -1, False), ((), True, True), ((), 1.0, True)]:
+        with pytest.raises(ElectionError):
+            BriberySolution(actions, cost, feasible)

@@ -2,7 +2,9 @@ import pytest
 
 from abcbribery import (
     FORBIDDEN,
+    AtomicAction,
     BriberyInstance,
+    CertificationError,
     Op,
     PriceTable,
     ResourceGuardError,
@@ -12,11 +14,10 @@ from abcbribery import (
     make_election,
     solution_cost,
 )
-from abcbribery import fpt
+from abcbribery import fpt, rules
 from abcbribery.avbribery import av_add, av_swap_unit
 from abcbribery.fpt import (
     FLOW_VOTER_CAP,
-    _conversion_cost,
     _reachable_types,
     add_for_p_subset_enum,
     ccav_gav_flow_bribery,
@@ -71,8 +72,8 @@ def test_unpriced_type_enum_certifies_fallback(monkeypatch):
     e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 1, 1, 2, Op.ADD)
     assert unpriced_type_enum(inst, Rule.AV).feasible
-    monkeypatch.setattr(fpt, "is_cowinner", lambda *args: False)
-    with pytest.raises(RuntimeError, match="approving p in every vote"):
+    monkeypatch.setattr(rules, "is_cowinner", lambda *args: False)
+    with pytest.raises(CertificationError, match="co-winner"):
         unpriced_type_enum(inst, Rule.AV)
 
 
@@ -291,5 +292,58 @@ def test_conversion_costs_are_independent():
         for c in range(e.m):
             reach = _reachable_types(inst, c, columns[c])
             for target in range(1 << e.n):
-                isolated = _conversion_cost(inst, c, columns[c], target)
+                isolated = _isolated_cost(inst, c, columns[c], target)
                 assert reach.get(target) == isolated, (c, target)
+
+
+def _isolated_cost(inst, c, start, target):
+    """Price of turning candidate c's approver set into target, or None."""
+    add = inst.op is Op.ADD
+    if (start & ~target) if add else (target & ~start):
+        return None
+    price = inst.prices.add_price if add else inst.prices.delete_price
+    costs = [price(v, c) for v in range(inst.election.n) if (start ^ target) >> v & 1]
+    return None if FORBIDDEN in costs else sum(costs)
+
+
+def test_flow_additions_restricted_to_p():
+    # Only p may gain approvals: the flow once bought v0's approval of c0 here.
+    e = make_election(["c0", "c1", "c2", "c3"],
+                      [("v0", ["c3"]), ("v1", ["c0"]), ("v2", ["c0", "c2"])])
+    inst = BriberyInstance(e, 1, 2, 2, Op.ADD, restricted_to_p=True)
+    sol = ccav_gav_flow_bribery(inst, Rule.CCAV)
+    assert sol.actions == (AtomicAction(Op.ADD, 0, target=1),)
+    cfg = SuiteConfig(op=Op.ADD, count=40, seed=7, priced=True, restricted_to_p=True,
+                      max_candidates=5, max_voters=4)
+    for inst in suite_instances(cfg):
+        for rule in (Rule.CCAV, Rule.GAV):
+            got = ccav_gav_flow_bribery(inst, rule)
+            assert all(a.target == inst.p for a in got.actions)
+            assert verdict(got) == verdict(oracle_bribery(inst, rule)), (rule, inst)
+
+
+def test_enumeration_guards_at_their_boundary():
+    e = make_election(["a", "b", "p"],
+                      [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
+    # Budget 1: the empty set and the 8 single swaps, 9 action sets.
+    unit = BriberyInstance(e, 2, 1, 1, Op.SWAP)
+    assert unpriced_type_enum(unit, Rule.PAV, enum_cap=9).cost is None
+    with pytest.raises(ResourceGuardError, match="needs 9 combinations"):
+        unpriced_type_enum(unit, Rule.PAV, enum_cap=8)
+    # v1 keeps its ballot or moves a or b to p, the others keep it or move
+    # their one approval: 3 * 2 * 2 * 2 swap combinations.
+    priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
+    assert priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=24).cost is None
+    with pytest.raises(ResourceGuardError, match="cap of 23"):
+        priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=23)
+
+
+def test_flow_guess_guard_at_its_boundary():
+    # Deletions reach the four approver sets over (v1, v2); p keeps the empty
+    # one, and with m = 3 a guess adds at most two of the other three types:
+    # 1 + 3 + 3 guesses.
+    e = make_election(["a", "b", "p"], [("v1", ["a", "b"]), ("v2", ["a"])])
+    inst = BriberyInstance(e, 2, 1, 3, Op.DELETE)
+    assert ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=7).cost == 3
+    with pytest.raises(ResourceGuardError, match="cap of 6"):
+        ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=6)

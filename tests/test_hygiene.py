@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports, and each private helper defined once."""
+"""Source hygiene: no unused imports, each private helper defined once, no assert."""
 
 import ast
 from collections import defaultdict
@@ -8,6 +8,10 @@ import abcbribery
 
 PACKAGE = Path(abcbribery.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+# perfbench/tracing.py wraps these module attributes by name, so they stay
+# importable although the module no longer calls them.
+TRACED_ONLY = {("cli.py", "oracle_bribery"), ("fpt.py", "apply_actions"),
+               ("oracle.py", "_is_cowinner_from_ballots")}
 
 
 def _tree(path):
@@ -30,7 +34,7 @@ def test_no_unused_imports():
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
-                   if name not in used]
+                   if name not in used and (path.name, name) not in TRACED_ONLY]
     assert not unused, unused
 
 
@@ -42,3 +46,10 @@ def test_private_helpers_defined_once():
                 defined[node.name].append(path.name)
     duplicates = {name: where for name, where in defined.items() if len(where) > 1}
     assert not duplicates, duplicates
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so a check in the package must raise explicitly.
+    found = [f"{path.name}:{node.lineno}" for path in MODULES
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert not found, found

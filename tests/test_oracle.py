@@ -4,6 +4,7 @@ import pytest
 
 from abcbribery import (
     BriberyInstance,
+    CertificationError,
     Op,
     PriceTable,
     ResourceGuardError,
@@ -13,7 +14,7 @@ from abcbribery import (
     make_election,
     solution_cost,
 )
-from abcbribery import oracle
+from abcbribery import oracle, rules
 from abcbribery.generators import SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
@@ -230,6 +231,6 @@ def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):
 def test_oracle_witness_is_certified(monkeypatch, e0):
     inst = BriberyInstance(e0, 3, 2, 9, Op.ADD)
     assert oracle_bribery(inst, Rule.PAV).feasible
-    monkeypatch.setattr(oracle, "_is_cowinner_from_ballots", lambda *args: False)
-    with pytest.raises(RuntimeError, match="witness"):
+    monkeypatch.setattr(rules, "is_cowinner", lambda *args: False)
+    with pytest.raises(CertificationError, match="co-winner"):
         oracle_bribery(inst, Rule.PAV)
