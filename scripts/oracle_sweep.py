@@ -29,6 +29,7 @@ LANES = {
     "rav-add": (Rule.RAV, "auto", dict(op=Op.ADD, restricted_to_p=True)),
     "subset-ccav": (Rule.CCAV, "fpt-n",
                     dict(op=Op.ADD, priced=True, restricted_to_p=True, max_voters=5)),
+    "typeenum-ccav": (Rule.CCAV, "exact", dict(op=Op.SWAP, max_voters=4)),
     "typeenum-pav": (Rule.PAV, "exact", dict(op=Op.SWAP, max_voters=4)),
     # GAV and RAV enumerate over every candidate, not a per-type pool.
     "typeenum-gav": (Rule.GAV, "exact", dict(op=Op.SWAP, max_voters=4)),
@@ -41,7 +42,7 @@ LANES = {
                                          max_voters=4, price_choices=(1, 2))),
 }
 # p already a co-winner is answered at cost 0 before any action set is tried.
-LOSING_ONLY = {"typeenum-pav", "typeenum-gav", "typeenum-rav"}
+LOSING_ONLY = {"typeenum-ccav", "typeenum-pav", "typeenum-gav", "typeenum-rav"}
 
 
 def lane_instances(lane: str, count: int, seed: int):

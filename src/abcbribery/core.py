@@ -114,11 +114,6 @@ class Election:
                 return i
         raise ElectionError(f"unknown voter: {name}")
 
-    def with_ballot(self, voter: int, approved: frozenset[int]) -> "Election":
-        ballots = list(self.ballots)
-        ballots[voter] = ApprovalBallot(ballots[voter].voter_name, approved)
-        return Election(self.candidates, tuple(ballots))
-
 
 def make_election(candidate_names: Iterable[str], ballots: Iterable[tuple[str, Iterable[str]]]) -> Election:
     """Build an election from names; ballots are (voter name, approved names)."""
@@ -293,39 +288,30 @@ class BriberySolution:
 
 def apply_action(e: Election, a: AtomicAction) -> Election:
     """Apply one atomic action, checking its precondition; returns a new election."""
-    if not 0 <= a.voter < e.n:
-        raise InvalidActionError(f"no voter with index {a.voter}")
-    ballot = e.ballots[a.voter]
-    vname = ballot.voter_name
-
-    def cname(idx):
-        return e.candidates[idx].name
-
-    if a.kind is Op.ADD:
-        if a.target >= e.m:
-            raise InvalidActionError(f"no candidate with index {a.target}")
-        if a.target in ballot.approved:
-            raise InvalidActionError(f"{vname} already approves {cname(a.target)}")
-        return e.with_ballot(a.voter, ballot.approved | {a.target})
-    if a.kind is Op.DELETE:
-        if a.source >= e.m:
-            raise InvalidActionError(f"no candidate with index {a.source}")
-        if a.source not in ballot.approved:
-            raise InvalidActionError(f"{vname} does not approve {cname(a.source)}")
-        return e.with_ballot(a.voter, ballot.approved - {a.source})
-    if max(a.source, a.target) >= e.m:
-        raise InvalidActionError("swap references an unknown candidate index")
-    if a.source not in ballot.approved:
-        raise InvalidActionError(f"{vname} does not approve {cname(a.source)}")
-    if a.target in ballot.approved:
-        raise InvalidActionError(f"{vname} already approves {cname(a.target)}")
-    return e.with_ballot(a.voter, (ballot.approved - {a.source}) | {a.target})
+    return apply_actions(e, (a,))
 
 
 def apply_actions(e: Election, actions: Iterable[AtomicAction]) -> Election:
+    """Apply the actions in order, checking each one's precondition against
+    the approvals so far; one election is built at the end."""
+    ballots = list(e.ballots)
     for a in actions:
-        e = apply_action(e, a)
-    return e
+        if not 0 <= a.voter < e.n:
+            raise InvalidActionError(f"no voter with index {a.voter}")
+        for idx in (a.source, a.target):
+            if idx is not None and not 0 <= idx < e.m:
+                raise InvalidActionError(f"no candidate with index {idx}")
+        vname, approved = ballots[a.voter].voter_name, ballots[a.voter].approved
+        if a.source is not None:
+            if a.source not in approved:
+                raise InvalidActionError(f"{vname} does not approve {e.candidates[a.source].name}")
+            approved = approved - {a.source}
+        if a.target is not None:
+            if a.target in approved:
+                raise InvalidActionError(f"{vname} already approves {e.candidates[a.target].name}")
+            approved = approved | {a.target}
+        ballots[a.voter] = ApprovalBallot(vname, approved)
+    return Election(e.candidates, tuple(ballots))
 
 
 def solution_cost(actions: Iterable[AtomicAction], prices: PriceTable) -> int:

@@ -11,7 +11,9 @@ straight to a search over concrete assignments.
 
 The enumerations test each candidate action set by flipping bits of the
 ballot bitmasks and running the rule kernel on them; no ``Election`` is built
-per set, and actions are built only for the set a solver returns.
+per set, and actions are built only for the set a solver returns.  For CCAV
+and PAV the test instead updates the base election's packed committee values
+by one row per changed voter.
 
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
@@ -41,13 +43,41 @@ from .core import (
 )
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import Rule, _greedy_picks, _is_cowinner_from_ballots, certify, is_cowinner
+from .rules import (
+    Rule,
+    _committee_values,
+    _greedy_picks,
+    _is_cowinner_from_ballots,
+    certify,
+    is_cowinner,
+)
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
 FLOW_VOTER_CAP = 4
 
 _INTERCHANGEABLE = frozenset({Rule.AV, Rule.SAV, Rule.CCAV, Rule.PAV})
+
+
+def _leaf_test(base: list[int], m: int, rule: Rule, k: int, p: int):
+    """``wins(ballots, changed)``: is p a co-winner once each voter in
+    ``changed`` holds ``ballots[v]`` and every other voter its base ballot?
+
+    CCAV and PAV move the base's packed committee values by one row per
+    changed voter; the other rules rerun the kernel on ``ballots``.
+    """
+    values = _committee_values(rule, m, k, len(base))
+    if values is None:
+        return lambda ballots, changed: _is_cowinner_from_ballots(ballots, m, rule, k, p)
+    rows = [values.row(mask) for mask in base]
+    base_total = sum(rows)
+
+    def wins(ballots: list[int], changed) -> bool:
+        total = base_total
+        for v in changed:
+            total += values.row(ballots[v]) - rows[v]
+        return bool(values.cowinners(total) >> p & 1)
+    return wins
 
 
 def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
@@ -66,6 +96,7 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
         raise ResourceGuardError(
             f"{len(eligible)} eligible voters exceed the subset cap of {voter_cap}")
     ballots = ballot_masks(e)
+    wins = _leaf_test(ballots, e.m, rule, k, p)
     bit = 1 << p
     best: tuple[int, tuple[int, ...]] | None = None
     for size in range(len(eligible) + 1):
@@ -76,7 +107,7 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
                 continue
             for v in chosen:
                 ballots[v] |= bit
-            if _is_cowinner_from_ballots(ballots, e.m, rule, k, p):
+            if wins(ballots, chosen):
                 best = (cost, chosen)
             for v in chosen:
                 ballots[v] &= ~bit
@@ -112,8 +143,6 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     if instance.op not in (Op.ADD, Op.SWAP):
         raise ValueError("type enumeration handles additions and swaps only")
     e, p, k = instance.election, instance.p, instance.k
-    if is_cowinner(e, rule, k, p):
-        return BriberySolution((), 0, True)
     n = e.n
     interchangeable = rule in _INTERCHANGEABLE
     if interchangeable:
@@ -140,6 +169,7 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
         flips = [(a.voter, 1 << a.source | 1 << a.target) for a in cells]
 
     base = ballot_masks(e)
+    wins = _leaf_test(base, e.m, rule, k, p)
     cap = min(cap, len(cells))
     explored = 0
     for size in range(cap + 1):
@@ -156,7 +186,8 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
                     break
                 ballots[v] ^= flip
             else:
-                if _is_cowinner_from_ballots(ballots, e.m, rule, k, p):
+                # The empty set comes first: p already winning costs 0.
+                if wins(ballots, {flips[i][0] for i in chosen}):
                     return BriberySolution(tuple(cells[i] for i in chosen), size, True)
 
     if interchangeable and instance.budget >= n:
@@ -235,30 +266,43 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
             raise ResourceGuardError(
                 f"swap combinations exceed the cap of {enum_cap}")
 
+    # CCAV and PAV carry the packed committee values down the search: each
+    # option moves them by its row change, computed once per option.
     ballots = ballot_masks(e)
+    values = _committee_values(rule, e.m, k, n)
+    base_total = 0
+    deltas = [[0] * len(here) for here in options]
+    if values is not None:
+        rows = [values.row(mask) for mask in ballots]
+        base_total = sum(rows)
+        for v, here in enumerate(options):
+            for j, (_, action) in enumerate(here[1:], start=1):
+                deltas[v][j] = values.row(ballots[v] ^ (1 << action.source | 1 << p)) - rows[v]
     best: tuple[int, tuple[AtomicAction, ...]] | None = None
     chosen: list[AtomicAction] = []
 
-    def dfs(v: int, cost: int):
+    def dfs(v: int, cost: int, total: int):
         nonlocal best
         # Only a strictly cheaper leaf can replace the first one found.
         if best is not None and cost >= best[0]:
             return
         if v == e.n:
-            if cost <= instance.budget and _is_cowinner_from_ballots(ballots, e.m, rule, k, p):
+            if cost <= instance.budget and (
+                    _is_cowinner_from_ballots(ballots, e.m, rule, k, p) if values is None
+                    else values.cowinners(total) >> p & 1):
                 best = (cost, tuple(chosen))
             return
-        for price, action in options[v]:
+        for j, (price, action) in enumerate(options[v]):
             if action is not None:
                 flip = 1 << action.source | 1 << p
                 ballots[v] ^= flip
                 chosen.append(action)
-            dfs(v + 1, cost + price)
+            dfs(v + 1, cost + price, total + deltas[v][j])
             if action is not None:
                 ballots[v] ^= flip
                 chosen.pop()
 
-    dfs(0, 0)
+    dfs(0, 0, base_total)
     if best is None:
         return BriberySolution((), None, False)
     return BriberySolution(best[1], best[0], True)

@@ -9,9 +9,11 @@ iterative deepening over total cost, so the first hit is the optimum.
 One sweep can serve several target candidates at once: the options and the
 per-cost configuration counts do not depend on the target unless the
 bribery is restricted to p, so ``oracle_margins`` searches once for every
-candidate.  Each leaf runs the co-winner kernel once, and its candidate
-bitmask answers for every target still pending (AV and SAV instead keep
-incremental scores and compare them per target).  Each target keeps the first
+candidate.  Each leaf computes one candidate bitmask that answers for every
+target still pending: GAV and RAV run the co-winner kernel, CCAV and PAV
+read it off packed committee values updated by one row per changed voter,
+and AV and SAV instead keep incremental scores and compare them per target.
+Each target keeps the first
 witness the depth-first order reaches at its cheapest cost -- the same
 witness a single-target search finds.  ``oracle_bribery`` passes its witness
 through ``rules.certify`` before returning it.  Purely
@@ -40,6 +42,7 @@ from .core import (
 )
 from .rules import (
     Rule,
+    _committee_values,
     _cowinner_mask,
     _score_cowinner,
     _score_shares,
@@ -210,19 +213,28 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[l
     if incremental:
         shares = _score_shares(rule, m)
         scores = _scores(ballots, m, rule)
+    # CCAV and PAV carry their packed committee values down the search as the
+    # argument ``total``; a ballot's row is computed the first time it is used.
+    values = _committee_values(rule, m, k, n)
+    rows: dict[int, int] = {}
 
-    def pending_winners() -> list[int]:
+    def row(mask: int) -> int:
+        if mask not in rows:
+            rows[mask] = values.row(mask)
+        return rows[mask]
+
+    def pending_winners(total: int) -> list[int]:
         """The pending targets that win in the current configuration."""
         if incremental:
             return [p for p in pending if _score_cowinner(scores, k, p)]
-        mask = _cowinner_mask(ballots, m, rule, k)
+        mask = _cowinner_mask(ballots, m, rule, k) if values is None else values.cowinners(total)
         return [p for p in pending if mask >> p & 1]
 
-    def dfs(i: int, remaining: int) -> bool:
+    def dfs(i: int, remaining: int, total: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
         if i == n:
             if remaining == 0:
-                winners = pending_winners()
+                winners = pending_winners(total)
                 if winners:
                     actions = tuple(a for opt in chosen for a in opt.actions)
                     for p in winners:
@@ -242,7 +254,8 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[l
                 delta = _score_delta(old, opt.mask, shares)
                 for c, d in delta:
                     scores[c] += d
-            done = dfs(i + 1, remaining - opt.cost)
+            done = dfs(i + 1, remaining - opt.cost,
+                       total if values is None else total + row(opt.mask) - row(old))
             if incremental:
                 for c, d in delta:
                     scores[c] -= d
@@ -259,7 +272,7 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[l
             raise ResourceGuardError(
                 f"enumerating final elections up to cost {t} needs {explored} "
                 f"configurations, above the cap of {max_configs}")
-        if dfs(0, t):
+        if dfs(0, t, 0 if values is None else sum(map(row, ballots))):
             break
     return found
 

@@ -14,12 +14,19 @@ by lcm(1..m).  The public functions return ``Fraction`` values.
 Every co-winner question goes through one kernel on ballot bitmasks,
 ``_cowinner_mask``, which returns the set of candidates belonging to some
 winning committee as a bitmask, so one call answers for every candidate.
-CCAV and PAV scan a table of all size-k committee bitmasks, built once per
-(m, k) after the committee cap is checked and kept in a small LRU cache; the
-committees tied for the best value are unioned.  GAV and RAV run one greedy
-on candidate columns (approver bitmasks): ``levels[t]`` holds the voters with
-exactly t committee members, and a candidate gains w(t) per approver at
-level t.  AV and SAV compare scores.
+CCAV and PAV keep every size-k committee's value in one packed integer,
+``_CommitteeValues``: lane j holds the value of the j-th committee of a
+table built once per (m, k), after the committee cap is checked.  A voter's
+row, its satisfaction with every committee, sums the cached member lanes of
+its approved candidates and turns the member counts into satisfaction with
+one threshold test per nonzero Thiele weight; no loop runs over committees.
+The election's total is the sum of the rows, so a search that changes a few
+voters moves it by row(new) - row(old) per changed voter.  The best lanes
+are read by one descent over the bit planes, and their committees are
+unioned.  GAV and RAV run one greedy on candidate columns (approver
+bitmasks): ``levels[t]`` holds the voters with exactly t committee members,
+and a candidate gains w(t) per approver at level t.  AV and SAV compare
+scores.
 
 ``certify`` reruns the kernel on a solver's answer: every answer ``solve``
 returns has passed it.
@@ -132,22 +139,102 @@ def _committee_table(m: int, k: int) -> tuple[int, ...]:
     return tuple(sum(1 << c for c in combo) for combo in itertools.combinations(range(m), k))
 
 
-def _optimal_committees(ballots: list[int], m: int, rule: Rule, k: int, cap: int) -> list[int]:
-    """Bitmasks of the size-k committees of maximal value (CCAV, PAV)."""
+def _lane_width(rule: Rule, k: int, n: int) -> int:
+    """Bits per committee lane for n voters.
+
+    A lane must hold the largest committee value, n * sat[k], and the row
+    threshold test needs k below the lane's top bit.
+    """
+    return max((n * _satisfaction(rule, k)[k]).bit_length(), k.bit_length() + 1)
+
+
+class _CommitteeValues:
+    """Every size-k committee's CCAV or PAV value packed into one integer.
+
+    Lane j, the ``width`` bits from j * width up, holds the value of
+    ``_committee_table(m, k)[j]``.  A voter's row is the packed value that
+    one ballot contributes, so the election's total is the sum of its rows,
+    and replacing one ballot moves the total by row(new) - row(old).  Lane
+    values never go negative or reach 2**width, so packed sums need no
+    carry handling.
+    """
+
+    __slots__ = ("table", "width", "ones", "high", "members", "thresholds")
+
+    def __init__(self, rule: Rule, m: int, k: int, width: int):
+        self.table = _committee_table(m, k)
+        self.width = width
+        lanes = len(self.table)
+        self.ones = ((1 << lanes * width) - 1) // ((1 << width) - 1)  # 1 in every lane
+        self.high = self.ones << width - 1  # every lane's top bit
+        # members[c] has a 1 in the lane of each committee holding c.
+        zero, one = "0" * width, "0" * (width - 1) + "1"
+        self.members = tuple(
+            int("".join(one if committee >> c & 1 else zero
+                        for committee in reversed(self.table)), 2)
+            for c in range(m))
+        # (weight, offset) per nonzero Thiele weight w(t): adding the offset
+        # sets a lane's top bit exactly when its member count exceeds t.
+        top = 1 << width - 1
+        self.thresholds = tuple((w, self.ones * (top - t - 1))
+                                for t, w in enumerate(_thiele_weights(rule, k)) if w)
+
+    def row(self, mask: int) -> int:
+        """One ballot's satisfaction with every committee."""
+        count = 0
+        rest = mask
+        while rest:  # _iter_bits inlined: every changed voter of a leaf builds a row
+            low = rest & -rest
+            count += self.members[low.bit_length() - 1]
+            rest ^= low
+        # Nonzero weights come first, and a lane counts at most |mask| members.
+        high, shift = self.high, self.width - 1
+        value = 0
+        for weight, offset in self.thresholds[:mask.bit_count()]:
+            value += (((count + offset) & high) >> shift) * weight
+        return value
+
+    def total(self, ballots: list[int]) -> int:
+        return sum(map(self.row, ballots))
+
+    def best(self, total: int) -> int:
+        """A 1 in the lowest bit of each lane of maximal value.
+
+        One descent over the bit planes, most significant first, keeps the
+        lanes that have the current bit whenever some kept lane has it.
+        """
+        lanes = self.ones
+        for b in range(self.width - 1, -1, -1):
+            kept = (total >> b) & lanes
+            if kept:
+                lanes = kept
+        return lanes
+
+    def cowinners(self, total: int) -> int:
+        """Bitmask of the candidates in some committee of maximal value."""
+        best = self.best(total)
+        return sum(1 << c for c, lanes in enumerate(self.members) if lanes & best)
+
+    def committees(self, total: int) -> list[int]:
+        """Bitmasks of the committees of maximal value."""
+        return [self.table[bit // self.width] for bit in _iter_bits(self.best(total))]
+
+
+@lru_cache(maxsize=8)
+def _committee_lanes(rule: Rule, m: int, k: int, width: int) -> _CommitteeValues:
+    """Built once per lane layout; callers check the committee cap first."""
+    return _CommitteeValues(rule, m, k, width)
+
+
+def _committee_values(rule: Rule, m: int, k: int, n: int,
+                      cap: int = COMMITTEE_ENUM_CAP) -> _CommitteeValues | None:
+    """The packed committee values of CCAV or PAV for n voters; None for the
+    other rules, which are not scored committee by committee."""
+    if rule not in (Rule.CCAV, Rule.PAV):
+        return None
     if comb(m, k) > cap:
         raise ResourceGuardError(f"C({m},{k}) committees exceed the cap of {cap}")
-    satisfaction = _satisfaction(rule, k)
-    best_value = -1
-    best: list[int] = []
-    for committee in _committee_table(m, k):
-        value = 0
-        for mask in ballots:
-            value += satisfaction[(mask & committee).bit_count()]
-        if value > best_value:
-            best_value, best = value, [committee]
-        elif value == best_value:
-            best.append(committee)
-    return best
+    return _committee_lanes(rule, m, k, _lane_width(rule, k, n))
 
 
 def _level_gains(columns: list[int], levels: list[int], weights: tuple[int, ...]) -> list[int]:
@@ -221,10 +308,8 @@ def _cowinner_mask(ballots: list[int], m: int, rule: Rule, k: int,
         return sum(1 << c for c, s in enumerate(scores) if s >= cutoff)
     if rule in (Rule.GAV, Rule.RAV):
         return sum(1 << c for c in _thiele_greedy(ballots, m, rule, k))
-    mask = 0
-    for committee in _optimal_committees(ballots, m, rule, k, cap):
-        mask |= committee
-    return mask
+    values = _committee_values(rule, m, k, len(ballots), cap)
+    return values.cowinners(values.total(ballots))
 
 
 def _is_cowinner_from_ballots(ballots: list[int], m: int, rule: Rule, k: int, p: int,
@@ -315,8 +400,9 @@ def winning_committees(e: Election, rule: Rule, k: int,
         return set(iter_winning_committees(e, rule, k))
     if rule in (Rule.GAV, Rule.RAV):
         return {frozenset(_thiele_greedy(ballots, e.m, rule, k))}
+    values = _committee_values(rule, e.m, k, e.n, cap)
     return {frozenset(_iter_bits(committee))
-            for committee in _optimal_committees(ballots, e.m, rule, k, cap)}
+            for committee in values.committees(values.total(ballots))}
 
 
 def is_cowinner(e: Election, rule: Rule, k: int, p: int, cap: int = COMMITTEE_ENUM_CAP) -> bool:

@@ -108,6 +108,36 @@ def test_apply_swap_preconditions(e0):
         apply_action(e0, AtomicAction(Op.SWAP, 6, source=1, target=3))  # v7 has p
 
 
+@pytest.mark.parametrize("action", [
+    AtomicAction(Op.ADD, 0, target=-2),
+    AtomicAction(Op.DELETE, 0, source=-1),
+    AtomicAction(Op.SWAP, 0, source=-3, target=1),
+    AtomicAction(Op.SWAP, 0, source=0, target=3),
+])
+def test_apply_rejects_candidate_index_out_of_range(action):
+    # Negative indices are refused too, not read from the end of the list.
+    e = make_election(["a", "b", "c"], [("v1", ["a", "c"])])
+    bad = action.target if action.kind is Op.ADD or action.target == 3 else action.source
+    with pytest.raises(InvalidActionError, match=f"^no candidate with index {bad}$"):
+        apply_action(e, action)
+
+
+def test_apply_actions_reports_the_failing_action(e0):
+    # Replaying on approval sets keeps apply_action's per-action checks: the
+    # third action fails on the state the first two left behind.
+    actions = [AtomicAction(Op.DELETE, 1, source=1), AtomicAction(Op.ADD, 2, target=3),
+               AtomicAction(Op.SWAP, 1, source=1, target=3), AtomicAction(Op.ADD, 0, target=3)]
+    with pytest.raises(InvalidActionError, match="^v2 does not approve b$"):
+        apply_actions(e0, actions)
+    cur = e0
+    with pytest.raises(InvalidActionError, match="^v2 does not approve b$"):
+        for a in actions:
+            cur = apply_action(cur, a)
+    assert cur == apply_actions(e0, actions[:2])
+    with pytest.raises(InvalidActionError, match="^no voter with index -1$"):
+        apply_actions(e0, actions[:1] + [AtomicAction(Op.ADD, -1, target=3)])
+
+
 def test_solution_cost_unit_and_priced(e0):
     swaps = [
         AtomicAction(Op.SWAP, 0, source=1, target=3),

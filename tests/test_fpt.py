@@ -140,7 +140,8 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     applied = count_calls(monkeypatch, fpt, "apply_actions")
-    checks = count_calls(monkeypatch, fpt, "_is_cowinner_from_ballots")
+    rescans = count_calls(monkeypatch, fpt, "_is_cowinner_from_ballots")
+    checks = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
     swap = BriberyInstance(e, 2, 1, 1, Op.SWAP)
     assert not unpriced_type_enum(swap, Rule.PAV).feasible
     assert checks[0] == 1 + 8  # the empty set and each of the 8 single swaps
@@ -149,7 +150,18 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
     assert not priced_swap_to_p_type_enum(priced, Rule.PAV).feasible
     assert checks[0] > 1 + 8 + 2
-    assert applied[0] == 0
+    assert applied[0] == 0 and rescans[0] == 0
+
+
+def test_type_enum_rows_per_changed_ballot(monkeypatch):
+    # PAV leaves update the packed committee values instead of rescanning:
+    # one row per base ballot, then one per ballot a leaf changes.  Each of
+    # the 8 single swaps changes one of the 4 ballots.
+    e = make_election(["a", "b", "p"],
+                      [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
+    rows = count_calls(monkeypatch, rules._CommitteeValues, "row")
+    assert unpriced_type_enum(BriberyInstance(e, 2, 1, 1, Op.SWAP), Rule.PAV).cost is None
+    assert rows[0] == 4 + 8
 
 
 def test_priced_swap_to_p_unit_agrees_with_unpriced(e0):

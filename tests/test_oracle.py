@@ -214,10 +214,15 @@ def test_one_cowinner_mask_per_leaf(monkeypatch, rule):
     prices = PriceTable(delete={(0, 0): math.inf})
     leaves = math.prod(len(opts) for opts in oracle._vote_options(
         e, prices, Op.DELETE, False, 0, None, oracle.DEFAULT_MAX_CONFIGS))
-    calls = count_calls(monkeypatch, oracle, "_cowinner_mask")
+    masks = count_calls(monkeypatch, oracle, "_cowinner_mask")
+    packed = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
     margins = oracle_margins(e, rule, 1, Op.DELETE, prices)
     assert margins[2] == math.inf and margins[0] == 0
-    assert calls[0] == leaves == 8
+    # CCAV and PAV read each leaf off their running packed committee values
+    # and never rescan the ballots; GAV and RAV run the kernel on them.
+    leaf_tests = packed if rule in (Rule.CCAV, Rule.PAV) else masks
+    assert leaf_tests[0] == leaves == 8
+    assert masks[0] + packed[0] == 8
 
 
 def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):

@@ -122,17 +122,19 @@ def test_winning_committees_guard(e0):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_committee_guard_boundary(e0, rule, k):
     # C(4, k) committees: a cap of exactly that passes, one less trips before
-    # the committee table is built.
+    # the committee table or its member lanes are built.
     size = math.comb(e0.m, k)
-    rules._committee_table.cache_clear()
+    caches = (rules._committee_table, rules._committee_lanes)
+    for cache in caches:
+        cache.cache_clear()
     for check in (lambda cap: is_cowinner(e0, rule, k, 3, cap),
                   lambda cap: winning_committees(e0, rule, k, cap)):
         with pytest.raises(ResourceGuardError, match=f"C\\(4,{k}\\) committees"):
             check(size - 1)
-        assert rules._committee_table.cache_info().currsize == 0
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
     assert is_cowinner(e0, rule, k, 3, size) == is_cowinner(e0, rule, k, 3)
     assert winning_committees(e0, rule, k, size) == winning_committees(e0, rule, k)
-    assert rules._committee_table.cache_info().currsize == 1
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
 
 
 def test_streaming_survives_huge_tie_families():
@@ -276,6 +278,82 @@ def test_kernel_matches_fraction_reference():
                 assert pav_score(e, w) == pav(w)
                 assert rav_marginals(e, w) == [0 if c in w else pav(w | {c}) - pav(w)
                                                for c in range(e.m)]
+
+
+def _packed_winners(ballots, m, rule, k):
+    """Winning committees and co-winner mask read off the packed values."""
+    values = rules._committee_values(rule, m, k, len(ballots))
+    total = values.total(ballots)
+    return ({frozenset(rules._iter_bits(w)) for w in values.committees(total)},
+            values.cowinners(total))
+
+
+def _mask_election(ballots, m):
+    names = [f"c{i}" for i in range(m)]
+    return make_election(names, [(f"v{v}", [names[c] for c in rules._iter_bits(mask)])
+                                 for v, mask in enumerate(ballots)])
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV])
+def test_packed_values_match_fraction_reference(rule):
+    stream = Stream64(47)
+    for _ in range(30):
+        e = random_sized_election(stream, 7, 7)
+        ballots = ballot_masks(e)
+        for k in range(1, e.m + 1):
+            expected = _reference_winners(e, rule, k)
+            assert _packed_winners(ballots, e.m, rule, k) == (
+                expected, sum(1 << c for c in frozenset().union(*expected))), (e, k)
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV])
+def test_packed_running_total_under_replacements(rule):
+    # As the solvers' searches do: replace one ballot at a time on a running
+    # total, test every state, then revert in reverse order back to the base.
+    stream = Stream64(53)
+    for _ in range(25):
+        e = random_sized_election(stream, 7, 7)
+        k = stream.randint(1, e.m)
+        ballots = ballot_masks(e)
+        values = rules._committee_values(rule, e.m, k, e.n)
+        base = total = values.total(ballots)
+        undo = []
+        for _ in range(stream.randint(1, 6)):
+            v, new = stream.randint(0, e.n - 1), stream.randint(0, (1 << e.m) - 1)
+            total += values.row(new) - values.row(ballots[v])
+            undo.append((v, ballots[v]))
+            ballots[v] = new
+            expected = _reference_winners(_mask_election(ballots, e.m), rule, k)
+            assert values.cowinners(total) == sum(1 << c for c in frozenset().union(*expected))
+        while undo:
+            v, old = undo.pop()
+            total += values.row(old) - values.row(ballots[v])
+            ballots[v] = old
+        assert total == base == values.total(ballot_masks(e))
+
+
+@pytest.mark.parametrize("rule, k, n", [(Rule.CCAV, 1, 3), (Rule.CCAV, 3, 7), (Rule.PAV, 2, 5)])
+def test_lane_width_switch(rule, k, n):
+    # n * sat[k] = 2**j - 1 fills j bits; one voter more needs a wider lane.
+    width = rules._lane_width(rule, k, n)
+    assert n * rules._satisfaction(rule, k)[k] == (1 << width) - 1
+    assert rules._lane_width(rule, k, n + 1) == width + 1
+    # Voters approving everything put n * sat[k] in every lane; with the last
+    # one approving only candidate 0, the best committees are those holding 0.
+    m = 4
+    for voters in (n, n + 1):
+        for ballots in ([(1 << m) - 1] * voters, [(1 << m) - 1] * (voters - 1) + [1]):
+            expected = _reference_winners(_mask_election(ballots, m), rule, k)
+            assert _packed_winners(ballots, m, rule, k)[0] == expected
+
+
+def test_lanes_wider_than_64_bits():
+    # PAV with k = 45 scales the harmonic weights by lcm(1..45), about 2**63.
+    m, k = 47, 45
+    ballots = [(1 << m) - 1, (1 << 30) - 1, (1 << m) - 1 - 0b111, 0b101 << 44]
+    assert rules._lane_width(Rule.PAV, k, len(ballots)) > 64
+    expected = _reference_winners(_mask_election(ballots, m), Rule.PAV, k)
+    assert _packed_winners(ballots, m, Rule.PAV, k)[0] == expected
 
 
 def test_cowinner_mask_and_pick_order_match_reference():
