@@ -266,43 +266,31 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
             raise ResourceGuardError(
                 f"swap combinations exceed the cap of {enum_cap}")
 
-    # CCAV and PAV carry the packed committee values down the search: each
-    # option moves them by its row change, computed once per option.
     ballots = ballot_masks(e)
-    values = _committee_values(rule, e.m, k, n)
-    base_total = 0
-    deltas = [[0] * len(here) for here in options]
-    if values is not None:
-        rows = [values.row(mask) for mask in ballots]
-        base_total = sum(rows)
-        for v, here in enumerate(options):
-            for j, (_, action) in enumerate(here[1:], start=1):
-                deltas[v][j] = values.row(ballots[v] ^ (1 << action.source | 1 << p)) - rows[v]
+    wins = _leaf_test(ballots, e.m, rule, k, p)
     best: tuple[int, tuple[AtomicAction, ...]] | None = None
     chosen: list[AtomicAction] = []
 
-    def dfs(v: int, cost: int, total: int):
+    def dfs(v: int, cost: int):
         nonlocal best
         # Only a strictly cheaper leaf can replace the first one found.
         if best is not None and cost >= best[0]:
             return
         if v == e.n:
-            if cost <= instance.budget and (
-                    _is_cowinner_from_ballots(ballots, e.m, rule, k, p) if values is None
-                    else values.cowinners(total) >> p & 1):
+            if cost <= instance.budget and wins(ballots, [a.voter for a in chosen]):
                 best = (cost, tuple(chosen))
             return
-        for j, (price, action) in enumerate(options[v]):
+        for price, action in options[v]:
             if action is not None:
                 flip = 1 << action.source | 1 << p
                 ballots[v] ^= flip
                 chosen.append(action)
-            dfs(v + 1, cost + price, total + deltas[v][j])
+            dfs(v + 1, cost + price)
             if action is not None:
                 ballots[v] ^= flip
                 chosen.pop()
 
-    dfs(0, 0, base_total)
+    dfs(0, 0)
     if best is None:
         return BriberySolution((), None, False)
     return BriberySolution(best[1], best[0], True)

@@ -148,6 +148,36 @@ def _lane_width(rule: Rule, k: int, n: int) -> int:
     return max((n * _satisfaction(rule, k)[k]).bit_length(), k.bit_length() + 1)
 
 
+def _lane_ones(lanes: int, width: int) -> int:
+    """A 1 in the lowest bit of each of ``lanes`` lanes."""
+    return ((1 << lanes * width) - 1) // ((1 << width) - 1)
+
+
+def _member_lanes(m: int, k: int, width: int) -> tuple[int, ...]:
+    """members[c]: a 1 in the lane of each size-k committee holding c.
+
+    Lanes follow ``_committee_table``'s lexicographic order, in which the
+    size-j committees over candidates lo..m-1 are those holding lo, then
+    those not holding it.  Sweeping lo down from m-1 joins two blocks of the
+    previous sweep per size with one shift per candidate; nothing loops
+    over committees.
+    """
+    # blocks[j] = (lanes, members) for the size-j committees over lo..m-1.
+    empty = (0, (0,) * m)
+    blocks = [(1, (0,) * m)] + [empty] * k
+    for lo in range(m - 1, -1, -1):
+        first = max(1, k - lo)  # smaller blocks can never grow to size k
+        joined = blocks[:1] + [empty] * (first - 1)
+        for j in range(first, k + 1):
+            (with_lanes, with_lo), (without_lanes, without_lo) = blocks[j - 1], blocks[j]
+            shift = with_lanes * width
+            members = [a | b << shift for a, b in zip(with_lo, without_lo)]
+            members[lo] = _lane_ones(with_lanes, width)
+            joined.append((with_lanes + without_lanes, tuple(members)))
+        blocks = joined
+    return blocks[k][1]
+
+
 class _CommitteeValues:
     """Every size-k committee's CCAV or PAV value packed into one integer.
 
@@ -164,15 +194,9 @@ class _CommitteeValues:
     def __init__(self, rule: Rule, m: int, k: int, width: int):
         self.table = _committee_table(m, k)
         self.width = width
-        lanes = len(self.table)
-        self.ones = ((1 << lanes * width) - 1) // ((1 << width) - 1)  # 1 in every lane
+        self.ones = _lane_ones(len(self.table), width)
         self.high = self.ones << width - 1  # every lane's top bit
-        # members[c] has a 1 in the lane of each committee holding c.
-        zero, one = "0" * width, "0" * (width - 1) + "1"
-        self.members = tuple(
-            int("".join(one if committee >> c & 1 else zero
-                        for committee in reversed(self.table)), 2)
-            for c in range(m))
+        self.members = _member_lanes(m, k, width)
         # (weight, offset) per nonzero Thiele weight w(t): adding the offset
         # sets a lane's top bit exactly when its member count exceeds t.
         top = 1 << width - 1
@@ -217,7 +241,10 @@ class _CommitteeValues:
 
     def committees(self, total: int) -> list[int]:
         """Bitmasks of the committees of maximal value."""
-        return [self.table[bit // self.width] for bit in _iter_bits(self.best(total))]
+        # Read every lane's lowest bit off one binary string: peeling the
+        # bits off the packed integer one by one takes quadratic time.
+        flags = format(self.best(total), "b")[::-1][::self.width]
+        return [committee for committee, flag in zip(self.table, flags) if flag == "1"]
 
 
 @lru_cache(maxsize=8)

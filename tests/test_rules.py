@@ -356,6 +356,24 @@ def test_lanes_wider_than_64_bits():
     assert _packed_winners(ballots, m, Rule.PAV, k)[0] == expected
 
 
+def test_member_lanes_follow_committee_table():
+    for m in range(1, 9):
+        for k in range(1, m + 1):
+            table = rules._committee_table(m, k)
+            for width in (2, 5, 70):
+                assert rules._member_lanes(m, k, width) == tuple(
+                    sum(1 << j * width for j, committee in enumerate(table) if committee >> c & 1)
+                    for c in range(m)), (m, k, width)
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV])
+def test_every_committee_tied(rule):
+    # Voters approving nothing tie all C(12, 6) committees; every lane is read.
+    m, k = 12, 6
+    assert _packed_winners([0, 0, 0], m, rule, k) == (
+        {frozenset(c) for c in itertools.combinations(range(m), k)}, (1 << m) - 1)
+
+
 def test_cowinner_mask_and_pick_order_match_reference():
     # Pick order matters beyond the committee: approx uses greedy prefixes
     # (GAV) and pick lists (RAV).  k runs up to m, so zero-gain rounds occur.
