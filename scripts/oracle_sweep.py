@@ -29,6 +29,13 @@ LANES = {
     "rav-add": (Rule.RAV, "auto", dict(op=Op.ADD, restricted_to_p=True)),
     "subset-ccav": (Rule.CCAV, "fpt-n",
                     dict(op=Op.ADD, priced=True, restricted_to_p=True, max_voters=5)),
+    "subset-gav": (Rule.GAV, "fpt-n",
+                   dict(op=Op.ADD, priced=True, restricted_to_p=True, max_voters=5)),
+    "subset-rav": (Rule.RAV, "fpt-n",
+                   dict(op=Op.ADD, priced=True, restricted_to_p=True, max_voters=5)),
+    # Under "exact" AV unit swaps route to the AV greedy, not the enumeration.
+    "typeenum-av": (Rule.AV, "fpt-n", dict(op=Op.SWAP, max_voters=4)),
+    "typeenum-sav": (Rule.SAV, "fpt-n", dict(op=Op.SWAP, max_voters=4)),
     "typeenum-ccav": (Rule.CCAV, "exact", dict(op=Op.SWAP, max_voters=4)),
     "typeenum-pav": (Rule.PAV, "exact", dict(op=Op.SWAP, max_voters=4)),
     # GAV and RAV enumerate over every candidate, not a per-type pool.
@@ -36,13 +43,16 @@ LANES = {
     "typeenum-rav": (Rule.RAV, "exact", dict(op=Op.SWAP, max_voters=4)),
     "pricedswap-sav": (Rule.SAV, "exact", dict(op=Op.SWAP, priced=True, restricted_to_p=True,
                                                 max_candidates=5, max_voters=4)),
+    "pricedswap-rav": (Rule.RAV, "exact", dict(op=Op.SWAP, priced=True, restricted_to_p=True,
+                                                max_candidates=5, max_voters=4)),
     "flow-ccav": (Rule.CCAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=5,
                                            max_voters=4, price_choices=(1, 2, 3))),
     "flow-gav": (Rule.GAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=5,
                                          max_voters=4, price_choices=(1, 2))),
 }
 # p already a co-winner is answered at cost 0 before any action set is tried.
-LOSING_ONLY = {"typeenum-ccav", "typeenum-pav", "typeenum-gav", "typeenum-rav"}
+LOSING_ONLY = {"typeenum-av", "typeenum-sav", "typeenum-ccav", "typeenum-pav", "typeenum-gav",
+               "typeenum-rav"}
 
 
 def lane_instances(lane: str, count: int, seed: int):

@@ -34,7 +34,6 @@ from .rules import (
     iter_winning_committees,
     pav_score,
     rav_committee,
-    rav_marginals,
     sav_scores,
     winning_committees,
 )

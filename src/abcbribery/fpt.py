@@ -10,10 +10,11 @@ with a min-cost flow whose sink arcs carry lower bounds, and a GAV guess goes
 straight to a search over concrete assignments.
 
 The enumerations test each candidate action set by flipping bits of the
-ballot bitmasks and running the rule kernel on them; no ``Election`` is built
-per set, and actions are built only for the set a solver returns.  For CCAV
-and PAV the test instead updates the base election's packed committee values
-by one row per changed voter.
+ballot bitmasks; no ``Election`` is built per set, and actions are built only
+for the set a solver returns.  The test never re-derives the election: it
+starts from the base election's packed committee values (CCAV, PAV), scores
+(AV, SAV) or candidate columns (GAV, RAV) and updates them per changed
+voter.
 
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
@@ -48,6 +49,10 @@ from .rules import (
     _committee_values,
     _greedy_picks,
     _is_cowinner_from_ballots,
+    _score_cowinner,
+    _score_delta,
+    _score_shares,
+    _scores,
     certify,
     is_cowinner,
 )
@@ -63,20 +68,44 @@ def _leaf_test(base: list[int], m: int, rule: Rule, k: int, p: int):
     """``wins(ballots, changed)``: is p a co-winner once each voter in
     ``changed`` holds ``ballots[v]`` and every other voter its base ballot?
 
-    CCAV and PAV move the base's packed committee values by one row per
-    changed voter; the other rules rerun the kernel on ``ballots``.
+    Every rule starts from the base election, derived once, and updates it
+    per changed voter: CCAV and PAV move the packed committee values by one
+    row, AV and SAV move the scores by one ballot's delta, and GAV and RAV
+    flip the voter's bit in the candidate columns of the candidates its
+    ballot gained or lost, then run the greedy on those columns.  ``base``
+    is copied: callers flip the list they pass in place.
     """
+    base = base.copy()
     values = _committee_values(rule, m, k, len(base))
-    if values is None:
-        return lambda ballots, changed: _is_cowinner_from_ballots(ballots, m, rule, k, p)
-    rows = [values.row(mask) for mask in base]
-    base_total = sum(rows)
+    if values is not None:
+        rows = [values.row(mask) for mask in base]
+        base_total = sum(rows)
 
-    def wins(ballots: list[int], changed) -> bool:
-        total = base_total
-        for v in changed:
-            total += values.row(ballots[v]) - rows[v]
-        return bool(values.cowinners(total) >> p & 1)
+        def wins(ballots: list[int], changed) -> bool:
+            total = base_total
+            for v in changed:
+                total += values.row(ballots[v]) - rows[v]
+            return bool(values.cowinners(total) >> p & 1)
+    elif rule in (Rule.GAV, Rule.RAV):
+        base_columns = _transpose(base, m)
+
+        def wins(ballots: list[int], changed) -> bool:
+            columns = base_columns.copy()
+            for v in changed:
+                bit = 1 << v
+                for c in _iter_bits(ballots[v] ^ base[v]):
+                    columns[c] ^= bit
+            return p in _greedy_picks(columns, rule, k)
+    else:
+        shares = _score_shares(rule, m)
+        base_scores = _scores(base, m, rule)
+
+        def wins(ballots: list[int], changed) -> bool:
+            scores = base_scores.copy()
+            for v in changed:
+                for c, d in _score_delta(base[v], ballots[v], shares):
+                    scores[c] += d
+            return _score_cowinner(scores, k, p)
     return wins
 
 
@@ -152,23 +181,21 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
         pool = set(range(e.m))
         cap = instance.budget
 
-    # A cell is one atomic action, flipped on the ballot masks as a bit pair
-    # (swaps) or a single bit (additions).  A swap's source was approved and
-    # its target was not, so two swaps in one vote clash exactly when their
-    # flips overlap; additions never clash.
-    if instance.op is Op.ADD:
-        cells = [AtomicAction(Op.ADD, v, target=c) for v in range(e.n) for c in sorted(pool)
-                 if c not in e.ballots[v].approved
-                 and (not instance.restricted_to_p or c == p)]
-        flips = [(a.voter, 1 << a.target) for a in cells]
-    else:
-        cells = [AtomicAction(Op.SWAP, v, source=s, target=t) for v in range(e.n)
-                 for s in sorted(e.ballots[v].approved & pool)
-                 for t in sorted(pool - e.ballots[v].approved)
-                 if not instance.restricted_to_p or t == p]
-        flips = [(a.voter, 1 << a.source | 1 << a.target) for a in cells]
-
+    # A cell is one atomic action as (voter, source, target), flipped on the
+    # ballot masks as a bit pair (swaps) or a single bit (additions, whose
+    # source is None).  A swap's source was approved and its target was not,
+    # so two swaps in one vote clash exactly when their flips overlap;
+    # additions never clash.
     base = ballot_masks(e)
+    sources = sum(1 << c for c in pool)
+    targets = 1 << p if instance.restricted_to_p else sources
+    if instance.op is Op.ADD:
+        cells = [(v, None, t) for v in range(n) for t in _iter_bits(targets & ~base[v])]
+    else:
+        cells = [(v, s, t) for v in range(n) for s in _iter_bits(sources & base[v])
+                 for t in _iter_bits(targets & ~base[v])]
+    flips = [(v, (0 if s is None else 1 << s) | 1 << t) for v, s, t in cells]
+
     wins = _leaf_test(base, e.m, rule, k, p)
     cap = min(cap, len(cells))
     explored = 0
@@ -188,7 +215,8 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
             else:
                 # The empty set comes first: p already winning costs 0.
                 if wins(ballots, {flips[i][0] for i in chosen}):
-                    return BriberySolution(tuple(cells[i] for i in chosen), size, True)
+                    actions = tuple(AtomicAction(instance.op, *cells[i]) for i in chosen)
+                    return BriberySolution(actions, size, True)
 
     if interchangeable and instance.budget >= n:
         actions = _approve_p_everywhere(e, p, instance.op)

@@ -45,6 +45,7 @@ from .rules import (
     _committee_values,
     _cowinner_mask,
     _score_cowinner,
+    _score_delta,
     _score_shares,
     _scores,
     certify,
@@ -179,16 +180,6 @@ def _config_counts(options: list[list[_Option]], limit: int) -> list[int]:
                     new[a + b] += ca * hist[b]
         counts = new
     return counts
-
-
-def _score_delta(old: int, new: int, shares: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Score changes when one ballot goes from old to new (AV or SAV shares)."""
-    out: dict[int, int] = {}
-    for c in _iter_bits(old):
-        out[c] = -shares[old.bit_count()]
-    for c in _iter_bits(new):
-        out[c] = out.get(c, 0) + shares[new.bit_count()]
-    return [(c, d) for c, d in out.items() if d]
 
 
 def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[list[_Option]],

@@ -26,7 +26,7 @@ are read by one descent over the bit planes, and their committees are
 unioned.  GAV and RAV run one greedy on candidate columns (approver
 bitmasks): ``levels[t]`` holds the voters with exactly t committee members,
 and a candidate gains w(t) per approver at level t.  AV and SAV compare
-scores.
+scores, and ``_score_delta`` moves them when one ballot changes.
 
 ``certify`` reruns the kernel on a solver's answer: every answer ``solve``
 returns has passed it.
@@ -100,6 +100,20 @@ def _scores(ballots: list[int], m: int, rule: Rule) -> list[int]:
         for c in _iter_bits(mask):
             scores[c] += share
     return scores
+
+
+def _score_delta(old: int, new: int, shares: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Score changes when one ballot goes from old to new (AV or SAV shares).
+
+    The candidates the ballot keeps move only when its size, and with it the
+    SAV share, changes.
+    """
+    lost, gained = shares[old.bit_count()], shares[new.bit_count()]
+    out = [(c, -lost) for c in _iter_bits(old & ~new)]
+    out += [(c, gained) for c in _iter_bits(new & ~old)]
+    if gained != lost:
+        out += [(c, gained - lost) for c in _iter_bits(old & new)]
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -385,13 +399,6 @@ def rav_committee(e: Election, k: int) -> frozenset[int]:
     """Greedy committee maximizing the harmonic (PAV) score round by round."""
     _check_k(e, k)
     return frozenset(_thiele_greedy(ballot_masks(e), e.m, Rule.RAV, k))
-
-
-def rav_marginals(e: Election, committee: frozenset[int]) -> list[Fraction]:
-    """Harmonic-score gain of adding each candidate to the given committee."""
-    weights = _thiele_weights(Rule.RAV, len(committee) + 1)
-    gains = _thiele_gains(ballot_masks(e), e.m, sum(1 << c for c in committee), weights)
-    return [Fraction(g, weights[0]) for g in gains]
 
 
 def iter_winning_committees(e: Election, rule: Rule, k: int):

@@ -24,6 +24,7 @@ from abcbribery.fpt import (
     priced_swap_to_p_type_enum,
     unpriced_type_enum,
 )
+from abcbribery.core import ballot_masks
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery
 
@@ -151,6 +152,66 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     assert not priced_swap_to_p_type_enum(priced, Rule.PAV).feasible
     assert checks[0] > 1 + 8 + 2
     assert applied[0] == 0 and rescans[0] == 0
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
+    # Every rule derives the base election once per solve and updates it per
+    # changed voter: no leaf reruns the whole kernel, GAV/RAV transpose once
+    # per solve and run one greedy per leaf, AV/SAV score once per solve.
+    # Leaves: the empty set and 8 single swaps; the empty set and 4 single
+    # additions; the empty set and the 5 swaps toward p within budget 1.  The
+    # priced search first asks the kernel whether p wins already.
+    e = make_election(["a", "b", "p"],
+                      [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
+    rescans = count_calls(monkeypatch, fpt, "_is_cowinner_from_ballots")
+    transposes = count_calls(monkeypatch, fpt, "_transpose")
+    greedies = count_calls(monkeypatch, fpt, "_greedy_picks")
+    scorings = count_calls(monkeypatch, fpt, "_scores")
+    checks = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
+    assert not unpriced_type_enum(BriberyInstance(e, 2, 1, 1, Op.SWAP), rule).feasible
+    assert not add_for_p_subset_enum(
+        BriberyInstance(e, 2, 1, 1, Op.ADD, restricted_to_p=True), rule).feasible
+    assert not priced_swap_to_p_type_enum(
+        BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True), rule).feasible
+    leaves = (1 + 8) + (1 + 4) + (1 + 5)
+    assert rescans[0] == 0
+    greedy = rule in (Rule.GAV, Rule.RAV)
+    assert transposes[0] == (3 if greedy else 0)
+    assert greedies[0] == (leaves if greedy else 0)
+    assert scorings[0] == (3 if rule in (Rule.AV, Rule.SAV) else 0)
+    assert checks[0] == (leaves + 1 if rule in (Rule.CCAV, Rule.PAV) else 0)
+
+
+def test_leaf_test_matches_kernel():
+    # The incremental leaf test against a fresh kernel run on the leaf's
+    # ballots, for 0-3 changed voters, some of them holding their base
+    # ballot.  Like the enumerations, half the leaves flip the very list the
+    # test was built from and restore it afterwards.
+    stream = Stream64(83)
+    leaves = 0
+    for _ in range(60):
+        e = random_sized_election(stream, 8, 7)
+        m, n = e.m, e.n
+        for k in range(1, m + 1):
+            for rule in Rule:
+                p = stream.randint(0, m - 1)
+                base = ballot_masks(e)
+                wins = fpt._leaf_test(base, m, rule, k, p)
+                original = base.copy()
+                for _ in range(6):
+                    voters = list(range(n))
+                    changed = [voters.pop(stream.randint(0, len(voters) - 1))
+                               for _ in range(stream.randint(0, min(3, n)))]
+                    ballots = base if stream.chance(0.5) else original.copy()
+                    for v in changed:
+                        if stream.chance(0.75):
+                            ballots[v] = stream.randint(0, (1 << m) - 1)
+                    expected = rules._is_cowinner_from_ballots(ballots, m, rule, k, p)
+                    assert wins(ballots, changed) == expected, (rule, e, k, p, changed)
+                    base[:] = original
+                    leaves += 1
+    assert leaves > 10_000
 
 
 def test_type_enum_rows_per_changed_ballot(monkeypatch):

@@ -19,7 +19,6 @@ from abcbribery import (
     make_election,
     pav_score,
     rav_committee,
-    rav_marginals,
     sav_scores,
     winning_committees,
 )
@@ -75,8 +74,15 @@ def test_gav_committee(e0):
     assert gav_committee(e, 1) == frozenset({2})
 
 
+def _rav_gains(e, committee):
+    """RAV's gain for adding each candidate to the committee, as a Fraction."""
+    weights = rules._thiele_weights(Rule.RAV, len(committee) + 1)
+    gains = rules._thiele_gains(ballot_masks(e), e.m, sum(1 << c for c in committee), weights)
+    return [Fraction(g, weights[0]) for g in gains]
+
+
 def test_rav_committee(e0):
-    assert rav_marginals(e0, frozenset({0})) == [
+    assert _rav_gains(e0, frozenset({0})) == [
         Fraction(0), Fraction(7, 2), Fraction(3), Fraction(1)]
     assert rav_committee(e0, 2) == frozenset({0, 1})
     # one round of RAV is an AV argmax
@@ -276,8 +282,8 @@ def test_kernel_matches_fraction_reference():
                     assert is_cowinner(e, rule, k, p) == any(p in w for w in expected)
             for w in map(frozenset, itertools.combinations(range(e.m), k)):
                 assert pav_score(e, w) == pav(w)
-                assert rav_marginals(e, w) == [0 if c in w else pav(w | {c}) - pav(w)
-                                               for c in range(e.m)]
+                assert _rav_gains(e, w) == [0 if c in w else pav(w | {c}) - pav(w)
+                                            for c in range(e.m)]
 
 
 def _packed_winners(ballots, m, rule, k):
@@ -442,7 +448,7 @@ def _greedy_has_tie(e, k, rule):
         return False
     committee = frozenset()
     for _ in range(k):
-        marginals = rav_marginals(e, committee)
+        marginals = _rav_gains(e, committee)
         options = [c for c in range(e.m) if c not in committee]
         best = max(marginals[c] for c in options)
         winners = [c for c in options if marginals[c] == best]
