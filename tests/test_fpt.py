@@ -16,6 +16,7 @@ from abcbribery import (
 )
 from abcbribery import fpt, rules
 from abcbribery.avbribery import av_add, av_swap_unit
+from abcbribery.core import ballot_masks
 from abcbribery.fpt import (
     FLOW_VOTER_CAP,
     _reachable_types,
@@ -24,7 +25,6 @@ from abcbribery.fpt import (
     priced_swap_to_p_type_enum,
     unpriced_type_enum,
 )
-from abcbribery.core import ballot_masks
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery
 
