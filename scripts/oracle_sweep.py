@@ -8,15 +8,17 @@ The type-enumeration lanes keep drawing until ``--count`` instances in which
 p is not already a co-winner, so each one reaches the enumeration.  The
 ``margins`` lane checks the oracle against itself: the shared sweep
 ``oracle_margins`` against one ``oracle_margin`` call per candidate, for every
-rule and operation.
+rule and operation, and, for each finite margin, ``solve(..., "oracle")`` at
+a budget of exactly that margin, whose certified witness must cost it.
 """
 
 import argparse
 import itertools
+import math
 import sys
 import time
 
-from abcbribery import Op, Rule, is_cowinner, solve
+from abcbribery import BriberyInstance, Op, Rule, is_cowinner, solve
 from abcbribery.generators import SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_margin, oracle_margins
 
@@ -68,8 +70,9 @@ MARGINS = "margins"
 
 
 def margin_mismatches(count: int, seed: int) -> tuple[int, int]:
-    """Shared-sweep margins against per-candidate margins, ``count`` instances
-    per operation; prints each mismatch and returns (instances, mismatches)."""
+    """Shared-sweep margins against per-candidate margins and against the
+    oracle's witness at budget = margin, ``count`` instances per operation;
+    prints each mismatch and returns (instances, mismatches)."""
     bad = 0
     for op in Op:
         cfg = SuiteConfig(op=op, count=count, seed=seed, priced=True, max_candidates=5,
@@ -83,6 +86,15 @@ def margin_mismatches(count: int, seed: int) -> tuple[int, int]:
                     bad += 1
                     print(f"  mismatch in {MARGINS} ({op.value} #{index}, {rule.value}): "
                           f"got {got}, per candidate {want}")
+                for p, margin in enumerate(got):
+                    if margin == math.inf:
+                        continue
+                    witness = solve(BriberyInstance(e, p, k, margin, op, priced=True,
+                                                    prices=prices), rule, "oracle")[0]
+                    if not witness.feasible or witness.cost != margin:
+                        bad += 1
+                        print(f"  mismatch in {MARGINS} ({op.value} #{index}, {rule.value}, "
+                              f"p={p}): margin {margin}, witness {witness}")
     return count * len(Op), bad
 
 

@@ -142,7 +142,7 @@ def _transpose(masks: list[int], width: int) -> list[int]:
     out = [0] * width
     for i, mask in enumerate(masks):
         bit = 1 << i
-        while mask:  # _iter_bits inlined: every GAV/RAV oracle leaf transposes
+        while mask:  # _iter_bits inlined: every GAV/RAV co-winner test transposes
             low = mask & -mask
             out[low.bit_length() - 1] |= bit
             mask ^= low

@@ -1,31 +1,34 @@
 """Exhaustive bribery solver used as ground truth for every other algorithm.
 
 The search enumerates, per vote, every ballot reachable under the operation
-kind together with its cheapest action sequence (Dijkstra over ballot states
-for swaps, where relaying an approval through intermediate candidates can be
-cheaper than a direct move).  Final elections are then enumerated by
-iterative deepening over total cost, so the first hit is the optimum.
+kind as a bare (cost, ballot) pair at its cheapest cost (Dijkstra over
+ballot states for swaps, where relaying an approval through intermediate
+candidates can be cheaper than a direct move).  Final elections are then
+enumerated by iterative deepening over total cost, so the first hit is the
+optimum.
 
 One sweep can serve several target candidates at once: the options and the
 per-cost configuration counts do not depend on the target unless the
 bribery is restricted to p, so ``oracle_margins`` searches once for every
-candidate.  Each leaf computes one candidate bitmask that answers for every
-target still pending: GAV and RAV run the co-winner kernel, CCAV and PAV
-read it off packed committee values updated by one row per changed voter,
-and AV and SAV instead keep incremental scores and compare them per target.
-Each target keeps the first
-witness the depth-first order reaches at its cheapest cost -- the same
-witness a single-target search finds.  ``oracle_bribery`` passes its witness
-through ``rules.certify`` before returning it.  Purely
-exponential; guarded by a configuration-count estimate and by the length of
-each voter's option list.
+candidate.  Each leaf computes one answer for every target still pending:
+GAV and RAV run the greedy on candidate columns that each search step
+updates for the one voter it changes, CCAV and PAV read the co-winners off
+packed committee values updated by one row per changed voter, and AV and
+SAV keep incremental scores and compare them per target.  Each target
+keeps the final ballots of the first winning configuration the depth-first
+order reaches at its cheapest cost -- the same configuration a
+single-target search finds.  Only ``oracle_bribery`` turns them into
+actions: the changed cells of each voter for additions and deletions, a
+walk back through the voter's Dijkstra parents for swaps.  It passes that
+witness through ``rules.certify`` before returning it.  Purely exponential;
+guarded by a configuration-count estimate and by the length of each voter's
+option list.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .core import (
     FORBIDDEN,
@@ -38,12 +41,13 @@ from .core import (
     PriceTable,
     ResourceGuardError,
     _iter_bits,
+    _transpose,
     ballot_masks,
 )
 from .rules import (
     Rule,
     _committee_values,
-    _cowinner_mask,
+    _greedy_picks,
     _score_cowinner,
     _score_delta,
     _score_shares,
@@ -55,13 +59,6 @@ from .rules import _is_cowinner_from_ballots  # noqa: F401  (wrapped by name in 
 DEFAULT_MAX_CONFIGS = 2_000_000
 
 
-@dataclass(frozen=True)
-class _Option:
-    cost: int
-    mask: int
-    actions: tuple[AtomicAction, ...]
-
-
 def _guard_options(voter: int, count: int, max_configs: int) -> None:
     """One voter with more options than the cap implies more configurations."""
     if count > max_configs:
@@ -70,36 +67,36 @@ def _guard_options(voter: int, count: int, max_configs: int) -> None:
             f"{max_configs} configurations")
 
 
-def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]], op: Op,
-                      cost_cap: int | None, max_configs: int) -> list[_Option]:
-    """All subsets of independent add/delete cells, cheapest-first."""
+def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]],
+                      cost_cap: int | None, max_configs: int) -> list[tuple[int, int]]:
+    """(cost, ballot) for every subset of independent add/delete cells, cheapest-first.
+
+    Each cell's candidate is absent from (add) or present in (delete) the
+    start ballot, so flipping its bit applies the cell either way.
+    """
     if cost_cap is None:  # uncapped, the list holds every subset: check before building
         _guard_options(voter, 1 << len(cells), max_configs)
-    options = [_Option(0, start, ())]
+    options = [(0, start)]
     for cand, price in cells:
-        grown = [opt for opt in options if cost_cap is None or opt.cost + price <= cost_cap]
+        bit = 1 << cand
+        grown = [(cost + price, mask ^ bit) for cost, mask in options
+                 if cost_cap is None or cost + price <= cost_cap]
         _guard_options(voter, len(options) + len(grown), max_configs)
-        extra = []
-        for opt in grown:
-            cost = opt.cost + price
-            if op is Op.ADD:
-                mask = opt.mask | (1 << cand)
-                action = AtomicAction(Op.ADD, voter, target=cand)
-            else:
-                mask = opt.mask & ~(1 << cand)
-                action = AtomicAction(Op.DELETE, voter, source=cand)
-            extra.append(_Option(cost, mask, opt.actions + (action,)))
-        options.extend(extra)
-    options.sort(key=lambda o: (o.cost, o.mask))
+        options.extend(grown)
+    options.sort()
     return options
 
 
 def _swap_options(voter: int, start: int, m: int, prices: PriceTable,
-                  restricted: bool, p: int, cost_cap: int | None,
-                  max_configs: int) -> list[_Option]:
-    """Cheapest reachable ballots under swaps, via Dijkstra over ballot states."""
+                  restricted: bool, p: int, cost_cap: int | None, max_configs: int
+                  ) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int, int]]]:
+    """Cheapest reachable ballots under swaps, via Dijkstra over ballot states.
+
+    Returns the (cost, ballot) options, cheapest-first, and the parent map
+    ``ballot -> (previous ballot, source, target)`` of the cheapest paths.
+    """
     dist: dict[int, int] = {start: 0}
-    parent: dict[int, tuple[int, AtomicAction]] = {}
+    parent: dict[int, tuple[int, int, int]] = {}
     heap = [(0, start)]
     while heap:
         d, mask = heapq.heappop(heap)
@@ -125,52 +122,70 @@ def _swap_options(voter: int, start: int, m: int, prices: PriceTable,
                 elif nd >= dist[new]:
                     continue
                 dist[new] = nd
-                parent[new] = (mask, AtomicAction(Op.SWAP, voter, source=source, target=target))
+                parent[new] = (mask, source, target)
                 heapq.heappush(heap, (nd, new))
-    options = []
-    for mask, d in dist.items():
-        actions = []
-        cur = mask
-        while cur != start:
-            prev, action = parent[cur]
-            actions.append(action)
-            cur = prev
-        options.append(_Option(d, mask, tuple(reversed(actions))))
-    options.sort(key=lambda o: (o.cost, o.mask))
-    return options
+    return sorted((d, mask) for mask, d in dist.items()), parent
 
 
 def _vote_options(e: Election, prices: PriceTable, op: Op, restricted: bool, p: int,
-                  cost_cap: int | None, max_configs: int) -> list[list[_Option]]:
+                  cost_cap: int | None, max_configs: int
+                  ) -> tuple[list[list[tuple[int, int]]], list[dict[int, tuple[int, int, int]]]]:
+    """Each voter's (cost, ballot) options, and for swaps each voter's parent
+    map (empty for additions and deletions)."""
     masks = ballot_masks(e)
-    out = []
+    options, parents = [], []
     for v in range(e.n):
         start = masks[v]
         if op is Op.SWAP:
-            out.append(_swap_options(v, start, e.m, prices, restricted, p, cost_cap,
-                                     max_configs))
+            opts, parent = _swap_options(v, start, e.m, prices, restricted, p, cost_cap,
+                                         max_configs)
+            options.append(opts)
+            parents.append(parent)
+            continue
+        if op is Op.ADD:
+            cands = [c for c in range(e.m) if not start >> c & 1]
+            if restricted:
+                cands = [c for c in cands if c == p]
+            cells = [(c, prices.add_price(v, c)) for c in cands]
         else:
-            if op is Op.ADD:
-                cands = [c for c in range(e.m) if not start >> c & 1]
-                if restricted:
-                    cands = [c for c in cands if c == p]
-                cells = [(c, prices.add_price(v, c)) for c in cands]
-            else:
-                cells = [(c, prices.delete_price(v, c)) for c in _iter_bits(start)]
-            cells = [(c, pr) for c, pr in cells if pr != FORBIDDEN]
-            out.append(_cellwise_options(v, start, cells, op, cost_cap, max_configs))
-    return out
+            cells = [(c, prices.delete_price(v, c)) for c in _iter_bits(start)]
+        cells = [(c, pr) for c, pr in cells if pr != FORBIDDEN]
+        options.append(_cellwise_options(v, start, cells, cost_cap, max_configs))
+        parents.append({})
+    return options, parents
 
 
-def _config_counts(options: list[list[_Option]], limit: int) -> list[int]:
+def _witness(op: Op, starts: list[int], finals: list[int],
+             parents: list[dict[int, tuple[int, int, int]]]) -> tuple[AtomicAction, ...]:
+    """The actions taking each voter from its start ballot to its final one.
+
+    Additions and deletions come lowest candidate first, the order the cells
+    are applied in; swaps walk back through the voter's parent map.
+    """
+    actions = []
+    for v, (start, final) in enumerate(zip(starts, finals)):
+        if op is Op.SWAP:
+            moves = []
+            while final != start:
+                final, source, target = parents[v][final]
+                moves.append(AtomicAction(Op.SWAP, v, source=source, target=target))
+            actions += reversed(moves)
+        elif op is Op.ADD:
+            actions += [AtomicAction(Op.ADD, v, target=c) for c in _iter_bits(final & ~start)]
+        else:
+            actions += [AtomicAction(Op.DELETE, v, source=c) for c in _iter_bits(start & ~final)]
+    return tuple(actions)
+
+
+def _config_counts(options: list[list[tuple[int, int]]], limit: int) -> list[int]:
     """Number of final elections at each exact total cost up to limit."""
     counts = [0] * (limit + 1)
     counts[0] = 1
     for opts in options:
         hist = [0] * (limit + 1)
-        for opt in opts:
-            if opt.cost <= limit:
-                hist[opt.cost] += 1
+        for cost, _ in opts:
+            if cost <= limit:
+                hist[cost] += 1
         new = [0] * (limit + 1)
         for a, ca in enumerate(counts):
             if not ca:
@@ -182,28 +197,35 @@ def _config_counts(options: list[list[_Option]], limit: int) -> list[int]:
     return counts
 
 
-def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[list[_Option]],
-            budget: int | None, max_configs: int) -> dict[int, tuple[int, tuple[AtomicAction, ...]]]:
-    """Cheapest cost and first witness per target; targets without one are absent."""
+def _search(e: Election, rule: Rule, k: int, targets: list[int],
+            options: list[list[tuple[int, int]]], budget: int | None,
+            max_configs: int) -> dict[int, tuple[int, list[int]]]:
+    """Cheapest cost and first winning final ballots per target; targets
+    without one are absent."""
     n = len(options)
     m = e.m
-    limit = sum(max(o.cost for o in opts) for opts in options)
+    # Options are sorted by cost, so each voter's dearest one comes last.
+    limit = sum(opts[-1][0] for opts in options)
     if budget is not None:
         limit = min(limit, budget)
     counts = _config_counts(options, limit)
     suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + max(o.cost for o in options[i])
+        suffix_max[i] = suffix_max[i + 1] + options[i][-1][0]
 
     ballots = ballot_masks(e)
-    chosen: list[_Option | None] = [None] * n
-    found: dict[int, tuple[int, tuple[AtomicAction, ...]]] = {}
+    found: dict[int, tuple[int, list[int]]] = {}
     pending = list(targets)
 
     incremental = rule in (Rule.AV, Rule.SAV)
     if incremental:
         shares = _score_shares(rule, m)
         scores = _scores(ballots, m, rule)
+    # GAV and RAV keep the candidate columns (approver masks) live: a step
+    # that changes voter i's ballot flips bit i of the candidates it gains
+    # or loses, and flips it back on return.
+    greedy = rule in (Rule.GAV, Rule.RAV)
+    columns = _transpose(ballots, m) if greedy else None
     # CCAV and PAV carry their packed committee values down the search as the
     # argument ``total``; a ballot's row is computed the first time it is used.
     values = _committee_values(rule, m, k, n)
@@ -218,40 +240,46 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int], options: list[l
         """The pending targets that win in the current configuration."""
         if incremental:
             return [p for p in pending if _score_cowinner(scores, k, p)]
-        mask = _cowinner_mask(ballots, m, rule, k) if values is None else values.cowinners(total)
+        if greedy:
+            picks = _greedy_picks(columns, rule, k)
+            return [p for p in pending if p in picks]
+        mask = values.cowinners(total)
         return [p for p in pending if mask >> p & 1]
 
     def dfs(i: int, remaining: int, total: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
         if i == n:
             if remaining == 0:
-                winners = pending_winners(total)
-                if winners:
-                    actions = tuple(a for opt in chosen for a in opt.actions)
-                    for p in winners:
-                        found[p] = (t, actions)  # t: the cost level being swept
-                        pending.remove(p)
+                for p in pending_winners(total):
+                    found[p] = (t, ballots.copy())  # t: the cost level being swept
+                    pending.remove(p)
             return not pending
         lower = remaining - suffix_max[i + 1]
-        for opt in options[i]:
-            if opt.cost > remaining:
+        old = ballots[i]
+        bit = 1 << i
+        for cost, mask in options[i]:
+            if cost > remaining:
                 break
-            if opt.cost < lower:
+            if cost < lower:
                 continue
-            old = ballots[i]
-            ballots[i] = opt.mask
-            chosen[i] = opt
+            ballots[i] = mask
             if incremental:
-                delta = _score_delta(old, opt.mask, shares)
+                delta = _score_delta(old, mask, shares)
                 for c, d in delta:
                     scores[c] += d
-            done = dfs(i + 1, remaining - opt.cost,
-                       total if values is None else total + row(opt.mask) - row(old))
+            elif greedy:
+                flips = list(_iter_bits(old ^ mask))
+                for c in flips:
+                    columns[c] ^= bit
+            done = dfs(i + 1, remaining - cost,
+                       total if values is None else total + row(mask) - row(old))
             if incremental:
                 for c, d in delta:
                     scores[c] -= d
+            elif greedy:
+                for c in flips:
+                    columns[c] ^= bit
             ballots[i] = old
-            chosen[i] = None
             if done:
                 return True
         return False
@@ -272,12 +300,13 @@ def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
                    max_configs: int = DEFAULT_MAX_CONFIGS) -> BriberySolution:
     """Minimum-cost solution within the budget by exhaustive enumeration."""
     e, p = instance.election, instance.p
-    options = _vote_options(e, instance.prices, instance.op, instance.restricted_to_p,
-                            p, instance.budget, max_configs)
+    options, parents = _vote_options(e, instance.prices, instance.op,
+                                     instance.restricted_to_p, p, instance.budget, max_configs)
     found = _search(e, rule, instance.k, [p], options, instance.budget, max_configs)
     if p not in found:
         return BriberySolution((), None, False)
-    cost, actions = found[p]
+    cost, finals = found[p]
+    actions = _witness(instance.op, ballot_masks(e), finals, parents)
     return certify(instance, rule, BriberySolution(actions, cost, cost <= instance.budget))
 
 
@@ -287,7 +316,7 @@ def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,
     """Minimum bribery cost making p a co-winner; infinity when impossible."""
     if restricted and op is Op.DELETE:
         raise ElectionError("restricted-to-p is meaningless for deletions")
-    options = _vote_options(e, prices or PriceTable(), op, restricted, p, None, max_configs)
+    options, _ = _vote_options(e, prices or PriceTable(), op, restricted, p, None, max_configs)
     found = _search(e, rule, k, [p], options, None, max_configs)
     return found[p][0] if p in found else math.inf
 
@@ -300,6 +329,6 @@ def oracle_margins(e: Election, rule: Rule, k: int, op: Op,
     Equals ``[oracle_margin(e, rule, k, p, op, prices) for p in range(e.m)]``,
     and raises ``ResourceGuardError`` exactly when one of those calls would.
     """
-    options = _vote_options(e, prices or PriceTable(), op, False, 0, None, max_configs)
+    options, _ = _vote_options(e, prices or PriceTable(), op, False, 0, None, max_configs)
     found = _search(e, rule, k, list(range(e.m)), options, None, max_configs)
     return [found[p][0] if p in found else math.inf for p in range(e.m)]

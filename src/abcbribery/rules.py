@@ -314,12 +314,17 @@ def _greedy_picks(columns: list[int], rule: Rule, k: int) -> list[int]:
     levels = [0]
     for column in columns:
         levels[0] |= column
+    # Every voter starts at level 0, so the first round's gain is w(0) times
+    # a candidate's approvals: the first pick is the most approved candidate.
+    counts = [column.bit_count() for column in columns]
+    best = counts.index(max(counts))
     picks: list[int] = []
-    for _ in range(k):
-        gains = _level_gains(columns, levels, weights)
-        for c in picks:
-            gains[c] = -1
-        best = gains.index(max(gains))
+    for _ in range(k):  # k = 0 is the empty prefix approx asks for
+        if picks:
+            gains = _level_gains(columns, levels, weights)
+            for c in picks:
+                gains[c] = -1
+            best = gains.index(max(gains))
         picks.append(best)
         column = columns[best]
         moved = 0

@@ -212,22 +212,26 @@ def test_one_cowinner_mask_per_leaf(monkeypatch, rule):
     e = make_election(["c0", "c1", "c2"],
                       [("v1", ["c0", "c1"]), ("v2", ["c0"]), ("v3", ["c1"])])
     prices = PriceTable(delete={(0, 0): math.inf})
-    leaves = math.prod(len(opts) for opts in oracle._vote_options(
-        e, prices, Op.DELETE, False, 0, None, oracle.DEFAULT_MAX_CONFIGS))
-    masks = count_calls(monkeypatch, oracle, "_cowinner_mask")
+    options, _ = oracle._vote_options(e, prices, Op.DELETE, False, 0, None,
+                                      oracle.DEFAULT_MAX_CONFIGS)
+    leaves = math.prod(map(len, options))
+    masks = count_calls(monkeypatch, rules, "_cowinner_mask")
+    greedies = count_calls(monkeypatch, oracle, "_greedy_picks")
     packed = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
     margins = oracle_margins(e, rule, 1, Op.DELETE, prices)
     assert margins[2] == math.inf and margins[0] == 0
-    # CCAV and PAV read each leaf off their running packed committee values
-    # and never rescan the ballots; GAV and RAV run the kernel on them.
-    leaf_tests = packed if rule in (Rule.CCAV, Rule.PAV) else masks
+    # CCAV and PAV read each leaf off their running packed committee values;
+    # GAV and RAV run the greedy on their live candidate columns.  Neither
+    # rescans the ballots through the co-winner kernel.
+    leaf_tests = packed if rule in (Rule.CCAV, Rule.PAV) else greedies
     assert leaf_tests[0] == leaves == 8
-    assert masks[0] + packed[0] == 8
+    assert greedies[0] + packed[0] == 8
+    assert masks[0] == 0
 
 
 def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):
     e = make_election(["c0", "c1", "c2"], [("v1", ["c0", "c1"]), ("v2", ["c0"])])
-    calls = count_calls(monkeypatch, oracle, "_cowinner_mask")
+    calls = count_calls(monkeypatch, rules, "_cowinner_mask")
     for rule in (Rule.AV, Rule.SAV):
         assert oracle_margins(e, rule, 1, Op.SWAP)[0] == 0
     assert calls[0] == 0
@@ -239,3 +243,51 @@ def test_oracle_witness_is_certified(monkeypatch, e0):
     monkeypatch.setattr(rules, "is_cowinner", lambda *args: False)
     with pytest.raises(CertificationError, match="co-winner"):
         oracle_bribery(inst, Rule.PAV)
+
+
+def _moves(solution):
+    return [(a.voter, a.source, a.target) for a in solution.actions]
+
+
+@pytest.mark.parametrize("rule, op, budget, cost, moves", [
+    (Rule.AV, Op.ADD, 4, 4, [(4, None, 3), (5, None, 3), (7, None, 3), (8, None, 3)]),
+    (Rule.PAV, Op.ADD, 9, 4, [(1, None, 3), (5, None, 3), (7, None, 3), (8, None, 3)]),
+    # one voter's deletions come lowest candidate first
+    (Rule.AV, Op.DELETE, 7, 7, [(1, 1, None), (1, 2, None), (3, 1, None), (4, 1, None),
+                                (5, 2, None), (6, 1, None), (6, 2, None)]),
+    (Rule.RAV, Op.DELETE, 9, 7, [(1, 1, None), (1, 2, None), (3, 1, None), (4, 1, None),
+                                 (5, 2, None), (6, 1, None), (6, 2, None)]),
+    (Rule.AV, Op.SWAP, 3, 3, [(5, 0, 3), (7, 0, 3), (8, 0, 3)]),
+    (Rule.GAV, Op.SWAP, 9, 2, [(7, 0, 3), (8, 0, 3)]),
+])
+def test_e0_witnesses_pinned(e0, rule, op, budget, cost, moves):
+    # Recorded when every option carried its own actions; the witness rebuilt
+    # from the final ballots must be the same, action for action.
+    sol = oracle_bribery(BriberyInstance(e0, 3, 2, budget, op), rule)
+    assert (sol.feasible, sol.cost, _moves(sol)) == (True, cost, moves)
+
+
+def test_priced_swap_witness_relays_through_an_intermediate(monkeypatch):
+    # Moving v1's approval from a straight to p costs 5; via b it costs 1 + 1.
+    e = make_election(["a", "p", "b"], [("v1", ["a"]), ("v2", ["a"])])
+    prices = PriceTable(swap={(0, 0, 1): 5, (1, 0, 1): 5, (1, 0, 2): 5, (1, 2, 1): 5})
+    built = count_calls(monkeypatch, oracle, "AtomicAction")
+    sol = oracle_bribery(BriberyInstance(e, 1, 1, 5, Op.SWAP, priced=True, prices=prices), Rule.AV)
+    assert (sol.feasible, sol.cost, _moves(sol)) == (True, 2, [(0, 0, 2), (0, 2, 1)])
+    assert built[0] == 2  # the walk back through the parent map, nothing else
+
+
+@pytest.mark.parametrize("op", list(Op))
+def test_margins_build_no_actions(monkeypatch, e0, op):
+    built = count_calls(monkeypatch, oracle, "AtomicAction")
+    assert oracle_margins(e0, Rule.PAV, 2, op)[3] > 0
+    assert oracle_margin(e0, Rule.GAV, 2, 3, op) > 0
+    assert built[0] == 0
+
+
+@pytest.mark.parametrize("op, rule", [(Op.ADD, Rule.PAV), (Op.DELETE, Rule.RAV),
+                                      (Op.SWAP, Rule.GAV)])
+def test_bribery_builds_only_the_witness_actions(monkeypatch, e0, op, rule):
+    built = count_calls(monkeypatch, oracle, "AtomicAction")
+    sol = oracle_bribery(BriberyInstance(e0, 3, 2, 9, op), rule)
+    assert sol.actions and built[0] == len(sol.actions)

@@ -382,18 +382,21 @@ def test_every_committee_tied(rule):
 
 def test_cowinner_mask_and_pick_order_match_reference():
     # Pick order matters beyond the committee: approx uses greedy prefixes
-    # (GAV) and pick lists (RAV).  k runs up to m, so zero-gain rounds occur.
+    # (GAV, down to the empty one at k = 0) and pick lists (RAV).  k runs up
+    # to m, so zero-gain rounds occur.
     stream = Stream64(43)
     unapproved_picks = 0  # each one is a zero-gain round
     for _ in range(40):
         e = random_sized_election(stream, 7, 7)
         ballots = ballot_masks(e)
-        for k in range(1, e.m + 1):
+        for k in range(e.m + 1):
             for rule in (Rule.GAV, Rule.RAV):
                 picks = _reference_greedy(e, rule, k)
                 assert rules._thiele_greedy(ballots, e.m, rule, k) == picks, (rule, e, k)
                 approved = frozenset().union(*(b.approved for b in e.ballots))
                 unapproved_picks += len(set(picks) - approved)
+            if not k:
+                continue
             for rule in Rule:
                 union = frozenset().union(*_reference_winners(e, rule, k))
                 assert rules._cowinner_mask(ballots, e.m, rule, k) == sum(1 << c for c in union)
