@@ -10,6 +10,8 @@ p is not already a co-winner, so each one reaches the enumeration.  The
 ``oracle_margins`` against one ``oracle_margin`` call per candidate, for every
 rule and operation, and, for each finite margin, ``solve(..., "oracle")`` at
 a budget of exactly that margin, whose certified witness must cost it.
+An answer that fails ``solve``'s certificate counts as a mismatch, and the
+sweep goes on.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import math
 import sys
 import time
 
-from abcbribery import BriberyInstance, Op, Rule, is_cowinner, solve
+from abcbribery import BriberyInstance, CertificationError, Op, Rule, is_cowinner, solve
 from abcbribery.generators import SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_margin, oracle_margins
 
@@ -89,12 +91,17 @@ def margin_mismatches(count: int, seed: int) -> tuple[int, int]:
                 for p, margin in enumerate(got):
                     if margin == math.inf:
                         continue
-                    witness = solve(BriberyInstance(e, p, k, margin, op, priced=True,
-                                                    prices=prices), rule, "oracle")[0]
+                    where = f"{MARGINS} ({op.value} #{index}, {rule.value}, p={p})"
+                    try:
+                        witness = solve(BriberyInstance(e, p, k, margin, op, priced=True,
+                                                        prices=prices), rule, "oracle")[0]
+                    except CertificationError as exc:
+                        bad += 1
+                        print(f"  mismatch in {where}: margin {margin}, uncertified: {exc}")
+                        continue
                     if not witness.feasible or witness.cost != margin:
                         bad += 1
-                        print(f"  mismatch in {MARGINS} ({op.value} #{index}, {rule.value}, "
-                              f"p={p}): margin {margin}, witness {witness}")
+                        print(f"  mismatch in {where}: margin {margin}, witness {witness}")
     return count * len(Op), bad
 
 
@@ -119,8 +126,13 @@ def main():
         start = time.time()
         bad = 0
         for instance in lane_instances(lane, args.count, args.seed):
-            mine = solve(instance, rule, algorithm)[0]
-            truth = solve(instance, rule, "oracle")[0]
+            try:
+                mine = solve(instance, rule, algorithm)[0]
+                truth = solve(instance, rule, "oracle")[0]
+            except CertificationError as exc:
+                bad += 1
+                print(f"  mismatch in {lane}: uncertified: {exc}")
+                continue
             got = (mine.feasible, mine.cost if mine.feasible else None)
             want = (truth.feasible, truth.cost if truth.feasible else None)
             if got != want:

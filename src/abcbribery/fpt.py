@@ -11,10 +11,9 @@ straight to a search over concrete assignments.
 
 The enumerations test each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
-for the set a solver returns.  The test never re-derives the election: it
-starts from the base election's packed committee values (CCAV, PAV), scores
-(AV, SAV) or candidate columns (GAV, RAV) and updates them per changed
-voter.
+for the set a solver returns.  No leaf re-derives the election: each solve
+builds one ``rules._Tally`` of the base election, moves it per changed
+voter and restores it after the leaf.
 
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
@@ -44,18 +43,7 @@ from .core import (
 )
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import (
-    Rule,
-    _committee_values,
-    _greedy_picks,
-    _is_cowinner_from_ballots,
-    _score_cowinner,
-    _score_delta,
-    _score_shares,
-    _scores,
-    certify,
-    is_cowinner,
-)
+from .rules import Rule, _greedy_picks, _is_cowinner_from_ballots, _Tally, certify, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
@@ -64,49 +52,15 @@ FLOW_VOTER_CAP = 4
 _INTERCHANGEABLE = frozenset({Rule.AV, Rule.SAV, Rule.CCAV, Rule.PAV})
 
 
-def _leaf_test(base: list[int], m: int, rule: Rule, k: int, p: int):
-    """``wins(ballots, changed)``: is p a co-winner once each voter in
-    ``changed`` holds ``ballots[v]`` and every other voter its base ballot?
-
-    Every rule starts from the base election, derived once, and updates it
-    per changed voter: CCAV and PAV move the packed committee values by one
-    row, AV and SAV move the scores by one ballot's delta, and GAV and RAV
-    flip the voter's bit in the candidate columns of the candidates its
-    ballot gained or lost, then run the greedy on those columns.  ``base``
-    is copied: callers flip the list they pass in place.
-    """
-    base = base.copy()
-    values = _committee_values(rule, m, k, len(base))
-    if values is not None:
-        rows = [values.row(mask) for mask in base]
-        base_total = sum(rows)
-
-        def wins(ballots: list[int], changed) -> bool:
-            total = base_total
-            for v in changed:
-                total += values.row(ballots[v]) - rows[v]
-            return bool(values.cowinners(total) >> p & 1)
-    elif rule in (Rule.GAV, Rule.RAV):
-        base_columns = _transpose(base, m)
-
-        def wins(ballots: list[int], changed) -> bool:
-            columns = base_columns.copy()
-            for v in changed:
-                bit = 1 << v
-                for c in _iter_bits(ballots[v] ^ base[v]):
-                    columns[c] ^= bit
-            return p in _greedy_picks(columns, rule, k)
-    else:
-        shares = _score_shares(rule, m)
-        base_scores = _scores(base, m, rule)
-
-        def wins(ballots: list[int], changed) -> bool:
-            scores = base_scores.copy()
-            for v in changed:
-                for c, d in _score_delta(base[v], ballots[v], shares):
-                    scores[c] += d
-            return _score_cowinner(scores, k, p)
-    return wins
+def _wins_with(tally: _Tally, base: list[int], changed: dict[int, int], p: int) -> bool:
+    """Is p a co-winner once each voter v in ``changed`` holds changed[v] and
+    every other voter its base ballot?  The tally is left at ``base``."""
+    for v, mask in changed.items():
+        tally.set(v, mask)
+    won = tally.wins(p)
+    for v in changed:
+        tally.set(v, base[v])
+    return won
 
 
 def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
@@ -124,8 +78,8 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
     if len(eligible) > voter_cap:
         raise ResourceGuardError(
             f"{len(eligible)} eligible voters exceed the subset cap of {voter_cap}")
-    ballots = ballot_masks(e)
-    wins = _leaf_test(ballots, e.m, rule, k, p)
+    base = ballot_masks(e)
+    tally = _Tally(base, e.m, rule, k)
     bit = 1 << p
     best: tuple[int, tuple[int, ...]] | None = None
     for size in range(len(eligible) + 1):
@@ -134,12 +88,8 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
             # Only a strictly cheaper set can replace the first one found.
             if cost > instance.budget or (best is not None and cost >= best[0]):
                 continue
-            for v in chosen:
-                ballots[v] |= bit
-            if wins(ballots, chosen):
+            if _wins_with(tally, base, {v: base[v] | bit for v in chosen}, p):
                 best = (cost, chosen)
-            for v in chosen:
-                ballots[v] &= ~bit
     if best is None:
         return BriberySolution((), None, False)
     return BriberySolution(tuple(AtomicAction(Op.ADD, v, target=p) for v in best[1]),
@@ -196,7 +146,7 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
                  for t in _iter_bits(targets & ~base[v])]
     flips = [(v, (0 if s is None else 1 << s) | 1 << t) for v, s, t in cells]
 
-    wins = _leaf_test(base, e.m, rule, k, p)
+    tally = _Tally(base, e.m, rule, k)
     cap = min(cap, len(cells))
     explored = 0
     for size in range(cap + 1):
@@ -206,15 +156,16 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
                 f"enumerating action sets of size {size} needs {explored} "
                 f"combinations, above the cap of {enum_cap}")
         for chosen in itertools.combinations(range(len(cells)), size):
-            ballots = base.copy()
+            changed: dict[int, int] = {}
             for i in chosen:
                 v, flip = flips[i]
-                if (ballots[v] ^ base[v]) & flip:
+                mask = changed.get(v, base[v])
+                if (mask ^ base[v]) & flip:
                     break
-                ballots[v] ^= flip
+                changed[v] = mask ^ flip
             else:
                 # The empty set comes first: p already winning costs 0.
-                if wins(ballots, {flips[i][0] for i in chosen}):
+                if _wins_with(tally, base, changed, p):
                     actions = tuple(AtomicAction(instance.op, *cells[i]) for i in chosen)
                     return BriberySolution(actions, size, True)
 
@@ -294,8 +245,7 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
             raise ResourceGuardError(
                 f"swap combinations exceed the cap of {enum_cap}")
 
-    ballots = ballot_masks(e)
-    wins = _leaf_test(ballots, e.m, rule, k, p)
+    tally = _Tally(ballot_masks(e), e.m, rule, k)
     best: tuple[int, tuple[AtomicAction, ...]] | None = None
     chosen: list[AtomicAction] = []
 
@@ -305,17 +255,17 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
         if best is not None and cost >= best[0]:
             return
         if v == e.n:
-            if cost <= instance.budget and wins(ballots, [a.voter for a in chosen]):
+            if cost <= instance.budget and tally.wins(p):
                 best = (cost, tuple(chosen))
             return
+        old = tally.ballots[v]
         for price, action in options[v]:
             if action is not None:
-                flip = 1 << action.source | 1 << p
-                ballots[v] ^= flip
+                tally.set(v, old ^ (1 << action.source | 1 << p))
                 chosen.append(action)
             dfs(v + 1, cost + price)
             if action is not None:
-                ballots[v] ^= flip
+                tally.set(v, old)
                 chosen.pop()
 
     dfs(0, 0)

@@ -10,19 +10,16 @@ optimum.
 One sweep can serve several target candidates at once: the options and the
 per-cost configuration counts do not depend on the target unless the
 bribery is restricted to p, so ``oracle_margins`` searches once for every
-candidate.  Each leaf computes one answer for every target still pending:
-GAV and RAV run the greedy on candidate columns that each search step
-updates for the one voter it changes, CCAV and PAV read the co-winners off
-packed committee values updated by one row per changed voter, and AV and
-SAV keep incremental scores and compare them per target.  Each target
-keeps the final ballots of the first winning configuration the depth-first
-order reaches at its cheapest cost -- the same configuration a
-single-target search finds.  Only ``oracle_bribery`` turns them into
-actions: the changed cells of each voter for additions and deletions, a
-walk back through the voter's Dijkstra parents for swaps.  It passes that
-witness through ``rules.certify`` before returning it.  Purely exponential;
-guarded by a configuration-count estimate and by the length of each voter's
-option list.
+candidate.  The search keeps one ``rules._Tally`` of the election, moves it
+at each step for the one voter it changes, and reads every candidate's
+answer off it at each leaf.  Each target keeps the final ballots of the
+first winning configuration the depth-first order reaches at its cheapest
+cost -- the same configuration a single-target search finds.  Only
+``oracle_bribery`` turns them into actions: the changed cells of each voter
+for additions and deletions, a walk back through the voter's Dijkstra
+parents for swaps.  It passes that witness through ``rules.certify`` before
+returning it.  Purely exponential; guarded by a configuration-count estimate
+and by the length of each voter's option list.
 """
 
 from __future__ import annotations
@@ -41,20 +38,11 @@ from .core import (
     PriceTable,
     ResourceGuardError,
     _iter_bits,
-    _transpose,
     ballot_masks,
 )
-from .rules import (
-    Rule,
-    _committee_values,
-    _greedy_picks,
-    _score_cowinner,
-    _score_delta,
-    _score_shares,
-    _scores,
-    certify,
-)
-from .rules import _is_cowinner_from_ballots  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+from .rules import Rule, _check_k, _Tally, certify
+# Wrapped by name in perfbench/tracing.py, although the search no longer calls them.
+from .rules import _is_cowinner_from_ballots, _score_cowinner  # noqa: F401
 
 DEFAULT_MAX_CONFIGS = 2_000_000
 
@@ -203,7 +191,6 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
     """Cheapest cost and first winning final ballots per target; targets
     without one are absent."""
     n = len(options)
-    m = e.m
     # Options are sorted by cost, so each voter's dearest one comes last.
     limit = sum(opts[-1][0] for opts in options)
     if budget is not None:
@@ -213,75 +200,30 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
     for i in range(n - 1, -1, -1):
         suffix_max[i] = suffix_max[i + 1] + options[i][-1][0]
 
-    ballots = ballot_masks(e)
     found: dict[int, tuple[int, list[int]]] = {}
     pending = list(targets)
+    tally = _Tally(ballot_masks(e), e.m, rule, k)
 
-    incremental = rule in (Rule.AV, Rule.SAV)
-    if incremental:
-        shares = _score_shares(rule, m)
-        scores = _scores(ballots, m, rule)
-    # GAV and RAV keep the candidate columns (approver masks) live: a step
-    # that changes voter i's ballot flips bit i of the candidates it gains
-    # or loses, and flips it back on return.
-    greedy = rule in (Rule.GAV, Rule.RAV)
-    columns = _transpose(ballots, m) if greedy else None
-    # CCAV and PAV carry their packed committee values down the search as the
-    # argument ``total``; a ballot's row is computed the first time it is used.
-    values = _committee_values(rule, m, k, n)
-    rows: dict[int, int] = {}
-
-    def row(mask: int) -> int:
-        if mask not in rows:
-            rows[mask] = values.row(mask)
-        return rows[mask]
-
-    def pending_winners(total: int) -> list[int]:
-        """The pending targets that win in the current configuration."""
-        if incremental:
-            return [p for p in pending if _score_cowinner(scores, k, p)]
-        if greedy:
-            picks = _greedy_picks(columns, rule, k)
-            return [p for p in pending if p in picks]
-        mask = values.cowinners(total)
-        return [p for p in pending if mask >> p & 1]
-
-    def dfs(i: int, remaining: int, total: int) -> bool:
+    def dfs(i: int, remaining: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
         if i == n:
             if remaining == 0:
-                for p in pending_winners(total):
-                    found[p] = (t, ballots.copy())  # t: the cost level being swept
+                winners = tally.cowinners()
+                for p in [p for p in pending if winners >> p & 1]:
+                    found[p] = (t, tally.ballots.copy())  # t: the cost level being swept
                     pending.remove(p)
             return not pending
         lower = remaining - suffix_max[i + 1]
-        old = ballots[i]
-        bit = 1 << i
+        old = tally.ballots[i]
         for cost, mask in options[i]:
             if cost > remaining:
                 break
             if cost < lower:
                 continue
-            ballots[i] = mask
-            if incremental:
-                delta = _score_delta(old, mask, shares)
-                for c, d in delta:
-                    scores[c] += d
-            elif greedy:
-                flips = list(_iter_bits(old ^ mask))
-                for c in flips:
-                    columns[c] ^= bit
-            done = dfs(i + 1, remaining - cost,
-                       total if values is None else total + row(mask) - row(old))
-            if incremental:
-                for c, d in delta:
-                    scores[c] -= d
-            elif greedy:
-                for c in flips:
-                    columns[c] ^= bit
-            ballots[i] = old
-            if done:
-                return True
+            tally.set(i, mask)
+            if dfs(i + 1, remaining - cost):
+                return True  # the search is over: the tally is not read again
+        tally.set(i, old)
         return False
 
     explored = 0
@@ -291,7 +233,7 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
             raise ResourceGuardError(
                 f"enumerating final elections up to cost {t} needs {explored} "
                 f"configurations, above the cap of {max_configs}")
-        if dfs(0, t, 0 if values is None else sum(map(row, ballots))):
+        if dfs(0, t):
             break
     return found
 
@@ -314,6 +256,7 @@ def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,
                   prices: PriceTable | None = None, restricted: bool = False, *,
                   max_configs: int = DEFAULT_MAX_CONFIGS) -> int | float:
     """Minimum bribery cost making p a co-winner; infinity when impossible."""
+    _check_k(e, k)
     if restricted and op is Op.DELETE:
         raise ElectionError("restricted-to-p is meaningless for deletions")
     options, _ = _vote_options(e, prices or PriceTable(), op, restricted, p, None, max_configs)
@@ -329,6 +272,7 @@ def oracle_margins(e: Election, rule: Rule, k: int, op: Op,
     Equals ``[oracle_margin(e, rule, k, p, op, prices) for p in range(e.m)]``,
     and raises ``ResourceGuardError`` exactly when one of those calls would.
     """
+    _check_k(e, k)
     options, _ = _vote_options(e, prices or PriceTable(), op, False, 0, None, max_configs)
     found = _search(e, rule, k, list(range(e.m)), options, None, max_configs)
     return [found[p][0] if p in found else math.inf for p in range(e.m)]

@@ -11,22 +11,25 @@ rules and w(t) = 1/(t+1) for the harmonic ones.  Scores are exact integers
 inside the package: harmonic weights are scaled by lcm(1..k) and SAV shares
 by lcm(1..m).  The public functions return ``Fraction`` values.
 
-Every co-winner question goes through one kernel on ballot bitmasks,
-``_cowinner_mask``, which returns the set of candidates belonging to some
-winning committee as a bitmask, so one call answers for every candidate.
-CCAV and PAV keep every size-k committee's value in one packed integer,
-``_CommitteeValues``: lane j holds the value of the j-th committee of a
-table built once per (m, k), after the committee cap is checked.  A voter's
-row, its satisfaction with every committee, sums the cached member lanes of
-its approved candidates and turns the member counts into satisfaction with
-one threshold test per nonzero Thiele weight; no loop runs over committees.
-The election's total is the sum of the rows, so a search that changes a few
-voters moves it by row(new) - row(old) per changed voter.  The best lanes
-are read by one descent over the bit planes, and their committees are
-unioned.  GAV and RAV run one greedy on candidate columns (approver
-bitmasks): ``levels[t]`` holds the voters with exactly t committee members,
-and a candidate gains w(t) per approver at level t.  AV and SAV compare
-scores, and ``_score_delta`` moves them when one ballot changes.
+Every co-winner question goes through one object on ballot bitmasks,
+``_Tally``: built once from an election, it moves its state one voter's
+ballot at a time (``set``) and answers for one target (``wins``) or for
+every candidate at once as a bitmask (``cowinners``).  A solver's search
+changes a few voters and restores them; a from-scratch question is a fresh
+tally.  AV and SAV keep the scores, and ``_score_delta`` moves them.  GAV
+and RAV keep the candidate columns (approver bitmasks), flipping one
+voter's bit per changed candidate, and run one greedy on them:
+``levels[t]`` holds the voters with exactly t committee members, and a
+candidate gains w(t) per approver at level t.  CCAV and PAV keep every
+size-k committee's value in one packed integer, ``_CommitteeValues``: lane
+j holds the value of the j-th committee of a table built once per (m, k),
+after the committee cap is checked.  A voter's row, its satisfaction with
+every committee, sums the cached member lanes of its approved candidates
+and turns the member counts into satisfaction with one threshold test per
+nonzero Thiele weight; no loop runs over committees.  The election's total
+is the sum of the rows, so a changed voter moves it by row(new) - row(old).
+The best lanes are read by one descent over the bit planes, and their
+committees are unioned.
 
 ``certify`` reruns the kernel on a solver's answer: every answer ``solve``
 returns has passed it.
@@ -91,9 +94,8 @@ def _score_shares(rule: Rule, m: int) -> tuple[int, ...]:
     return (0,) + tuple(scale // s for s in range(1, m + 1))
 
 
-def _scores(ballots: list[int], m: int, rule: Rule) -> list[int]:
-    """AV counts, or SAV scores scaled by lcm(1..m)."""
-    shares = _score_shares(rule, m)
+def _scores(ballots: list[int], m: int, shares: tuple[int, ...]) -> list[int]:
+    """AV counts, or SAV scores scaled by lcm(1..m), given ``_score_shares``."""
     scores = [0] * m
     for mask in ballots:
         share = shares[mask.bit_count()]
@@ -102,18 +104,18 @@ def _scores(ballots: list[int], m: int, rule: Rule) -> list[int]:
     return scores
 
 
-def _score_delta(old: int, new: int, shares: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Score changes when one ballot goes from old to new (AV or SAV shares).
+def _score_delta(scores: list[int], old: int, new: int, shares: tuple[int, ...]) -> None:
+    """Move AV or SAV scores in place as one ballot goes from old to new.
 
     The candidates the ballot keeps move only when its size, and with it the
     SAV share, changes.
     """
     lost, gained = shares[old.bit_count()], shares[new.bit_count()]
-    out = [(c, -lost) for c in _iter_bits(old & ~new)]
-    out += [(c, gained) for c in _iter_bits(new & ~old)]
-    if gained != lost:
-        out += [(c, gained - lost) for c in _iter_bits(old & new)]
-    return out
+    moved = old ^ new if gained == lost else old | new
+    while moved:  # _iter_bits inlined: every changed voter of a search step moves scores
+        low = moved & -moved
+        scores[low.bit_length() - 1] += (gained if new & low else 0) - (lost if old & low else 0)
+        moved ^= low
 
 
 @lru_cache(maxsize=256)
@@ -251,7 +253,11 @@ class _CommitteeValues:
     def cowinners(self, total: int) -> int:
         """Bitmask of the candidates in some committee of maximal value."""
         best = self.best(total)
-        return sum(1 << c for c, lanes in enumerate(self.members) if lanes & best)
+        mask = 0
+        for c, lanes in enumerate(self.members):  # a loop, not a generator: every leaf asks
+            if lanes & best:
+                mask |= 1 << c
+        return mask
 
     def committees(self, total: int) -> list[int]:
         """Bitmasks of the committees of maximal value."""
@@ -268,11 +274,8 @@ def _committee_lanes(rule: Rule, m: int, k: int, width: int) -> _CommitteeValues
 
 
 def _committee_values(rule: Rule, m: int, k: int, n: int,
-                      cap: int = COMMITTEE_ENUM_CAP) -> _CommitteeValues | None:
-    """The packed committee values of CCAV or PAV for n voters; None for the
-    other rules, which are not scored committee by committee."""
-    if rule not in (Rule.CCAV, Rule.PAV):
-        return None
+                      cap: int = COMMITTEE_ENUM_CAP) -> _CommitteeValues:
+    """The packed committee values of CCAV or PAV for n voters."""
     if comb(m, k) > cap:
         raise ResourceGuardError(f"C({m},{k}) committees exceed the cap of {cap}")
     return _committee_lanes(rule, m, k, _lane_width(rule, k, n))
@@ -341,28 +344,95 @@ def _thiele_greedy(ballots: list[int], m: int, rule: Rule, k: int) -> list[int]:
     return _greedy_picks(_transpose(ballots, m), rule, k)
 
 
-def _score_cowinner(scores, k: int, p: int) -> bool:
+def _score_cutoff(scores: list[int], k: int) -> int:
+    """The k-th highest score: AV and SAV committees hold every candidate
+    above it and complete with candidates at it."""
+    return sorted(scores, reverse=True)[k - 1]
+
+
+def _score_cowinner(scores: list[int], k: int, p: int) -> bool:
     return sum(1 for s in scores if s > scores[p]) <= k - 1
 
 
-def _cowinner_mask(ballots: list[int], m: int, rule: Rule, k: int,
-                   cap: int = COMMITTEE_ENUM_CAP) -> int:
-    """Bitmask of every candidate belonging to some winning committee."""
-    if rule in (Rule.AV, Rule.SAV):
-        scores = _scores(ballots, m, rule)
-        cutoff = sorted(scores, reverse=True)[k - 1]
-        return sum(1 << c for c, s in enumerate(scores) if s >= cutoff)
-    if rule in (Rule.GAV, Rule.RAV):
-        return sum(1 << c for c in _thiele_greedy(ballots, m, rule, k))
-    values = _committee_values(rule, m, k, len(ballots), cap)
-    return values.cowinners(values.total(ballots))
+class _Tally:
+    """One election's co-winner state, moved one voter's ballot at a time.
+
+    AV and SAV keep the scores, GAV and RAV the candidate columns, CCAV and
+    PAV the packed total of their committee values, with one row cached per
+    distinct ballot.  ``ballots`` is copied: ``self.ballots`` holds the
+    ballots the state currently describes.  Searches call ``set`` at every
+    step, so its bit loops are inlined.
+    """
+
+    __slots__ = ("ballots", "rule", "k", "scores", "shares", "columns", "values", "rows", "total")
+
+    def __init__(self, ballots: list[int], m: int, rule: Rule, k: int,
+                 cap: int = COMMITTEE_ENUM_CAP):
+        self.ballots = list(ballots)
+        self.rule = rule
+        self.k = k
+        self.scores = self.columns = None
+        if rule in (Rule.AV, Rule.SAV):
+            self.shares = _score_shares(rule, m)
+            self.scores = _scores(ballots, m, self.shares)
+        elif rule in (Rule.GAV, Rule.RAV):
+            self.columns = _transpose(ballots, m)
+        else:
+            self.values = _committee_values(rule, m, k, len(ballots), cap)
+            self.rows = {mask: self.values.row(mask) for mask in set(ballots)}
+            self.total = sum(map(self.rows.__getitem__, ballots))
+
+    def set(self, v: int, mask: int) -> None:
+        """Voter v now holds ``mask``."""
+        old = self.ballots[v]
+        if old == mask:  # a search restores voters it may not have moved
+            return
+        self.ballots[v] = mask
+        if self.scores is not None:
+            _score_delta(self.scores, old, mask, self.shares)
+        elif self.columns is not None:
+            columns, bit, flips = self.columns, 1 << v, old ^ mask
+            while flips:
+                low = flips & -flips
+                columns[low.bit_length() - 1] ^= bit
+                flips ^= low
+        else:
+            rows = self.rows
+            row = rows.get(mask)
+            if row is None:  # every ballot the tally holds has its row cached
+                row = rows[mask] = self.values.row(mask)
+            self.total += row - rows[old]
+
+    def wins(self, p: int) -> bool:
+        """Does p belong to some winning committee?"""
+        # One count or one greedy for a single target: no sort, no mask.
+        if self.scores is not None:
+            return _score_cowinner(self.scores, self.k, p)
+        if self.columns is not None:
+            return p in _greedy_picks(self.columns, self.rule, self.k)
+        return bool(self.values.cowinners(self.total) >> p & 1)
+
+    def cowinners(self) -> int:
+        """Bitmask of every candidate belonging to some winning committee."""
+        # Plain loops: every oracle leaf asks, and a generator's set-up costs
+        # more than its handful of items.
+        mask = 0
+        if self.scores is not None:
+            cutoff = _score_cutoff(self.scores, self.k)
+            for c, s in enumerate(self.scores):
+                if s >= cutoff:
+                    mask |= 1 << c
+        elif self.columns is not None:
+            for c in _greedy_picks(self.columns, self.rule, self.k):
+                mask |= 1 << c
+        else:
+            mask = self.values.cowinners(self.total)
+        return mask
 
 
 def _is_cowinner_from_ballots(ballots: list[int], m: int, rule: Rule, k: int, p: int,
                               cap: int = COMMITTEE_ENUM_CAP) -> bool:
-    if rule in (Rule.AV, Rule.SAV):
-        return _score_cowinner(_scores(ballots, m, rule), k, p)
-    return bool(_cowinner_mask(ballots, m, rule, k, cap) >> p & 1)
+    return _Tally(ballots, m, rule, k, cap).wins(p)
 
 
 # --- public scores and committee operations ----------------------------------
@@ -376,7 +446,8 @@ def av_scores(e: Election) -> list[int]:
 def sav_scores(e: Election) -> list[Fraction]:
     """Each voter splits one point equally among approved candidates."""
     scale = _scale(e.m)
-    return [Fraction(s, scale) for s in _scores(ballot_masks(e), e.m, Rule.SAV)]
+    shares = _score_shares(Rule.SAV, e.m)
+    return [Fraction(s, scale) for s in _scores(ballot_masks(e), e.m, shares)]
 
 
 def _thiele_value(e: Election, rule: Rule, committee: frozenset[int]) -> int:
@@ -415,8 +486,8 @@ def iter_winning_committees(e: Election, rule: Rule, k: int):
     _check_k(e, k)
     if rule not in (Rule.AV, Rule.SAV):
         raise ValueError("lazy committee streaming applies to the score rules only")
-    scores = _scores(ballot_masks(e), e.m, rule)
-    cutoff = sorted(scores, reverse=True)[k - 1]
+    scores = _scores(ballot_masks(e), e.m, _score_shares(rule, e.m))
+    cutoff = _score_cutoff(scores, k)
     fixed = frozenset(c for c in range(e.m) if scores[c] > cutoff)
     tied = [c for c in range(e.m) if scores[c] == cutoff]
     for combo in itertools.combinations(tied, k - len(fixed)):
@@ -429,8 +500,8 @@ def winning_committees(e: Election, rule: Rule, k: int,
     _check_k(e, k)
     ballots = ballot_masks(e)
     if rule in (Rule.AV, Rule.SAV):
-        scores = _scores(ballots, e.m, rule)
-        cutoff = sorted(scores, reverse=True)[k - 1]
+        scores = _scores(ballots, e.m, _score_shares(rule, e.m))
+        cutoff = _score_cutoff(scores, k)
         tied = sum(1 for s in scores if s == cutoff)
         above = sum(1 for s in scores if s > cutoff)
         if comb(tied, k - above) > cap:

@@ -224,6 +224,14 @@ def test_rank_equals_per_candidate_oracle_margins(priced_file, capsys, rule):
                 f"{name}: {'inf' if margin == math.inf else margin}" for margin, name in want]
 
 
+@pytest.mark.parametrize("rule", [rule.value for rule in Rule])
+@pytest.mark.parametrize("flags", [("--k", "0"), ("--k", "5"), ("--k", "5", "--restrict-to-p")])
+def test_rank_committee_size_out_of_range_is_a_parameter_error(e0_file, capsys, rule, flags):
+    code, out, err = run(capsys, "rank", e0_file, "--rule", rule, "--op", "add", *flags)
+    assert (code, out) == (2, "")
+    assert "committee size" in err
+
+
 def test_rank_restricted_delete_is_a_parameter_error(e0_file, capsys):
     code, _, err = run(capsys, "rank", e0_file, "--rule", "sav", "--op", "delete",
                        "--restrict-to-p")

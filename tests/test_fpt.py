@@ -156,18 +156,20 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
 
 @pytest.mark.parametrize("rule", list(Rule))
 def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
-    # Every rule derives the base election once per solve and updates it per
+    # Every solve builds one tally of the base election and moves it per
     # changed voter: no leaf reruns the whole kernel, GAV/RAV transpose once
     # per solve and run one greedy per leaf, AV/SAV score once per solve.
     # Leaves: the empty set and 8 single swaps; the empty set and 4 single
     # additions; the empty set and the 5 swaps toward p within budget 1.  The
-    # priced search first asks the kernel whether p wins already.
+    # priced search first asks is_cowinner whether p wins already: one more
+    # fresh tally, one more transpose or scoring, one more co-winner read.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     rescans = count_calls(monkeypatch, fpt, "_is_cowinner_from_ballots")
-    transposes = count_calls(monkeypatch, fpt, "_transpose")
-    greedies = count_calls(monkeypatch, fpt, "_greedy_picks")
-    scorings = count_calls(monkeypatch, fpt, "_scores")
+    tallies = count_calls(monkeypatch, fpt, "_Tally")
+    transposes = count_calls(monkeypatch, rules, "_transpose")
+    greedies = count_calls(monkeypatch, rules, "_greedy_picks")
+    scorings = count_calls(monkeypatch, rules, "_scores")
     checks = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
     assert not unpriced_type_enum(BriberyInstance(e, 2, 1, 1, Op.SWAP), rule).feasible
     assert not add_for_p_subset_enum(
@@ -175,19 +177,19 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     assert not priced_swap_to_p_type_enum(
         BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True), rule).feasible
     leaves = (1 + 8) + (1 + 4) + (1 + 5)
-    assert rescans[0] == 0
+    assert rescans[0] == 0 and tallies[0] == 3
     greedy = rule in (Rule.GAV, Rule.RAV)
-    assert transposes[0] == (3 if greedy else 0)
-    assert greedies[0] == (leaves if greedy else 0)
-    assert scorings[0] == (3 if rule in (Rule.AV, Rule.SAV) else 0)
+    assert transposes[0] == (3 + 1 if greedy else 0)
+    assert greedies[0] == (leaves + 1 if greedy else 0)
+    assert scorings[0] == (3 + 1 if rule in (Rule.AV, Rule.SAV) else 0)
     assert checks[0] == (leaves + 1 if rule in (Rule.CCAV, Rule.PAV) else 0)
 
 
 def test_leaf_test_matches_kernel():
-    # The incremental leaf test against a fresh kernel run on the leaf's
-    # ballots, for 0-3 changed voters, some of them holding their base
-    # ballot.  Like the enumerations, half the leaves flip the very list the
-    # test was built from and restore it afterwards.
+    # The enumerations' leaf test, a shared tally moved to the leaf's ballots
+    # and back, against a fresh tally of the leaf's ballots, for 0-3 changed
+    # voters, some of them given their base ballot.  The tally must return
+    # to the base after every leaf.
     stream = Stream64(83)
     leaves = 0
     for _ in range(60):
@@ -197,32 +199,33 @@ def test_leaf_test_matches_kernel():
             for rule in Rule:
                 p = stream.randint(0, m - 1)
                 base = ballot_masks(e)
-                wins = fpt._leaf_test(base, m, rule, k, p)
-                original = base.copy()
+                tally = rules._Tally(base, m, rule, k)
+                start = tally.cowinners()
                 for _ in range(6):
                     voters = list(range(n))
-                    changed = [voters.pop(stream.randint(0, len(voters) - 1))
-                               for _ in range(stream.randint(0, min(3, n)))]
-                    ballots = base if stream.chance(0.5) else original.copy()
-                    for v in changed:
-                        if stream.chance(0.75):
-                            ballots[v] = stream.randint(0, (1 << m) - 1)
+                    changed = {}
+                    for _ in range(stream.randint(0, min(3, n))):
+                        v = voters.pop(stream.randint(0, len(voters) - 1))
+                        changed[v] = (stream.randint(0, (1 << m) - 1) if stream.chance(0.75)
+                                      else base[v])
+                    ballots = [changed.get(v, mask) for v, mask in enumerate(base)]
                     expected = rules._is_cowinner_from_ballots(ballots, m, rule, k, p)
-                    assert wins(ballots, changed) == expected, (rule, e, k, p, changed)
-                    base[:] = original
+                    assert fpt._wins_with(tally, base, changed, p) == expected, (
+                        rule, e, k, p, changed)
+                    assert tally.ballots == base and tally.cowinners() == start
                     leaves += 1
     assert leaves > 10_000
 
 
 def test_type_enum_rows_per_changed_ballot(monkeypatch):
-    # PAV leaves update the packed committee values instead of rescanning:
-    # one row per base ballot, then one per ballot a leaf changes.  Each of
-    # the 8 single swaps changes one of the 4 ballots.
+    # PAV leaves update the packed committee values instead of rescanning,
+    # with one row per distinct ballot: the base ballots hold 3 distinct
+    # masks, and the 8 single swaps reach 3 new ones ({b, p}, {a, p}, {p}).
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     rows = count_calls(monkeypatch, rules._CommitteeValues, "row")
     assert unpriced_type_enum(BriberyInstance(e, 2, 1, 1, Op.SWAP), Rule.PAV).cost is None
-    assert rows[0] == 4 + 8
+    assert rows[0] == 3 + 3
 
 
 def test_priced_swap_to_p_unit_agrees_with_unpriced(e0):

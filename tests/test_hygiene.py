@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, each private helper defined once, no assert."""
+"""Source hygiene: no unused imports, each private helper defined once, no assert,
+the rule state's internals used in rules only."""
 
 import ast
 from collections import defaultdict
@@ -11,7 +12,10 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # perfbench/tracing.py wraps these module attributes by name, so they stay
 # importable although the module no longer calls them.
 TRACED_ONLY = {("cli.py", "oracle_bribery"), ("fpt.py", "apply_actions"),
-               ("oracle.py", "_is_cowinner_from_ballots")}
+               ("oracle.py", "_is_cowinner_from_ballots"), ("oracle.py", "_score_cowinner")}
+# How each rule's state moves when one ballot changes is known to rules._Tally
+# alone; the solvers go through it.
+TALLY_INTERNALS = {"_score_delta", "_committee_values"}
 
 
 def _tree(path):
@@ -36,6 +40,21 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used and (path.name, name) not in TRACED_ONLY]
     assert not unused, unused
+
+
+def test_tally_internals_stay_in_rules():
+    found = []
+    for path in MODULES:
+        if path.name == "rules.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:  # a bare name or an attribute such as rules._score_delta
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in TALLY_INTERNALS]
+    assert not found, found
 
 
 def test_private_helpers_defined_once():

@@ -5,6 +5,7 @@ import pytest
 from abcbribery import (
     BriberyInstance,
     CertificationError,
+    ElectionError,
     Op,
     PriceTable,
     ResourceGuardError,
@@ -188,6 +189,18 @@ def test_option_list_guard_boundary(op, approved, length):
         oracle_margins(e, Rule.SAV, 1, op, max_configs=length - 1)
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_margins_reject_committee_size_out_of_range(k):
+    # Outside 1..m the rules disagree on what a committee is (k = 4 over 3
+    # candidates would read inf for CCAV but 0 for SAV and GAV): no margin.
+    e = make_election(["a", "b", "c"], [("v1", ["a"]), ("v2", ["b"])])
+    for rule in Rule:
+        with pytest.raises(ElectionError, match="committee size"):
+            oracle_margin(e, rule, k, 0, Op.ADD)
+        with pytest.raises(ElectionError, match="committee size"):
+            oracle_margins(e, rule, k, Op.ADD)
+
+
 def test_option_list_guard_boundary_within_budget():
     # with a budget of 1 the voter keeps its ballot or buys one of 4 additions
     e = make_election([f"c{i}" for i in range(5)], [("v1", ["c0"])])
@@ -215,26 +228,33 @@ def test_one_cowinner_mask_per_leaf(monkeypatch, rule):
     options, _ = oracle._vote_options(e, prices, Op.DELETE, False, 0, None,
                                       oracle.DEFAULT_MAX_CONFIGS)
     leaves = math.prod(map(len, options))
-    masks = count_calls(monkeypatch, rules, "_cowinner_mask")
-    greedies = count_calls(monkeypatch, oracle, "_greedy_picks")
+    tallies = count_calls(monkeypatch, oracle, "_Tally")
+    transposes = count_calls(monkeypatch, rules, "_transpose")
+    greedies = count_calls(monkeypatch, rules, "_greedy_picks")
     packed = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
     margins = oracle_margins(e, rule, 1, Op.DELETE, prices)
     assert margins[2] == math.inf and margins[0] == 0
-    # CCAV and PAV read each leaf off their running packed committee values;
-    # GAV and RAV run the greedy on their live candidate columns.  Neither
-    # rescans the ballots through the co-winner kernel.
-    leaf_tests = packed if rule in (Rule.CCAV, Rule.PAV) else greedies
+    # One tally per search, and no fresh one per leaf: CCAV and PAV read each
+    # leaf off its running packed committee values; GAV and RAV transpose
+    # once and run the greedy on its live candidate columns.
+    greedy = rule in (Rule.GAV, Rule.RAV)
+    leaf_tests = greedies if greedy else packed
     assert leaf_tests[0] == leaves == 8
     assert greedies[0] + packed[0] == 8
-    assert masks[0] == 0
+    assert transposes[0] == (1 if greedy else 0)
+    assert tallies[0] == 1
 
 
 def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):
+    # AV and SAV score the election once per search and move the scores per
+    # changed voter; no leaf rescores the ballots.
     e = make_election(["c0", "c1", "c2"], [("v1", ["c0", "c1"]), ("v2", ["c0"])])
-    calls = count_calls(monkeypatch, rules, "_cowinner_mask")
+    tallies = count_calls(monkeypatch, oracle, "_Tally")
+    scorings = count_calls(monkeypatch, rules, "_scores")
+    deltas = count_calls(monkeypatch, rules, "_score_delta")
     for rule in (Rule.AV, Rule.SAV):
         assert oracle_margins(e, rule, 1, Op.SWAP)[0] == 0
-    assert calls[0] == 0
+    assert tallies[0] == scorings[0] == 2 and deltas[0] > 0
 
 
 def test_oracle_witness_is_certified(monkeypatch, e0):

@@ -312,30 +312,36 @@ def test_packed_values_match_fraction_reference(rule):
                 expected, sum(1 << c for c in frozenset().union(*expected))), (e, k)
 
 
-@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV])
+def _tally_state(tally):
+    return tuple(tally.scores or ()), tuple(tally.columns or ()), getattr(tally, "total", None)
+
+
+@pytest.mark.parametrize("rule", list(Rule))
 def test_packed_running_total_under_replacements(rule):
     # As the solvers' searches do: replace one ballot at a time on a running
-    # total, test every state, then revert in reverse order back to the base.
+    # tally, test every state against the Fraction reference, then revert in
+    # reverse order back to the base.
     stream = Stream64(53)
     for _ in range(25):
         e = random_sized_election(stream, 7, 7)
         k = stream.randint(1, e.m)
         ballots = ballot_masks(e)
-        values = rules._committee_values(rule, e.m, k, e.n)
-        base = total = values.total(ballots)
+        tally = rules._Tally(ballots, e.m, rule, k)
+        base = _tally_state(tally)
         undo = []
         for _ in range(stream.randint(1, 6)):
             v, new = stream.randint(0, e.n - 1), stream.randint(0, (1 << e.m) - 1)
-            total += values.row(new) - values.row(ballots[v])
             undo.append((v, ballots[v]))
+            tally.set(v, new)
             ballots[v] = new
-            expected = _reference_winners(_mask_election(ballots, e.m), rule, k)
-            assert values.cowinners(total) == sum(1 << c for c in frozenset().union(*expected))
+            expected = frozenset().union(*_reference_winners(_mask_election(ballots, e.m), rule, k))
+            assert tally.cowinners() == sum(1 << c for c in expected), (e, k, ballots)
+            assert [tally.wins(p) for p in range(e.m)] == [p in expected for p in range(e.m)]
         while undo:
-            v, old = undo.pop()
-            total += values.row(old) - values.row(ballots[v])
-            ballots[v] = old
-        assert total == base == values.total(ballot_masks(e))
+            tally.set(*undo.pop())
+        fresh = rules._Tally(ballot_masks(e), e.m, rule, k)
+        assert tally.ballots == fresh.ballots
+        assert _tally_state(tally) == base == _tally_state(fresh)
 
 
 @pytest.mark.parametrize("rule, k, n", [(Rule.CCAV, 1, 3), (Rule.CCAV, 3, 7), (Rule.PAV, 2, 5)])
@@ -399,7 +405,8 @@ def test_cowinner_mask_and_pick_order_match_reference():
                 continue
             for rule in Rule:
                 union = frozenset().union(*_reference_winners(e, rule, k))
-                assert rules._cowinner_mask(ballots, e.m, rule, k) == sum(1 << c for c in union)
+                mask = rules._Tally(ballots, e.m, rule, k).cowinners()
+                assert mask == sum(1 << c for c in union)
     assert unapproved_picks > 50
 
 
