@@ -3,11 +3,16 @@ priced swaps.
 
 Adds and deletes are classic cheapest-first greedies.  Unit-price swaps guess
 the score threshold the preferred candidate will enter the committee with and
-drain the most fragile opponents down to it.  Priced swaps guess the winning
-committee and its lowest member score, then solve a min-cost flow where every
-approval either stays put or moves within its vote; a move from c to d may
-relay through intermediate candidates, so effective move prices are per-vote
-shortest paths over the swap price table.
+drain the most fragile opponents down to it.  The add and unit-swap greedies
+step on the AV score list and the ballot masks, test each step with
+``_score_cowinner``, and build actions only for the runs that make the
+preferred candidate win; ``is_cowinner`` is asked once per solve, for the
+election as given.
+
+Priced swaps guess the winning committee and its lowest member score, then
+solve a min-cost flow where every approval either stays put or moves within
+its vote; a move from c to d may relay through intermediate candidates, so
+effective move prices are per-vote shortest paths over the swap price table.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from .core import (
     PriceTable,
     ResourceGuardError,
     _actions_key,
-    apply_action,
+    approver_masks,
     ballot_masks,
 )
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import Rule, av_scores, is_cowinner
+from .rules import Rule, _score_cowinner, av_scores, is_cowinner
 
 DEFAULT_GUESS_CAP = 500_000
 
@@ -54,16 +59,14 @@ def av_add(instance: BriberyInstance) -> BriberySolution:
         for v in range(e.n)
         if p not in e.ballots[v].approved and instance.prices.add_price(v, p) != FORBIDDEN
     )
-    actions: list[AtomicAction] = []
+    scores = av_scores(e)
     cost = 0
-    cur = e
-    for price, v in cells:
-        action = AtomicAction(Op.ADD, v, target=p)
-        cur = apply_action(cur, action)
-        actions.append(action)
+    for bought, (price, _) in enumerate(cells, 1):
+        scores[p] += 1
         cost += price
-        if is_cowinner(cur, Rule.AV, k, p):
-            return BriberySolution(tuple(actions), cost, cost <= instance.budget)
+        if _score_cowinner(scores, k, p):
+            actions = tuple(AtomicAction(Op.ADD, v, target=p) for _, v in cells[:bought])
+            return BriberySolution(actions, cost, cost <= instance.budget)
     return BriberySolution((), None, False)
 
 
@@ -111,6 +114,9 @@ def av_swap_unit(instance: BriberyInstance) -> BriberySolution:
     the current highest scorer among them; with none left, p takes an
     approval from the lowest-index vote not approving p.  The cheapest
     successful run over all T is optimal.
+
+    Each run moves the AV scores and the candidate columns (approver masks)
+    swap by swap; actions are built only for the runs that make p win.
     """
     _require(instance, Op.SWAP)
     if instance.priced:
@@ -119,40 +125,48 @@ def av_swap_unit(instance: BriberyInstance) -> BriberySolution:
     if is_cowinner(e, Rule.AV, k, p):
         return BriberySolution((), 0, True)
     n, m = e.n, e.m
-    swap_cap = sum(1 for b in e.ballots if p not in b.approved)
+    start_masks = ballot_masks(e)
+    start_columns = approver_masks(e)
+    start_scores = [column.bit_count() for column in start_columns]
+    voting = sum(1 << v for v, mask in enumerate(start_masks) if mask)  # swaps keep sizes
+    others = [c for c in range(m) if c != p]
+    swap_cap = n - start_scores[p]
     best: tuple[int, tuple, tuple[AtomicAction, ...]] | None = None
-    for threshold in range(n + 1):
-        cur = e
-        actions: list[AtomicAction] = []
-        while len(actions) <= swap_cap:
-            if is_cowinner(cur, Rule.AV, k, p):
+    # Opponents only lose approvals, so every T from the highest opponent
+    # score up to n runs the same swaps.
+    for threshold in range(max(start_scores[c] for c in others) + 1):
+        masks, columns, scores = list(start_masks), list(start_columns), list(start_scores)
+        # A run longer than the best one so far cannot replace it.
+        limit = swap_cap if best is None else min(swap_cap, best[0])
+        swaps: list[tuple[int, int]] = []
+        while True:
+            if _score_cowinner(scores, k, p):
+                actions = tuple(AtomicAction(Op.SWAP, v, source=donor, target=p)
+                                for v, donor in swaps)
                 key = (len(actions), _actions_key(actions))
                 if best is None or key < best[:2]:
-                    best = (len(actions), key[1], tuple(actions))
+                    best = (len(actions), key[1], actions)
                 break
-            if len(actions) == swap_cap:
+            if len(swaps) >= limit:
                 break
-            scores = av_scores(cur)
-            ranked = sorted((c for c in range(m) if c != p),
-                            key=lambda c: (-scores[c], c))
-            protected = set(ranked[: k - 1])
-            fragile = [c for c in ranked[k - 1:]
-                       if scores[c] > scores[p] and scores[c] > threshold]
-            if fragile:
-                donor = fragile[0]
-                vote = next(v for v in range(n)
-                            if donor in cur.ballots[v].approved
-                            and p not in cur.ballots[v].approved)
-            else:
-                vote = next((v for v in range(n)
-                             if p not in cur.ballots[v].approved and cur.ballots[v].approved),
-                            None)
-                if vote is None:
-                    break
-                donor = min(cur.ballots[vote].approved)
-            action = AtomicAction(Op.SWAP, vote, source=donor, target=p)
-            cur = apply_action(cur, action)
-            actions.append(action)
+            # p loses, so k < m and ranked[k - 1], the first unprotected
+            # opponent, exists; ranks fall in score, so it is fragile
+            # whenever any opponent is.
+            donor = sorted(others, key=lambda c: (-scores[c], c))[k - 1]
+            fragile = scores[donor] > max(scores[p], threshold)
+            lacking = (columns[donor] if fragile else voting) & ~columns[p]
+            if not lacking:
+                break
+            bit = lacking & -lacking
+            vote = bit.bit_length() - 1
+            if not fragile:
+                donor = (masks[vote] & -masks[vote]).bit_length() - 1
+            masks[vote] ^= 1 << donor | 1 << p
+            columns[donor] ^= bit
+            columns[p] |= bit
+            scores[donor] -= 1
+            scores[p] += 1
+            swaps.append((vote, donor))
     if best is None:
         return BriberySolution((), None, False)
     cost, _, actions = best

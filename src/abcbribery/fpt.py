@@ -486,7 +486,7 @@ def _gav_assignment_search(ladders: list[list[tuple[int, int, int]]], guess: int
         if size - covered.bit_count() > m - c:
             return
         if c == m:
-            if covered == guess and p in _greedy_picks(assignment, Rule.GAV, k):
+            if covered == guess and p in _greedy_picks(assignment, Rule.GAV, k, stop=p):
                 best = (cost, assignment.copy())
             return
         for extra, type_bit, t in choices[c]:

@@ -201,17 +201,22 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
         suffix_max[i] = suffix_max[i + 1] + options[i][-1][0]
 
     found: dict[int, tuple[int, list[int]]] = {}
-    pending = list(targets)
+    pending = 0  # bitmask of the targets without a winning configuration yet
+    for p in targets:
+        pending |= 1 << p
     tally = _Tally(ballot_masks(e), e.m, rule, k)
 
     def dfs(i: int, remaining: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
+        nonlocal pending
         if i == n:
             if remaining == 0:
-                winners = tally.cowinners()
-                for p in [p for p in pending if winners >> p & 1]:
-                    found[p] = (t, tally.ballots.copy())  # t: the cost level being swept
-                    pending.remove(p)
+                won = tally.cowinners() & pending
+                if won:
+                    finals = tally.ballots.copy()
+                    for p in _iter_bits(won):
+                        found[p] = (t, finals)  # t: the cost level being swept
+                    pending ^= won
             return not pending
         lower = remaining - suffix_max[i + 1]
         old = tally.ballots[i]

@@ -17,19 +17,24 @@ ballot at a time (``set``) and answers for one target (``wins``) or for
 every candidate at once as a bitmask (``cowinners``).  A solver's search
 changes a few voters and restores them; a from-scratch question is a fresh
 tally.  AV and SAV keep the scores, and ``_score_delta`` moves them.  GAV
-and RAV keep the candidate columns (approver bitmasks), flipping one
-voter's bit per changed candidate, and run one greedy on them:
-``levels[t]`` holds the voters with exactly t committee members, and a
-candidate gains w(t) per approver at level t.  CCAV and PAV keep every
-size-k committee's value in one packed integer, ``_CommitteeValues``: lane
-j holds the value of the j-th committee of a table built once per (m, k),
-after the committee cap is checked.  A voter's row, its satisfaction with
-every committee, sums the cached member lanes of its approved candidates
-and turns the member counts into satisfaction with one threshold test per
-nonzero Thiele weight; no loop runs over committees.  The election's total
-is the sum of the rows, so a changed voter moves it by row(new) - row(old).
-The best lanes are read by one descent over the bit planes, and their
-committees are unioned.
+and RAV keep the candidate columns (approver bitmasks) and their approval
+counts, flipping one voter's bit and moving one count per changed
+candidate, and run one greedy on them.  The first pick is read off the
+counts.  After each pick, its approvers move up a level (``levels[t]``
+holds the voters with exactly t committee members), and every candidate's
+gain drops by w(t) - w(t+1) per approver it shares with them at level t:
+the coverage rules keep one drop, and no round recomputes the gains.  A
+membership test stops the greedy once its target is picked.
+
+CCAV and PAV keep every size-k committee's value in one packed integer,
+``_CommitteeValues``: lane j holds the value of the j-th committee of a
+table built once per (m, k), after the committee cap is checked.  A voter's
+row, its satisfaction with every committee, sums the cached member lanes of
+its approved candidates and turns the member counts into satisfaction with
+one threshold test per nonzero Thiele weight; no loop runs over committees.
+The election's total is the sum of the rows, so a changed voter moves it by
+row(new) - row(old).  The best lanes are read by one descent over the bit
+planes, and their committees are unioned.
 
 ``certify`` reruns the kernel on a solver's answer: every answer ``solve``
 returns has passed it.
@@ -281,62 +286,89 @@ def _committee_values(rule: Rule, m: int, k: int, n: int,
     return _committee_lanes(rule, m, k, _lane_width(rule, k, n))
 
 
-def _level_gains(columns: list[int], levels: list[int], weights: tuple[int, ...]) -> list[int]:
-    """Each candidate's gain: w(t) times its approvers at level t, summed over t.
-
-    ``levels[t]`` holds the voters approving exactly t committee members.
-    """
-    gains = [0] * len(columns)
+def _thiele_gains(ballots: list[int], m: int, committee: int,
+                  weights: tuple[int, ...]) -> list[int]:
+    """Value gained by adding each candidate to the committee (0 for members):
+    w(t) per approver holding t members, summed over t."""
+    levels = [0] * len(weights)
+    for v, mask in enumerate(ballots):
+        levels[(mask & committee).bit_count()] |= 1 << v
+    columns = _transpose(ballots, m)
+    gains = [0] * m
     for w, level in zip(weights, levels):
         if w and level:
             gains = [gain + w * (column & level).bit_count()
                      for gain, column in zip(gains, columns)]
-    return gains
-
-
-def _thiele_gains(ballots: list[int], m: int, committee: int,
-                  weights: tuple[int, ...]) -> list[int]:
-    """Value gained by adding each candidate to the committee (0 for members)."""
-    levels = [0] * len(weights)
-    for v, mask in enumerate(ballots):
-        levels[(mask & committee).bit_count()] |= 1 << v
-    gains = _level_gains(_transpose(ballots, m), levels, weights)
     for c in _iter_bits(committee):
         gains[c] = 0
     return gains
 
 
-def _greedy_picks(columns: list[int], rule: Rule, k: int) -> list[int]:
+@lru_cache(maxsize=256)
+def _greedy_weights(rule: Rule, k: int) -> tuple[int, tuple[int, ...]]:
+    """w(0) and the drops w(t) - w(t+1) for t = 0, 1, ... while w(t) is
+    nonzero, with w(k) = 0.
+
+    A voter moving from level t to t+1 lowers each candidate it approves by
+    the drop at t; past the last nonzero weight a voter gains nothing more.
+    The coverage rules keep one drop, the harmonic ones k.
+    """
+    weights = _thiele_weights(rule, k) + (0,)
+    return weights[0], tuple(weights[t] - weights[t + 1]
+                             for t in range(len(weights) - 1) if weights[t])
+
+
+def _greedy_picks(columns: list[int], rule: Rule, k: int, counts: list[int] | None = None,
+                  stop: int | None = None) -> list[int]:
     """Greedy pick list over candidate columns (approver masks), ties toward
     the lowest index.  Rounds with no gain still pick, the lowest free index.
+
+    ``counts`` are the columns' approval counts when the caller keeps them.
+    The list ends early once ``stop`` is picked, which is all a membership
+    test needs.
     """
-    weights = _thiele_weights(rule, k)
-    # Voters past the last nonzero weight gain nothing more: for the coverage
-    # rules only level 0, the uncovered voters, is kept.
-    depth = len(weights) - weights.count(0)
-    levels = [0]
-    for column in columns:
-        levels[0] |= column
+    if not k:  # the empty prefix approx asks for
+        return []
+    if counts is None:
+        counts = [column.bit_count() for column in columns]
     # Every voter starts at level 0, so the first round's gain is w(0) times
     # a candidate's approvals: the first pick is the most approved candidate.
-    counts = [column.bit_count() for column in columns]
     best = counts.index(max(counts))
-    picks: list[int] = []
-    for _ in range(k):  # k = 0 is the empty prefix approx asks for
-        if picks:
-            gains = _level_gains(columns, levels, weights)
-            for c in picks:
-                gains[c] = -1
-            best = gains.index(max(gains))
+    picks = [best]
+    if best == stop or k == 1:
+        return picks
+    w0, drops = _greedy_weights(rule, k)
+    # The first pick's approvers move to level 1, lowering every candidate
+    # by the drop at level 0 per approver it shares with them.  A picked gain
+    # is set to -1 and only falls from there, below every free gain, which
+    # never goes negative.
+    column = columns[best]
+    drop = drops[0]
+    gains = [w0 * count - drop * (other & column).bit_count()
+             for count, other in zip(counts, columns)]
+    gains[best] = -1
+    # levels[t] holds the voters approving exactly t picks; only the levels
+    # with a drop are kept.
+    levels = [~column, column][:len(drops)]
+    while True:
+        best = gains.index(max(gains))
+        gains[best] = -1
         picks.append(best)
+        if best == stop or len(picks) == k:
+            return picks
+        # The pick's approvers move up a level and lower the gains of the
+        # candidates they approve by the drop at their old level.
         column = columns[best]
         moved = 0
         for t, level in enumerate(levels):
             levels[t] = (level & ~column) | moved
             moved = level & column
-        if len(levels) < depth:
+            if moved:
+                drop = drops[t]
+                gains = [gain - drop * (other & moved).bit_count()
+                         for gain, other in zip(gains, columns)]
+        if len(levels) < len(drops):
             levels.append(moved)
-    return picks
 
 
 def _thiele_greedy(ballots: list[int], m: int, rule: Rule, k: int) -> list[int]:
@@ -364,7 +396,8 @@ class _Tally:
     step, so its bit loops are inlined.
     """
 
-    __slots__ = ("ballots", "rule", "k", "scores", "shares", "columns", "values", "rows", "total")
+    __slots__ = ("ballots", "rule", "k", "scores", "shares", "columns", "counts", "values", "rows",
+                 "total")
 
     def __init__(self, ballots: list[int], m: int, rule: Rule, k: int,
                  cap: int = COMMITTEE_ENUM_CAP):
@@ -377,6 +410,7 @@ class _Tally:
             self.scores = _scores(ballots, m, self.shares)
         elif rule in (Rule.GAV, Rule.RAV):
             self.columns = _transpose(ballots, m)
+            self.counts = [column.bit_count() for column in self.columns]
         else:
             self.values = _committee_values(rule, m, k, len(ballots), cap)
             self.rows = {mask: self.values.row(mask) for mask in set(ballots)}
@@ -391,10 +425,12 @@ class _Tally:
         if self.scores is not None:
             _score_delta(self.scores, old, mask, self.shares)
         elif self.columns is not None:
-            columns, bit, flips = self.columns, 1 << v, old ^ mask
+            columns, counts, bit, flips = self.columns, self.counts, 1 << v, old ^ mask
             while flips:
                 low = flips & -flips
-                columns[low.bit_length() - 1] ^= bit
+                c = low.bit_length() - 1
+                columns[c] ^= bit
+                counts[c] += 1 if mask & low else -1
                 flips ^= low
         else:
             rows = self.rows
@@ -409,7 +445,7 @@ class _Tally:
         if self.scores is not None:
             return _score_cowinner(self.scores, self.k, p)
         if self.columns is not None:
-            return p in _greedy_picks(self.columns, self.rule, self.k)
+            return p in _greedy_picks(self.columns, self.rule, self.k, self.counts, p)
         return bool(self.values.cowinners(self.total) >> p & 1)
 
     def cowinners(self) -> int:
@@ -423,7 +459,7 @@ class _Tally:
                 if s >= cutoff:
                     mask |= 1 << c
         elif self.columns is not None:
-            for c in _greedy_picks(self.columns, self.rule, self.k):
+            for c in _greedy_picks(self.columns, self.rule, self.k, self.counts):
                 mask |= 1 << c
         else:
             mask = self.values.cowinners(self.total)

@@ -2,21 +2,27 @@ import pytest
 
 from abcbribery import (
     FORBIDDEN,
+    AtomicAction,
     BriberyInstance,
+    Election,
     Op,
     PriceTable,
     ResourceGuardError,
     Rule,
+    apply_action,
     apply_actions,
+    av_scores,
     is_cowinner,
     make_election,
     solution_cost,
 )
+from abcbribery import avbribery
 from abcbribery.avbribery import av_add, av_delete, av_priced_swap_exact, av_swap_unit
+from abcbribery.core import _actions_key
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery
 
-from helpers import verdict
+from helpers import count_calls, verdict
 
 
 def test_av_add_e0(e0):
@@ -142,3 +148,102 @@ def test_priced_swap_guess_guard_at_its_boundary(e0):
     assert av_priced_swap_exact(inst, guess_cap=30).cost == 3
     with pytest.raises(ResourceGuardError, match="exceed 29"):
         av_priced_swap_exact(inst, guess_cap=29)
+
+
+# --- the greedies on integer scores against their Election-based form --------
+
+
+def _election_add(instance):
+    """av_add rebuilding the election and rerunning is_cowinner per addition."""
+    e, p, k = instance.election, instance.p, instance.k
+    if is_cowinner(e, Rule.AV, k, p):
+        return (), 0
+    cells = sorted((instance.prices.add_price(v, p), v) for v in range(e.n)
+                   if p not in e.ballots[v].approved
+                   and instance.prices.add_price(v, p) != FORBIDDEN)
+    actions, cost, cur = [], 0, e
+    for price, v in cells:
+        action = AtomicAction(Op.ADD, v, target=p)
+        cur = apply_action(cur, action)
+        actions.append(action)
+        cost += price
+        if is_cowinner(cur, Rule.AV, k, p):
+            return tuple(actions), cost
+    return (), None
+
+
+def _election_swap_unit(instance):
+    """av_swap_unit rebuilding the election, rescoring and rerunning
+    is_cowinner per swap, for every entry score T."""
+    e, p, k = instance.election, instance.p, instance.k
+    if is_cowinner(e, Rule.AV, k, p):
+        return (), 0
+    swap_cap = sum(1 for b in e.ballots if p not in b.approved)
+    best = None
+    for threshold in range(e.n + 1):
+        cur, actions = e, []
+        while len(actions) <= swap_cap:
+            if is_cowinner(cur, Rule.AV, k, p):
+                key = (len(actions), _actions_key(actions))
+                if best is None or key < best[0]:
+                    best = (key, tuple(actions))
+                break
+            if len(actions) == swap_cap:
+                break
+            scores = av_scores(cur)
+            ranked = sorted((c for c in range(e.m) if c != p), key=lambda c: (-scores[c], c))
+            fragile = [c for c in ranked[k - 1:] if scores[c] > max(scores[p], threshold)]
+            if fragile:
+                donor = fragile[0]
+                vote = next(v for v in range(e.n) if donor in cur.ballots[v].approved
+                            and p not in cur.ballots[v].approved)
+            else:
+                vote = next((v for v in range(e.n) if p not in cur.ballots[v].approved
+                             and cur.ballots[v].approved), None)
+                if vote is None:
+                    break
+                donor = min(cur.ballots[vote].approved)
+            action = AtomicAction(Op.SWAP, vote, source=donor, target=p)
+            cur = apply_action(cur, action)
+            actions.append(action)
+    return (best[1], best[0][0]) if best else ((), None)
+
+
+@pytest.mark.parametrize("solver, reference, op, priced", [
+    (av_add, _election_add, Op.ADD, True),
+    (av_add, _election_add, Op.ADD, False),
+    (av_swap_unit, _election_swap_unit, Op.SWAP, False),
+])
+def test_integer_greedies_match_election_loops(solver, reference, op, priced):
+    cases = 0
+    for seed, (m, n, probability) in enumerate(((5, 6, 0.5), (8, 10, 0.3), (8, 10, 0.7))):
+        for restricted in (False, True):
+            cfg = SuiteConfig(op=op, count=60, seed=70 + seed, max_candidates=m, max_voters=n,
+                              priced=priced, restricted_to_p=restricted,
+                              approval_probability=probability)
+            for inst in suite_instances(cfg):
+                actions, cost = reference(inst)
+                sol = solver(inst)
+                assert (sol.actions, sol.cost) == (actions, cost), inst
+                assert sol.feasible == (cost is not None and cost <= inst.budget)
+                cases += bool(actions)
+    assert cases > 80
+
+
+@pytest.mark.parametrize("solver, op", [(av_add, Op.ADD), (av_swap_unit, Op.SWAP)])
+def test_integer_greedies_build_no_election(monkeypatch, solver, op):
+    # One is_cowinner call per solve, for the start; the steps move integer
+    # scores and masks, so no election is built after the input's.
+    instances = list(suite_instances(SuiteConfig(op=op, count=60, seed=79, max_candidates=8,
+                                                 max_voters=10)))
+    checks = count_calls(monkeypatch, avbribery, "is_cowinner")
+    elections = count_calls(monkeypatch, Election, "__init__")
+    steps = 0
+    for inst in instances:
+        before = checks[0]
+        steps += len(solver(inst).actions)
+        assert checks[0] - before == 1
+    assert elections[0] == 0
+    assert steps > 10
+    apply_actions(instances[0].election, ())
+    assert elections[0] == 1  # the counter sees an election being built

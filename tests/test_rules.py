@@ -313,7 +313,8 @@ def test_packed_values_match_fraction_reference(rule):
 
 
 def _tally_state(tally):
-    return tuple(tally.scores or ()), tuple(tally.columns or ()), getattr(tally, "total", None)
+    return (tuple(tally.scores or ()), tuple(tally.columns or ()),
+            tuple(getattr(tally, "counts", ())), getattr(tally, "total", None))
 
 
 @pytest.mark.parametrize("rule", list(Rule))
@@ -389,16 +390,24 @@ def test_every_committee_tied(rule):
 def test_cowinner_mask_and_pick_order_match_reference():
     # Pick order matters beyond the committee: approx uses greedy prefixes
     # (GAV, down to the empty one at k = 0) and pick lists (RAV).  k runs up
-    # to m, so zero-gain rounds occur.
+    # to m, so zero-gain rounds occur.  The tally's greedy takes its first
+    # pick from kept counts, and a membership test cuts the list at its target.
     stream = Stream64(43)
     unapproved_picks = 0  # each one is a zero-gain round
     for _ in range(40):
         e = random_sized_election(stream, 7, 7)
         ballots = ballot_masks(e)
+        columns = approver_masks(e)
+        counts = [column.bit_count() for column in columns]
         for k in range(e.m + 1):
             for rule in (Rule.GAV, Rule.RAV):
                 picks = _reference_greedy(e, rule, k)
                 assert rules._thiele_greedy(ballots, e.m, rule, k) == picks, (rule, e, k)
+                assert rules._greedy_picks(columns, rule, k, counts) == picks
+                for stop in range(e.m):
+                    cut = picks[:picks.index(stop) + 1] if stop in picks else picks
+                    assert rules._greedy_picks(columns, rule, k, counts, stop) == cut
+                    assert rules._greedy_picks(columns, rule, k, stop=stop) == cut
                 approved = frozenset().union(*(b.approved for b in e.ballots))
                 unapproved_picks += len(set(picks) - approved)
             if not k:
@@ -408,6 +417,26 @@ def test_cowinner_mask_and_pick_order_match_reference():
                 mask = rules._Tally(ballots, e.m, rule, k).cowinners()
                 assert mask == sum(1 << c for c in union)
     assert unapproved_picks > 50
+
+
+@pytest.mark.parametrize("rule", [Rule.GAV, Rule.RAV])
+def test_tally_counts_follow_set(rule):
+    # Random replacements, some of them restoring a voter's base ballot, then
+    # every voter restored: the kept counts always equal recounted columns.
+    stream = Stream64(67)
+    for _ in range(40):
+        e = random_sized_election(stream, 7, 7)
+        base = ballot_masks(e)
+        tally = rules._Tally(base, e.m, rule, stream.randint(1, e.m))
+        for _ in range(stream.randint(1, 10)):
+            v = stream.randint(0, e.n - 1)
+            tally.set(v, base[v] if stream.chance(0.3) else stream.randint(0, (1 << e.m) - 1))
+            columns = rules._transpose(tally.ballots, e.m)
+            assert tally.columns == columns
+            assert tally.counts == [column.bit_count() for column in columns]
+        for v in range(e.n):
+            tally.set(v, base[v])
+        assert tally.counts == [column.bit_count() for column in approver_masks(e)]
 
 
 # --- guarantees and symmetry --------------------------------------------------
