@@ -4,14 +4,16 @@ A lighter, configurable version of the acceptance suite; useful when hunting
 for counterexamples with bigger counts or different size mixes.  Each lane is
 a rule, a ``solve`` algorithm and a suite shape; the routing table picks the
 solver, and every answer, the oracle's included, is certified by ``solve``.
-The type-enumeration lanes keep drawing until ``--count`` instances in which
-p is not already a co-winner, so each one reaches the enumeration.  The
-``margins`` lane checks the oracle against itself: the shared sweep
-``oracle_margins`` against one ``oracle_margin`` call per candidate, for every
-rule and operation, and, for each finite margin, ``solve(..., "oracle")`` at
-a budget of exactly that margin, whose certified witness must cost it.
-An answer that fails ``solve``'s certificate counts as a mismatch, and the
-sweep goes on.
+Every such lane keeps drawing from its seeded suite until ``--count``
+instances in which p is not already a co-winner, so each one reaches its
+solver instead of being answered at cost 0.  The ``margins`` lane checks the
+oracle against itself on ``--count`` instances per operation: the shared
+sweep ``oracle_margins`` against one ``oracle_margin`` call per candidate,
+for every rule and operation, and, for each finite margin,
+``solve(..., "oracle")`` at a budget of exactly that margin, whose certified
+witness must cost it.  It needs no screening, since it asks about every
+candidate, losers included.  An answer that fails ``solve``'s certificate
+counts as a mismatch, and the sweep goes on.
 """
 
 import argparse
@@ -54,15 +56,11 @@ LANES = {
     "flow-gav": (Rule.GAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=5,
                                          max_voters=4, price_choices=(1, 2))),
 }
-# p already a co-winner is answered at cost 0 before any action set is tried.
-LOSING_ONLY = {"typeenum-av", "typeenum-sav", "typeenum-ccav", "typeenum-pav", "typeenum-gav",
-               "typeenum-rav"}
 
 
 def lane_instances(lane: str, count: int, seed: int):
+    """The lane's first ``count`` seeded instances in which p loses."""
     rule, _, shape = LANES[lane]
-    if lane not in LOSING_ONLY:
-        return suite_instances(SuiteConfig(count=count, seed=seed, **shape))
     draws = suite_instances(SuiteConfig(count=sys.maxsize, seed=seed, **shape))
     return itertools.islice((inst for inst in draws
                              if not is_cowinner(inst.election, rule, inst.k, inst.p)), count)

@@ -23,18 +23,16 @@ from .core import (
     Op,
     PriceTable,
     _actions_key,
-    apply_action,
-    apply_actions,
     ballot_masks,
 )
 from .rules import (
     Rule,
     _score_shares,
+    _Tally,
     _thiele_gains,
     _thiele_greedy,
     _thiele_weights,
     certify,
-    gav_committee,
     is_cowinner,
 )
 
@@ -100,12 +98,21 @@ def sav_add_for_p_2approx(instance: BriberyInstance) -> BriberySolution:
     )
     hi = min(instance.budget, all_prices)
     table = _max_gain_table(e, p, instance.prices, hi)
+    # Each level plants p's bit in its voters' masks on one tally, tests,
+    # and takes the bits out again.
+    masks = ballot_masks(e)
+    tally = _Tally(masks, e.m, Rule.SAV, k)
+    bit = 1 << p
     for t in range(hi + 1):
-        voters = table[t]
-        actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in sorted(voters))
-        if is_cowinner(apply_actions(e, actions), Rule.SAV, k, p):
+        voters = sorted(table[t])
+        for v in voters:
+            tally.set(v, masks[v] | bit)
+        if tally.wins(p):
+            actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in voters)
             cost = sum(instance.prices.add_price(v, p) for v in voters)
             return BriberySolution(actions, cost, True)
+        for v in voters:
+            tally.set(v, masks[v])
     return BriberySolution((), None, False)
 
 
@@ -114,39 +121,43 @@ def gav_add_for_p(instance: BriberyInstance) -> BriberySolution:
 
     Guess the round in which p is to be picked, then repeatedly buy an
     approval from the cheapest voter not covered by the rounds before it.
+    GAV's weights do not depend on k, so the greedy's first round - 1 picks
+    are the rounds before it; each step runs one greedy on the ballot masks.
     """
     _require_add(instance, restricted_only=True)
     e, p, k = instance.election, instance.p, instance.k
-    if p in gav_committee(e, k):
+    start = ballot_masks(e)
+    if p in _thiele_greedy(start, e.m, Rule.GAV, k):
         return BriberySolution((), 0, True)
-    best: tuple[int, tuple[AtomicAction, ...]] | None = None
+    bit = 1 << p
+    prices = [instance.prices.add_price(v, p) for v in range(e.n)]
+    # Additions all go to p, so voter lists order like their action lists.
+    best: tuple[int, tuple[int, ...]] | None = None
     for target_round in range(1, k + 1):
-        cur = e
-        actions: list[AtomicAction] = []
+        masks = list(start)
+        bought: list[int] = []
         cost = 0
         while True:
-            if p in gav_committee(cur, k):
-                if best is None or (cost, _actions_key(actions)) < (best[0], _actions_key(best[1])):
-                    best = (cost, tuple(actions))
+            picks = _thiele_greedy(masks, e.m, Rule.GAV, k)
+            if p in picks:
+                if best is None or (cost, tuple(bought)) < best:
+                    best = (cost, tuple(bought))
                 break
-            prefix = _thiele_greedy(ballot_masks(cur), cur.m, Rule.GAV, target_round - 1)
-            covered = {v for v in range(cur.n) if not cur.ballots[v].approved.isdisjoint(prefix)}
-            eligible = [
-                (instance.prices.add_price(v, p), v)
-                for v in range(cur.n)
-                if v not in covered and p not in cur.ballots[v].approved
-                and instance.prices.add_price(v, p) != FORBIDDEN
-            ]
+            blocked = bit  # voters approving p or covered by an earlier round
+            for c in picks[:target_round - 1]:
+                blocked |= 1 << c
+            eligible = [(prices[v], v) for v, mask in enumerate(masks)
+                        if not mask & blocked and prices[v] != FORBIDDEN]
             if not eligible:
                 break
             price, v = min(eligible)
-            action = AtomicAction(Op.ADD, v, target=p)
-            cur = apply_action(cur, action)
-            actions.append(action)
+            masks[v] |= bit
+            bought.append(v)
             cost += price
     if best is None:
         return BriberySolution((), None, False)
-    cost, actions = best
+    cost, voters = best
+    actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in voters)
     return BriberySolution(actions, cost, cost <= instance.budget)
 
 

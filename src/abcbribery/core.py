@@ -10,6 +10,7 @@ that must never be chosen.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -49,8 +50,9 @@ class Op(Enum):
     SWAP = "swap"
 
 
-def _is_token(s: str) -> bool:
-    return bool(s) and not any(ch.isspace() for ch in s) and ":" not in s and "#" not in s
+# A plain token: nonempty, with no whitespace, ':' or '#'.  \s matches exactly
+# the characters for which str.isspace() is true.
+_is_token = re.compile(r"[^\s:#]+").fullmatch
 
 
 @dataclass(frozen=True)
@@ -426,8 +428,10 @@ def parse_election(text: str) -> tuple[Election, PriceTable, int | None]:
 
     if not candidates:
         raise ParseError(1, "missing candidates line")
-    election = make_election(candidates, [(name, [candidates[c] for c in approved])
-                                          for name, approved in voters])
+    # Built from the indices directly; the constructors still check every
+    # name and index.
+    election = Election(tuple(Candidate(i, name) for i, name in enumerate(candidates)),
+                        tuple(ApprovalBallot(name, approved) for name, approved in voters))
     if k is not None and k > election.m:
         raise ParseError(1, f"committee size {k} exceeds number of candidates {election.m}")
     return election, PriceTable(add, delete, swap), k

@@ -3,9 +3,16 @@
 The search enumerates, per vote, every ballot reachable under the operation
 kind as a bare (cost, ballot) pair at its cheapest cost (Dijkstra over
 ballot states for swaps, where relaying an approval through intermediate
-candidates can be cheaper than a direct move).  Final elections are then
-enumerated by iterative deepening over total cost, so the first hit is the
-optimum.
+candidates can be cheaper than a direct move).  Each voter's swap Dijkstra
+reads a move table built once from the price table: per source, the (target,
+target bit, price) triples with a finite price; without swap prices one
+table serves every voter.  Final elections are then enumerated by iterative
+deepening over total cost, so the first hit is the optimum.  The resource
+guard needs the number of configurations at each cost; ``_LevelCounts``
+computes that count for a level only when the sweep reaches it, and a level
+no configuration reaches is skipped.  The depth-first search tests the last
+voter's options in that voter's own frame, one leaf per option, instead of
+one call deeper.
 
 One sweep can serve several target candidates at once: the options and the
 per-cost configuration counts do not depend on the target unless the
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 
 from .core import (
     FORBIDDEN,
@@ -75,13 +83,34 @@ def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]],
     return options
 
 
-def _swap_options(voter: int, start: int, m: int, prices: PriceTable,
-                  restricted: bool, p: int, cost_cap: int | None, max_configs: int
+def _move_table(voter: int, m: int, prices: PriceTable, restricted: bool, p: int
+                ) -> list[list[tuple[int, int, int]]]:
+    """The voter's swaps per source: the (target, target bit, price) triples
+    with a finite price, targets ascending, and only p as a target when the
+    bribery is restricted to p."""
+    price_of = prices.swap.get
+    targets = [p] if restricted else range(m)
+    table = []
+    for source in range(m):
+        row = []
+        for target in targets:
+            if target != source:
+                price = price_of((voter, source, target), 1)
+                if price != FORBIDDEN:
+                    row.append((target, 1 << target, price))
+        table.append(row)
+    return table
+
+
+def _swap_options(voter: int, start: int, moves: list[list[tuple[int, int, int]]],
+                  cost_cap: int | None, max_configs: int
                   ) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int, int]]]:
     """Cheapest reachable ballots under swaps, via Dijkstra over ballot states.
 
-    Returns the (cost, ballot) options, cheapest-first, and the parent map
-    ``ballot -> (previous ballot, source, target)`` of the cheapest paths.
+    ``moves`` is the voter's move table; relaxations read it instead of the
+    price table.  Returns the (cost, ballot) options, cheapest-first, and the
+    parent map ``ballot -> (previous ballot, source, target)`` of the
+    cheapest paths.
     """
     dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, int, int]] = {}
@@ -90,24 +119,23 @@ def _swap_options(voter: int, start: int, m: int, prices: PriceTable,
         d, mask = heapq.heappop(heap)
         if d > dist[mask]:
             continue
-        for source in _iter_bits(mask):
-            if restricted:
-                targets = [p] if not mask >> p & 1 else []
-            else:
-                targets = [t for t in range(m) if not mask >> t & 1]
-            for target in targets:
-                if target == source:
-                    continue
-                price = prices.swap_price(voter, source, target)
-                if price == FORBIDDEN:
+        sources = mask
+        while sources:  # lowest source first, as _iter_bits
+            low = sources & -sources
+            sources ^= low
+            source = low.bit_length() - 1
+            rest = mask ^ low
+            for target, bit, price in moves[source]:
+                if mask & bit:
                     continue
                 nd = d + price
                 if cost_cap is not None and nd > cost_cap:
                     continue
-                new = (mask & ~(1 << source)) | (1 << target)
-                if new not in dist:
+                new = rest | bit
+                known = dist.get(new)
+                if known is None:
                     _guard_options(voter, len(dist) + 1, max_configs)
-                elif nd >= dist[new]:
+                elif nd >= known:
                     continue
                 dist[new] = nd
                 parent[new] = (mask, source, target)
@@ -122,11 +150,14 @@ def _vote_options(e: Election, prices: PriceTable, op: Op, restricted: bool, p: 
     map (empty for additions and deletions)."""
     masks = ballot_masks(e)
     options, parents = [], []
+    # Without swap prices every voter has the same move table.
+    unit_moves = (_move_table(0, e.m, prices, restricted, p)
+                  if op is Op.SWAP and not prices.swap else None)
     for v in range(e.n):
         start = masks[v]
         if op is Op.SWAP:
-            opts, parent = _swap_options(v, start, e.m, prices, restricted, p, cost_cap,
-                                         max_configs)
+            moves = unit_moves or _move_table(v, e.m, prices, restricted, p)
+            opts, parent = _swap_options(v, start, moves, cost_cap, max_configs)
             options.append(opts)
             parents.append(parent)
             continue
@@ -165,24 +196,42 @@ def _witness(op: Op, starts: list[int], finals: list[int],
     return tuple(actions)
 
 
-def _config_counts(options: list[list[tuple[int, int]]], limit: int) -> list[int]:
-    """Number of final elections at each exact total cost up to limit."""
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    for opts in options:
-        hist = [0] * (limit + 1)
-        for cost, _ in opts:
-            if cost <= limit:
-                hist[cost] += 1
-        new = [0] * (limit + 1)
-        for a, ca in enumerate(counts):
-            if not ca:
-                continue
-            for b in range(limit + 1 - a):
-                if hist[b]:
-                    new[a + b] += ca * hist[b]
-        counts = new
-    return counts
+class _LevelCounts:
+    """Number of final elections at each exact total cost, one level at a time.
+
+    Level t is the coefficient of x^t in the product of the voters' cost
+    histograms.  ``rows[j]`` holds the levels computed so far for the first
+    j voters, so level t takes one pass over each histogram and reads only
+    the levels below it.  Each histogram grows by the options costing
+    exactly t as level t is reached: the work follows the levels the sweep
+    reaches, not the largest total cost.
+    """
+
+    __slots__ = ("options", "counted", "hists", "rows")
+
+    def __init__(self, options: list[list[tuple[int, int]]]):
+        self.options = options
+        self.counted = [0] * len(options)  # per voter, the options in its histogram
+        self.hists: list[list[tuple[int, int]]] = [[] for _ in options]  # (cost, ways)
+        self.rows: list[list[int]] = [[] for _ in range(len(options) + 1)]
+
+    def level(self, t: int) -> int:
+        """The count at cost t; levels are asked for in order 0, 1, 2, ..."""
+        counted, rows = self.counted, self.rows
+        rows[0].append(0 if t else 1)  # no voter: the empty configuration
+        for v, (opts, hist, below, row) in enumerate(zip(self.options, self.hists, rows,
+                                                         rows[1:])):
+            # Options are cheapest-first and costs are integers, so the
+            # options costing t follow those counted at the levels below.
+            start = counted[v]
+            end = counted[v] = bisect_left(opts, (t + 1,), start)
+            if end > start:
+                hist.append((t, end - start))
+            count = 0
+            for cost, ways in hist:
+                count += ways * below[t - cost]
+            row.append(count)
+        return rows[-1][t]
 
 
 def _search(e: Election, rule: Rule, k: int, targets: list[int],
@@ -195,7 +244,7 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
     limit = sum(opts[-1][0] for opts in options)
     if budget is not None:
         limit = min(limit, budget)
-    counts = _config_counts(options, limit)
+    counts = _LevelCounts(options)
     suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_max[i] = suffix_max[i + 1] + options[i][-1][0]
@@ -206,39 +255,57 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
         pending |= 1 << p
     tally = _Tally(ballot_masks(e), e.m, rule, k)
 
+    def record(won: int) -> bool:
+        """Keep the current ballots for the targets in `won`; True once none is pending."""
+        nonlocal pending
+        finals = tally.ballots.copy()
+        for p in _iter_bits(won):
+            found[p] = (t, finals)  # t: the cost level being swept
+        pending ^= won
+        return not pending
+
+    last = n - 1
+
     def dfs(i: int, remaining: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
-        nonlocal pending
-        if i == n:
-            if remaining == 0:
-                won = tally.cowinners() & pending
-                if won:
-                    finals = tally.ballots.copy()
-                    for p in _iter_bits(won):
-                        found[p] = (t, finals)  # t: the cost level being swept
-                    pending ^= won
-            return not pending
-        lower = remaining - suffix_max[i + 1]
         old = tally.ballots[i]
-        for cost, mask in options[i]:
-            if cost > remaining:
-                break
-            if cost < lower:
-                continue
-            tally.set(i, mask)
-            if dfs(i + 1, remaining - cost):
-                return True  # the search is over: the tally is not read again
+        if i == last:
+            # The leaves: the last voter must spend exactly what remains.
+            # They are tested here, not one call deeper each.
+            for cost, mask in options[i]:
+                if cost < remaining:
+                    continue
+                if cost > remaining:
+                    break
+                tally.set(i, mask)
+                won = tally.cowinners() & pending
+                if won and record(won):
+                    return True  # the search is over: the tally is not read again
+        else:
+            lower = remaining - suffix_max[i + 1]
+            for cost, mask in options[i]:
+                if cost > remaining:
+                    break
+                if cost < lower:
+                    continue
+                tally.set(i, mask)
+                if dfs(i + 1, remaining - cost):
+                    return True
         tally.set(i, old)
         return False
 
     explored = 0
     for t in range(limit + 1):
-        explored += counts[t]
+        count = counts.level(t)
+        explored += count
         if explored > max_configs:
             raise ResourceGuardError(
                 f"enumerating final elections up to cost {t} needs {explored} "
                 f"configurations, above the cap of {max_configs}")
-        if dfs(0, t):
+        if not count:  # no configuration costs exactly t
+            continue
+        # Without voters the start election is the one configuration.
+        if dfs(0, t) if n else record(tally.cowinners() & pending):
             break
     return found
 

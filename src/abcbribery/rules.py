@@ -73,6 +73,11 @@ class Rule(Enum):
     PAV = "pav"
     RAV = "rav"
 
+    # Members are singletons, so identity is their equality.  Enum's own
+    # __hash__ is a Python-level call that every lru_cache lookup keyed by a
+    # rule would pay, once per greedy oracle leaf.
+    __hash__ = object.__hash__
+
 
 def _check_k(e: Election, k: int):
     if not 1 <= k <= e.m:

@@ -6,11 +6,14 @@ import pytest
 
 from abcbribery import (
     FORBIDDEN,
+    AtomicAction,
     BriberyInstance,
     CertificationError,
+    Election,
     Op,
     PriceTable,
     Rule,
+    apply_action,
     apply_actions,
     gav_committee,
     is_cowinner,
@@ -25,10 +28,11 @@ from abcbribery.approx import (
     sav_add_for_p_2approx,
     sav_max_gain,
 )
+from abcbribery.core import ballot_masks
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin
 
-from helpers import random_sized_election, verdict
+from helpers import count_calls, random_sized_election, verdict
 
 
 def test_sav_max_gain_zero_budget(e0):
@@ -207,3 +211,78 @@ def test_add_for_p_solutions_stay_on_p():
                 assert inst.p in gav_committee(final, inst.k)
             if sol.feasible and solver is rav_add_for_p:
                 assert inst.p in rav_committee(final, inst.k)
+
+
+# --- the mask routes against their Election-based form ------------------------
+
+
+def _election_sav_sweep(instance):
+    """sav_add_for_p_2approx replaying the actions and rerunning is_cowinner
+    per budget level."""
+    e, p, k, prices = instance.election, instance.p, instance.k, instance.prices
+    if is_cowinner(e, Rule.SAV, k, p):
+        return (), 0
+    hi = min(instance.budget, sum(prices.add_price(v, p) for v in range(e.n)
+                                  if p not in e.ballots[v].approved
+                                  and prices.add_price(v, p) != FORBIDDEN))
+    table = approx._max_gain_table(e, p, prices, hi)
+    for t in range(hi + 1):
+        actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in sorted(table[t]))
+        if is_cowinner(apply_actions(e, actions), Rule.SAV, k, p):
+            return actions, sum(prices.add_price(v, p) for v in table[t])
+    return (), None
+
+
+def _election_gav_add(instance):
+    """gav_add_for_p building an election per bought approval and rerunning
+    gav_committee and the prefix greedy on its rebuilt masks."""
+    e, p, k, prices = instance.election, instance.p, instance.k, instance.prices
+    if p in gav_committee(e, k):
+        return (), 0
+    best = None
+    for target_round in range(1, k + 1):
+        cur, actions, cost = e, [], 0
+        while True:
+            if p in gav_committee(cur, k):
+                key = (cost, [a.sort_key() for a in actions])
+                if best is None or key < best[0]:
+                    best = (key, tuple(actions))
+                break
+            prefix = rules._thiele_greedy(ballot_masks(cur), cur.m, Rule.GAV,
+                                          target_round - 1)
+            covered = {v for v in range(cur.n) if not cur.ballots[v].approved.isdisjoint(prefix)}
+            eligible = [(prices.add_price(v, p), v) for v in range(cur.n)
+                        if v not in covered and p not in cur.ballots[v].approved
+                        and prices.add_price(v, p) != FORBIDDEN]
+            if not eligible:
+                break
+            price, v = min(eligible)
+            action = AtomicAction(Op.ADD, v, target=p)
+            cur = apply_action(cur, action)
+            actions.append(action)
+            cost += price
+    return (best[1], best[0][0]) if best else ((), None)
+
+
+@pytest.mark.parametrize("solver, reference", [(sav_add_for_p_2approx, _election_sav_sweep),
+                                               (gav_add_for_p, _election_gav_add)])
+@pytest.mark.parametrize("priced", [False, True])
+def test_mask_routes_match_election_loops(monkeypatch, solver, reference, priced):
+    # Restricted additions, priced and at unit prices; the routes build no
+    # election after the input's, and their action lists are the reference's.
+    instances = []
+    for seed, (m, n, probability) in enumerate(((5, 6, 0.5), (8, 10, 0.3), (8, 10, 0.7))):
+        instances += suite_instances(SuiteConfig(
+            op=Op.ADD, count=100, seed=60 + seed, max_candidates=m, max_voters=n,
+            max_budget=8, priced=priced, restricted_to_p=True, price_choices=(1, 2, 3, FORBIDDEN),
+            approval_probability=probability))
+    wants = [reference(inst) for inst in instances]
+    elections = count_calls(monkeypatch, Election, "__init__")
+    bought = 0
+    for inst, (actions, cost) in zip(instances, wants):
+        sol = solver(inst)
+        assert (sol.actions, sol.cost) == (actions, cost), inst
+        assert sol.feasible == (cost is not None and cost <= inst.budget)
+        bought += bool(actions)
+    assert elections[0] == 0
+    assert bought > 50

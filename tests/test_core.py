@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from abcbribery import (
     serialize_election,
     solution_cost,
 )
+from abcbribery import core
 from abcbribery.core import format_action
 from abcbribery.rules import av_scores
 
@@ -73,6 +77,39 @@ def test_parse_errors(text, line):
     with pytest.raises(ParseError) as err:
         parse_election(text)
     assert err.value.line_no == line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("candidates: a b\ncandidates: c\n", "line 2: duplicate candidates line"),
+    ("candidates: a b\nk: 0\n", "line 2: committee size must be at least 1"),
+    ("candidates: a b\nk: 3\n", "line 1: committee size 3 exceeds number of candidates 2"),
+    ("candidates: a b\nvoter v1 a\n", "line 2: voter line needs ':'"),
+    ("candidates: a b\nvoter : a\n", "line 2: bad voter name ''"),
+    ("candidates: a b\nvoter v1: a\naddprice v1 b x\n", "line 3: bad price 'x'"),
+    ("candidates: a b\nvoter v1: a\nswapprice v1 a z 1\n", "line 3: unknown candidate 'z'"),
+    ("k: 1\n", "line 1: missing candidates line"),
+    ("", "line 1: missing candidates line"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_election(text)
+    assert str(err.value) == message
+
+
+def test_parse_rejects_candidate_names_that_are_not_tokens():
+    # The candidates line splits on whitespace, so only ':' can slip through;
+    # the Candidate check refuses it.
+    with pytest.raises(ElectionError, match="^candidate name must be a plain token: 'a:b'$"):
+        parse_election("candidates: a:b c\n")
+
+
+def test_token_whitespace_is_str_isspace():
+    # The token pattern's \s must refuse exactly what str.isspace() calls
+    # whitespace, over every code point.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\s", every)) == {ch for ch in every if ch.isspace()}
+    for ch in ("a", "\u00e9", "\u3000", "\x1c", "\u200b", ":", "#"):
+        assert bool(core._is_token(f"v{ch}1")) == (not ch.isspace() and ch not in ":#")
 
 
 def test_apply_swap_e0(e0):

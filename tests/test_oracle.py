@@ -1,8 +1,10 @@
+import heapq
 import math
 
 import pytest
 
 from abcbribery import (
+    FORBIDDEN,
     BriberyInstance,
     CertificationError,
     ElectionError,
@@ -16,7 +18,8 @@ from abcbribery import (
     solution_cost,
 )
 from abcbribery import oracle, rules
-from abcbribery.generators import SuiteConfig, suite_instances
+from abcbribery.core import _iter_bits
+from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
 from helpers import count_calls, verdict
@@ -311,3 +314,123 @@ def test_bribery_builds_only_the_witness_actions(monkeypatch, e0, op, rule):
     built = count_calls(monkeypatch, oracle, "AtomicAction")
     sol = oracle_bribery(BriberyInstance(e0, 3, 2, 9, op), rule)
     assert sol.actions and built[0] == len(sol.actions)
+
+
+# --- sweep set-up against the full table and the per-relaxation Dijkstra ------
+
+
+def _full_counts(options, limit):
+    """Every level's count at once, each voter's histogram multiplied out to limit."""
+    counts = [0] * (limit + 1)
+    counts[0] = 1
+    for opts in options:
+        hist = [0] * (limit + 1)
+        for cost, _ in opts:
+            if cost <= limit:
+                hist[cost] += 1
+        new = [0] * (limit + 1)
+        for a, ca in enumerate(counts):
+            if not ca:
+                continue
+            for b in range(limit + 1 - a):
+                if hist[b]:
+                    new[a + b] += ca * hist[b]
+        counts = new
+    return counts
+
+
+def test_level_counts_equal_the_full_table():
+    stream = Stream64(97)
+    for _ in range(300):
+        n = stream.randint(0, 6)
+        # Each voter keeps its ballot at cost 0; the other options may cost 0
+        # too, and costs repeat.
+        options = [sorted([(0, 0)] + [(stream.randint(0, 7), mask)
+                                      for mask in range(1, stream.randint(1, 9))])
+                   for _ in range(n)]
+        limit = stream.randint(0, 20)
+        counts = oracle._LevelCounts(options)
+        assert [counts.level(t) for t in range(limit + 1)] == _full_counts(options, limit)
+
+
+def _relaxing_swap_options(voter, start, m, prices, restricted, p, cost_cap, max_configs):
+    """Dijkstra asking the price table at every relaxation and rebuilding the
+    target list per popped ballot."""
+    dist = {start: 0}
+    parent = {}
+    heap = [(0, start)]
+    while heap:
+        d, mask = heapq.heappop(heap)
+        if d > dist[mask]:
+            continue
+        for source in _iter_bits(mask):
+            if restricted:
+                targets = [p] if not mask >> p & 1 else []
+            else:
+                targets = [t for t in range(m) if not mask >> t & 1]
+            for target in targets:
+                if target == source:
+                    continue
+                price = prices.swap_price(voter, source, target)
+                if price == FORBIDDEN:
+                    continue
+                nd = d + price
+                if cost_cap is not None and nd > cost_cap:
+                    continue
+                new = (mask & ~(1 << source)) | (1 << target)
+                if new not in dist:
+                    oracle._guard_options(voter, len(dist) + 1, max_configs)
+                elif nd >= dist[new]:
+                    continue
+                dist[new] = nd
+                parent[new] = (mask, source, target)
+                heapq.heappush(heap, (nd, new))
+    return sorted((d, mask) for mask, d in dist.items()), parent
+
+
+def _options_or_guard(build, *args):
+    try:
+        return build(*args)
+    except ResourceGuardError as exc:
+        return str(exc)
+
+
+def _table_swap_options(voter, start, m, prices, restricted, p, cost_cap, max_configs):
+    moves = oracle._move_table(voter, m, prices, restricted, p)
+    return oracle._swap_options(voter, start, moves, cost_cap, max_configs)
+
+
+def test_swap_move_table_matches_the_relaxing_dijkstra():
+    # Per-voter prices with forbidden moves and cheap relays; free and
+    # restricted, capped and uncapped, and caps on the option count.
+    stream = Stream64(98)
+    relayed = guarded = 0
+    for _ in range(150):
+        m, n = stream.randint(2, 6), stream.randint(1, 3)
+        starts = [stream.randint(0, (1 << m) - 1) for _ in range(n)]
+        prices = PriceTable(swap={(v, s, t): stream.choice((0, 1, 1, 2, 3, 5, FORBIDDEN))
+                                  for v in range(n) for s in range(m) for t in range(m) if s != t})
+        p = stream.randint(0, m - 1)
+        for v, start in enumerate(starts):
+            for restricted in (False, True):
+                for cost_cap in (None, 0, 2, 4):
+                    for max_configs in (3, oracle.DEFAULT_MAX_CONFIGS):
+                        args = (v, start, m, prices, restricted, p, cost_cap, max_configs)
+                        want = _options_or_guard(_relaxing_swap_options, *args)
+                        assert _options_or_guard(_table_swap_options, *args) == want
+                        guarded += isinstance(want, str)
+                        relayed += not isinstance(want, str) and any(
+                            prev != start for prev, _, _ in want[1].values())
+    assert relayed > 50 and guarded > 50
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_sweep_won_at_cost_zero_counts_one_level(monkeypatch, rule):
+    # Deletions at 10^5 each put the dearest configuration at 8 * 10^5, but
+    # c0 already wins, so the sweep stops at level 0 and counts nothing above.
+    e = make_election(["c0", "c1", "c2"], [("v1", ["c0", "c1"]), ("v2", ["c0"]),
+                                           ("v3", ["c0", "c2"]), ("v4", ["c1", "c2"])])
+    prices = PriceTable(delete={(v, c): 10**5 for v in range(4) for c in range(3)})
+    levels = count_calls(monkeypatch, oracle._LevelCounts, "level")
+    assert oracle_margin(e, rule, 1, 0, Op.DELETE, prices) == 0
+    assert levels[0] == 1

@@ -439,6 +439,19 @@ def test_tally_counts_follow_set(rule):
         assert tally.counts == [column.bit_count() for column in approver_masks(e)]
 
 
+def test_rules_hash_by_identity():
+    # The caches keyed by a rule hash it as an object, not through Enum's
+    # Python-level __hash__, and still keep one entry per rule.
+    for rule in Rule:
+        assert hash(rule) == object.__hash__(rule)
+        assert Rule(rule.value) is rule
+    assert len({rule: rule.value for rule in Rule}) == len(Rule) == 6
+    assert rules._greedy_weights(Rule.GAV, 3) != rules._greedy_weights(Rule.RAV, 3)
+    assert rules._thiele_weights(Rule.CCAV, 3) != rules._thiele_weights(Rule.PAV, 3)
+    assert rules._score_shares(Rule.AV, 4) != rules._score_shares(Rule.SAV, 4)
+    assert rules._satisfaction(Rule.GAV, 2) != rules._satisfaction(Rule.RAV, 2)
+
+
 # --- guarantees and symmetry --------------------------------------------------
 
 
