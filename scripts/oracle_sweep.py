@@ -55,6 +55,11 @@ LANES = {
                                            max_voters=4, price_choices=(1, 2, 3))),
     "flow-gav": (Rule.GAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=5,
                                          max_voters=4, price_choices=(1, 2))),
+    "flow-ccav-delete": (Rule.CCAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=6,
+                                                  max_voters=4)),
+    # Restricted GAV additions route to approx.gav_add_for_p, not the flow.
+    "flow-gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=6,
+                                             max_voters=4)),
 }
 
 

@@ -146,5 +146,8 @@ def min_cost_flow_lb(net: FlowNetwork) -> tuple[int, tuple[int, ...]]:
     if flow < need:
         raise InfeasibleFlowError(
             f"required flow {net.required_flow} with the given lower bounds is unattainable")
-    flows = tuple(net.arcs[i].lower + solver.cap[arc_edge[i] ^ 1] for i in range(len(net.arcs)))
+    # From a list, not a generator: tuple() grows a generator's items by
+    # resizing, which moves a block from one of CPython's per-size tuple free
+    # lists to another on every call, and they fill until a full collection.
+    flows = tuple([net.arcs[i].lower + solver.cap[arc_edge[i] ^ 1] for i in range(len(net.arcs))])
     return base_cost + cost, flows

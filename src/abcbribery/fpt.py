@@ -3,11 +3,12 @@
 Four families: subset enumeration over voters for restricted additions; full
 enumeration over type-restricted candidate pools for unit-price additions and
 swaps; the same with per-type-pair cheapest pools for priced swaps toward the
-preferred candidate; and, for the coverage rules, guessing the candidate
-types present after bribery.  A guess whose cheapest-conversion lower bound
-cannot beat the best answer is skipped; a CCAV guess that remains is priced
-with a min-cost flow whose sink arcs carry lower bounds, and a GAV guess goes
-straight to a search over concrete assignments.
+preferred candidate; and, for the coverage rules, priced additions and
+deletions.  CCAV guesses the candidate types present after bribery: a guess
+whose cheapest-conversion lower bound cannot beat the best answer is skipped,
+and one that remains is priced with a min-cost flow whose sink arcs carry
+lower bounds.  GAV makes no guesses: one branch-and-bound search runs over
+concrete candidate-to-type assignments.
 
 The enumerations test each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
@@ -19,7 +20,7 @@ The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
 score and coverage rules here.  The deterministic lowest-index tie-break of
 GAV and RAV makes membership index-dependent, so for those two the pools are
-not restricted and the type-guessing algorithm checks winners on concrete
+not restricted, and GAV's coverage search checks winners on concrete
 candidate-to-type assignments instead of on type sets.
 """
 
@@ -43,7 +44,7 @@ from .core import (
 )
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .rules import Rule, _greedy_picks, _is_cowinner_from_ballots, _Tally, certify, is_cowinner
+from .rules import Rule, _greedy_picks, _Tally, certify, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
@@ -299,16 +300,15 @@ def _reachable_types(instance: BriberyInstance, candidate: int, start: int) -> d
     return out
 
 
-def _type_cowinner_ccav(types: tuple[int, ...], p_type: int, k: int) -> bool:
-    """Can a candidate of type p_type join an optimal CCAV committee?
+def _type_cowinner_ccav(types: tuple[int, ...], k: int) -> int:
+    """Bitmask over ``types`` of the types that can join an optimal CCAV committee.
 
     ``types`` are the distinct approver masks present.  Coverage depends only
     on which types a committee holds, and more types never cover less, so
     the committee scan runs over the types themselves as candidates.
     """
     ballots = _transpose(list(types), max(t.bit_length() for t in types))
-    return _is_cowinner_from_ballots(ballots, len(types), Rule.CCAV, min(k, len(types)),
-                                     types.index(p_type))
+    return _Tally(ballots, len(types), Rule.CCAV, min(k, len(types))).cowinners()
 
 
 def _conversion_actions(instance: BriberyInstance, assignment: list[int],
@@ -330,15 +330,17 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                           guess_cap: int = 300_000) -> BriberySolution:
     """Exact priced additions/deletions for the coverage rules CCAV and GAV.
 
-    Guess the set of candidate types present after bribery and the type p
-    ends up with.  A guess is priced only if it can still beat the best
-    answer so far: the sum of each candidate's cheapest conversion into the
-    guessed types bounds its cost from below.  For CCAV, any guess whose type
-    set lets p's type join an optimal committee is acceptable, and a min-cost
+    For CCAV, guess the set of candidate types present after bribery and the
+    type p ends up with.  A guess is priced only if it can still beat the
+    best answer so far: the sum of each candidate's cheapest conversion into
+    the guessed types bounds its cost from below.  Any guess whose type set
+    lets p's type join an optimal committee is acceptable, and a min-cost
     flow (candidates feed type nodes whose sink arcs require one unit each)
     finds its cheapest assignment.  GAV's deterministic tie-break sees
-    candidate indices, so its guesses go straight to a search over concrete
-    candidate-to-type assignments that replays the greedy; no flow is built.
+    candidate indices, so it makes no guesses: one branch-and-bound search
+    over concrete candidate-to-type assignments replays the greedy; no flow
+    is built.  ``guess_cap`` bounds the number of CCAV guesses and is
+    checked, for both rules, before any search.
     """
     if rule not in (Rule.CCAV, Rule.GAV):
         raise ValueError("the flow algorithm covers CCAV and GAV only")
@@ -357,6 +359,26 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     columns = approver_masks(e)
     reach = [_reachable_types(instance, c, columns[c]) for c in range(m)]
     universe = sorted(set().union(*[set(r) for r in reach]))
+    # A guess is p's type plus up to m - 1 of the other types.
+    guesses = len(reach[p]) * sum(comb(len(universe) - 1, size)
+                                  for size in range(min(m, len(universe))))
+    if guesses > guess_cap:
+        raise ResourceGuardError(f"type-set guesses exceed the cap of {guess_cap}")
+    if rule is Rule.GAV:
+        best = _gav_assignment_search(reach, p, k, instance.budget)
+    else:
+        best = _ccav_type_guesses(instance, reach, universe)
+    if best is None:
+        return BriberySolution((), None, False)
+    cost, assignment = best
+    return BriberySolution(_conversion_actions(instance, assignment, columns), cost, True)
+
+
+def _ccav_type_guesses(instance: BriberyInstance, reach: list[dict[int, int]],
+                       universe: list[int]):
+    """Cheapest assignment over the type-set guesses that let p's type win."""
+    p, k, budget = instance.p, instance.k, instance.budget
+    m = len(reach)
     # Guesses are bitmasks over the universe; each candidate's reachable
     # types are listed cheapest first, so its cheapest guessed type is the
     # first one in the guess.
@@ -367,20 +389,15 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
         if c != p:
             for t in reach[c]:
                 reached_by_others |= bit[t]
-    budget = instance.budget
-
-    best: tuple[int, tuple[AtomicAction, ...]] | None = None
-    guesses = 0
+    # A type set is tested once, whichever of its types p is guessed to take.
+    cowinners: dict[tuple[int, ...], int] = {}
+    best: tuple[int, list[int]] | None = None
     for p_type in sorted(reach[p]):
         others = [t for t in universe if t != p_type]
         ladders[p] = [(reach[p][p_type], bit[p_type], p_type)]
         reached = reached_by_others | bit[p_type]
         for size in range(1, min(m, len(universe)) + 1):
             for extra in itertools.combinations(others, size - 1):
-                guesses += 1
-                if guesses > guess_cap:
-                    raise ResourceGuardError(
-                        f"type-set guesses exceed the cap of {guess_cap}")
                 guess = bit[p_type]
                 for t in extra:
                     guess |= bit[t]
@@ -391,22 +408,16 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                 bound = _guess_lower_bound(ladders, guess)
                 if bound is None or bound > limit:
                     continue
-                if rule is Rule.CCAV:
-                    types = tuple(sorted(extra + (p_type,)))
-                    if not _type_cowinner_ccav(types, p_type, k):
-                        continue
-                    solved = _solve_type_guess(instance, reach, types, p_type, p)
-                    if solved is None or solved[0] > limit:
-                        continue
-                else:
-                    solved = _gav_assignment_search(ladders, guess, p, k, limit)
-                    if solved is None:
-                        continue
-                cost, assignment = solved
-                best = (cost, _conversion_actions(instance, assignment, columns))
-    if best is None:
-        return BriberySolution((), None, False)
-    return BriberySolution(best[1], best[0], True)
+                types = tuple(sorted(extra + (p_type,)))
+                mask = cowinners.get(types)
+                if mask is None:
+                    mask = cowinners[types] = _type_cowinner_ccav(types, k)
+                if not mask >> types.index(p_type) & 1:
+                    continue
+                solved = _solve_type_guess(instance, reach, types, p_type, p)
+                if solved is not None and solved[0] <= limit:
+                    best = solved
+    return best
 
 
 def _guess_lower_bound(ladders: list[list[tuple[int, int, int]]], guess: int) -> int | None:
@@ -460,38 +471,30 @@ def _solve_type_guess(instance: BriberyInstance, reach: list[dict[int, int]],
     return total, assignment
 
 
-def _gav_assignment_search(ladders: list[list[tuple[int, int, int]]], guess: int,
-                           p: int, k: int, budget: int):
-    """Cheapest assignment onto the guessed types that makes p win the greedy.
+def _gav_assignment_search(reach: list[dict[int, int]], p: int, k: int, budget: int):
+    """Cheapest assignment of reachable types that makes p win the greedy.
 
-    ``ladders`` and ``guess`` are as for ``_guess_lower_bound``, which the
-    caller has run: every candidate reaches a guessed type.
+    Every assignment within the budget is visited once, except where a
+    branch already costs as much as the best one found.
     """
-    m = len(ladders)
-    choices = [[step for step in ladder if step[1] & guess] for ladder in ladders]
-    min_rest = [0] * (m + 1)
-    for c in range(m - 1, -1, -1):
-        min_rest[c] = min_rest[c + 1] + choices[c][0][0]
-    size = guess.bit_count()
-
+    m = len(reach)
+    ladders = [sorted((cost, t) for t, cost in r.items()) for r in reach]
     best: tuple[int, list[int]] | None = None
+    limit = budget
     assignment = [0] * m  # the candidates' approver masks: the greedy's columns
 
-    def dfs(c: int, cost: int, covered: int):
-        """``covered`` holds the bits of the guessed types taken so far."""
-        nonlocal best
-        bound = budget if best is None else min(budget, best[0] - 1)
-        if cost + min_rest[c] > bound:
-            return
-        if size - covered.bit_count() > m - c:
-            return
+    def dfs(c: int, cost: int):
+        nonlocal best, limit
         if c == m:
-            if covered == guess and p in _greedy_picks(assignment, Rule.GAV, k, stop=p):
+            if p in _greedy_picks(assignment, Rule.GAV, k, stop=p):
                 best = (cost, assignment.copy())
+                limit = cost - 1  # costs are integers: only a cheaper one replaces it
             return
-        for extra, type_bit, t in choices[c]:
+        for extra, t in ladders[c]:
+            if cost + extra > limit:  # ladders are cheapest first: no later type fits
+                break
             assignment[c] = t
-            dfs(c + 1, cost + extra, covered | type_bit)
+            dfs(c + 1, cost + extra)
 
-    dfs(0, 0, 0)
+    dfs(0, 0)
     return best

@@ -141,7 +141,7 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     applied = count_calls(monkeypatch, fpt, "apply_actions")
-    rescans = count_calls(monkeypatch, fpt, "_is_cowinner_from_ballots")
+    rescans = count_calls(monkeypatch, rules, "_is_cowinner_from_ballots")
     checks = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
     swap = BriberyInstance(e, 2, 1, 1, Op.SWAP)
     assert not unpriced_type_enum(swap, Rule.PAV).feasible
@@ -151,7 +151,8 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
     assert not priced_swap_to_p_type_enum(priced, Rule.PAV).feasible
     assert checks[0] > 1 + 8 + 2
-    assert applied[0] == 0 and rescans[0] == 0
+    # The one from-scratch check is the priced search's is_cowinner start check.
+    assert applied[0] == 0 and rescans[0] == 1
 
 
 @pytest.mark.parametrize("rule", list(Rule))
@@ -165,7 +166,7 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     # fresh tally, one more transpose or scoring, one more co-winner read.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
-    rescans = count_calls(monkeypatch, fpt, "_is_cowinner_from_ballots")
+    rescans = count_calls(monkeypatch, rules, "_is_cowinner_from_ballots")
     tallies = count_calls(monkeypatch, fpt, "_Tally")
     transposes = count_calls(monkeypatch, rules, "_transpose")
     greedies = count_calls(monkeypatch, rules, "_greedy_picks")
@@ -177,7 +178,7 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     assert not priced_swap_to_p_type_enum(
         BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True), rule).feasible
     leaves = (1 + 8) + (1 + 4) + (1 + 5)
-    assert rescans[0] == 0 and tallies[0] == 3
+    assert rescans[0] == 1 and tallies[0] == 3
     greedy = rule in (Rule.GAV, Rule.RAV)
     assert transposes[0] == (3 + 1 if greedy else 0)
     assert greedies[0] == (leaves + 1 if greedy else 0)
@@ -311,7 +312,7 @@ def test_flow_matches_oracle_at_voter_cap():
 
 
 def test_flow_solve_counts_are_pinned(monkeypatch):
-    # Deterministic work: GAV guesses never build a flow, and CCAV prices only
+    # Deterministic work: GAV never builds a flow, and CCAV prices only
     # the guesses its lower bound cannot rule out (15,528 flows before pruning).
     cfg = SuiteConfig(op=Op.DELETE, count=35, seed=96, priced=True,
                       max_candidates=5, max_voters=4, max_budget=6)
@@ -423,3 +424,43 @@ def test_flow_guess_guard_at_its_boundary():
     assert ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=7).cost == 3
     with pytest.raises(ResourceGuardError, match="cap of 6"):
         ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=6)
+    # GAV makes no guesses but keeps the same count as its guard: with k = 1
+    # the lowest-index tie-break keeps p out whatever is deleted.
+    assert verdict(ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=7)) == (False, None) == \
+        verdict(oracle_bribery(inst, Rule.GAV))
+    with pytest.raises(ResourceGuardError, match="cap of 6"):
+        ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=6)
+
+
+def test_flow_guess_guard_trips_before_any_search(monkeypatch):
+    e = make_election(["a", "b", "p"], [("v1", ["a", "b"]), ("v2", ["a"])])
+    inst = BriberyInstance(e, 2, 1, 3, Op.DELETE)
+    flows = count_calls(monkeypatch, fpt, "min_cost_flow_lb")
+    greedies = count_calls(monkeypatch, fpt, "_greedy_picks")
+    for rule in (Rule.CCAV, Rule.GAV):
+        with pytest.raises(ResourceGuardError, match="cap of 6"):
+            ccav_gav_flow_bribery(inst, rule, guess_cap=6)
+    assert (flows[0], greedies[0]) == (0, 0)
+    # The same counters see the searches when the guard lets them run.
+    for rule in (Rule.CCAV, Rule.GAV):
+        ccav_gav_flow_bribery(inst, rule, guess_cap=7)
+    assert flows[0] > 0 and greedies[0] > 0
+
+
+def test_flow_matches_oracle_on_wider_elections():
+    # Six or seven candidates, up to four voters, prices with zeros: several
+    # types are reachable at cost 0, so many assignments tie.
+    seed = 140
+    for rule in (Rule.CCAV, Rule.GAV):
+        for op, restricted in ((Op.ADD, False), (Op.ADD, True), (Op.DELETE, False)):
+            seed += 1
+            cfg = SuiteConfig(op=op, count=600, seed=seed, priced=True,
+                              restricted_to_p=restricted, max_candidates=7, max_voters=4,
+                              max_budget=6, price_choices=(0, 1, 2, 3))
+            chosen = [inst for inst in suite_instances(cfg)
+                      if inst.election.m >= 6
+                      and not is_cowinner(inst.election, rule, inst.k, inst.p)][:8]
+            assert len(chosen) == 8, (rule, op, restricted)
+            for inst in chosen:
+                got = rules.certify(inst, rule, ccav_gav_flow_bribery(inst, rule))
+                assert verdict(got) == verdict(oracle_bribery(inst, rule)), (rule, inst)

@@ -188,9 +188,10 @@ def test_is_cowinner_matches_committee_membership():
 
 
 def _types(e, p):
-    """Distinct candidate types (approver masks) and the type of p."""
+    """Distinct candidate types (approver masks) and the position of p's type."""
     columns = approver_masks(e)
-    return tuple(sorted(set(columns))), columns[p]
+    types = tuple(sorted(set(columns)))
+    return types, types.index(columns[p])
 
 
 def test_type_cowinner_large_committee():
@@ -201,7 +202,8 @@ def test_type_cowinner_large_committee():
             continue
         k = stream.randint(e.n + 1, e.m)
         for p in range(e.m):
-            assert _type_cowinner_ccav(*_types(e, p), k)
+            types, i = _types(e, p)
+            assert _type_cowinner_ccav(types, k) >> i & 1
             assert is_cowinner(e, Rule.CCAV, k, p)
 
 
@@ -209,24 +211,28 @@ def test_type_cowinner_k_equals_n_boundary():
     # Two voters with disjoint singleton ballots: max coverage needs both
     # approved candidates, so p is in no optimal committee although k = n.
     e = make_election(["a", "b", "p"], [("v1", ["a"]), ("v2", ["b"])])
-    assert not _type_cowinner_ccav(*_types(e, 2), 2)
+    types, i = _types(e, 2)
+    assert not _type_cowinner_ccav(types, 2) >> i & 1
     assert not is_cowinner(e, Rule.CCAV, 2, 2)
 
 
 def test_type_cowinner_matches_bruteforce(e0):
-    assert _type_cowinner_ccav(*_types(e0, 3), 2) == is_cowinner(e0, Rule.CCAV, 2, 3)
+    types, i = _types(e0, 3)
+    assert bool(_type_cowinner_ccav(types, 2) >> i & 1) == is_cowinner(e0, Rule.CCAV, 2, 3)
     stream = Stream64(23)
     for _ in range(120):
         e = random_sized_election(stream, 7, 5)
         k = stream.randint(1, e.m)
         for p in range(e.m):
-            assert _type_cowinner_ccav(*_types(e, p), k) == is_cowinner(e, Rule.CCAV, k, p)
+            types, i = _types(e, p)
+            assert bool(_type_cowinner_ccav(types, k) >> i & 1) == is_cowinner(e, Rule.CCAV, k, p)
 
 
 def test_type_cowinner_single_type():
     e = make_election(["a", "b", "p"], [("v1", ["a", "b", "p"])])
     for p in range(3):
-        assert _type_cowinner_ccav(*_types(e, p), 1)
+        types, i = _types(e, p)
+        assert _type_cowinner_ccav(types, 1) >> i & 1
         assert is_cowinner(e, Rule.CCAV, 1, p)
 
 
