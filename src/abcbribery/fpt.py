@@ -269,7 +269,10 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
                 tally.set(v, old)
                 chosen.pop()
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    finally:
+        del dfs  # dfs names itself: a cycle the collector alone would free
     if best is None:
         return BriberySolution((), None, False)
     return BriberySolution(best[1], best[0], True)
@@ -496,5 +499,8 @@ def _gav_assignment_search(reach: list[dict[int, int]], p: int, k: int, budget: 
             assignment[c] = t
             dfs(c + 1, cost + extra)
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    finally:
+        del dfs  # dfs names itself: a cycle the collector alone would free
     return best

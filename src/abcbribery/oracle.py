@@ -18,12 +18,13 @@ One sweep can serve several target candidates at once: the options and the
 per-cost configuration counts do not depend on the target unless the
 bribery is restricted to p, so ``oracle_margins`` searches once for every
 candidate.  The search keeps one ``rules._Tally`` of the election, moves it
-at each step for the one voter it changes, and reads every candidate's
-answer off it at each leaf.  Each target keeps the final ballots of the
-first winning configuration the depth-first order reaches at its cheapest
-cost -- the same configuration a single-target search finds.  Only
-``oracle_bribery`` turns them into actions: the changed cells of each voter
-for additions and deletions, a walk back through the voter's Dijkstra
+at each step for the one voter it changes, and reads every pending
+candidate's answer off it at each leaf: the co-winner mask while several
+are pending, ``wins`` once one is left.  Each target keeps the final
+ballots of the first winning configuration the depth-first order reaches at
+its cheapest cost -- the same configuration a single-target search finds.
+Only ``oracle_bribery`` turns them into actions: the changed cells of each
+voter for additions and deletions, a walk back through the voter's Dijkstra
 parents for swaps.  It passes that witness through ``rules.certify`` before
 returning it.  Purely exponential; guarded by a configuration-count estimate
 and by the length of each voter's option list.
@@ -278,7 +279,10 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
                 if cost > remaining:
                     break
                 tally.set(i, mask)
-                won = tally.cowinners() & pending
+                if pending & (pending - 1):  # several targets: one mask for all
+                    won = tally.cowinners() & pending
+                else:  # one target: wins may settle it without a greedy
+                    won = pending if tally.wins(pending.bit_length() - 1) else 0
                 if won and record(won):
                     return True  # the search is over: the tally is not read again
         else:
@@ -295,18 +299,21 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
         return False
 
     explored = 0
-    for t in range(limit + 1):
-        count = counts.level(t)
-        explored += count
-        if explored > max_configs:
-            raise ResourceGuardError(
-                f"enumerating final elections up to cost {t} needs {explored} "
-                f"configurations, above the cap of {max_configs}")
-        if not count:  # no configuration costs exactly t
-            continue
-        # Without voters the start election is the one configuration.
-        if dfs(0, t) if n else record(tally.cowinners() & pending):
-            break
+    try:
+        for t in range(limit + 1):
+            count = counts.level(t)
+            explored += count
+            if explored > max_configs:
+                raise ResourceGuardError(
+                    f"enumerating final elections up to cost {t} needs {explored} "
+                    f"configurations, above the cap of {max_configs}")
+            if not count:  # no configuration costs exactly t
+                continue
+            # Without voters the start election is the one configuration.
+            if dfs(0, t) if n else record(tally.cowinners() & pending):
+                break
+    finally:
+        del dfs  # dfs names itself: a cycle the collector alone would free
     return found
 
 

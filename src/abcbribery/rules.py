@@ -24,7 +24,9 @@ counts.  After each pick, its approvers move up a level (``levels[t]``
 holds the voters with exactly t committee members), and every candidate's
 gain drops by w(t) - w(t+1) per approver it shares with them at level t:
 the coverage rules keep one drop, and no round recomputes the gains.  A
-membership test stops the greedy once its target is picked.
+membership test stops the greedy once its target is picked, and first
+screens: with k candidates sure to be picked before the target, it loses
+without a greedy.
 
 CCAV and PAV keep every size-k committee's value in one packed integer,
 ``_CommitteeValues``: lane j holds the value of the j-th committee of a
@@ -401,8 +403,8 @@ class _Tally:
     step, so its bit loops are inlined.
     """
 
-    __slots__ = ("ballots", "rule", "k", "scores", "shares", "columns", "counts", "values", "rows",
-                 "total")
+    __slots__ = ("ballots", "rule", "k", "scores", "shares", "columns", "counts", "w0", "w_last",
+                 "values", "rows", "total")
 
     def __init__(self, ballots: list[int], m: int, rule: Rule, k: int,
                  cap: int = COMMITTEE_ENUM_CAP):
@@ -416,6 +418,8 @@ class _Tally:
         elif rule in (Rule.GAV, Rule.RAV):
             self.columns = _transpose(ballots, m)
             self.counts = [column.bit_count() for column in self.columns]
+            weights = _thiele_weights(rule, k)
+            self.w0, self.w_last = weights[0], weights[-1]
         else:
             self.values = _committee_values(rule, m, k, len(ballots), cap)
             self.rows = {mask: self.values.row(mask) for mask in set(ballots)}
@@ -450,7 +454,20 @@ class _Tally:
         if self.scores is not None:
             return _score_cowinner(self.scores, self.k, p)
         if self.columns is not None:
-            return p in _greedy_picks(self.columns, self.rule, self.k, self.counts, p)
+            # Screen: a candidate c is picked before p when (a) c < p and c's
+            # voters include p's, so c gains at least as much in every round
+            # and wins the tie, or (b) c's gain can never fall to the highest
+            # gain p can have: count(c) * w(k-1) > count(p) * w(0).  With k
+            # such candidates p is out before the greedy runs.
+            columns, counts = self.columns, self.counts
+            column, ceiling, floor = columns[p], counts[p] * self.w0, self.w_last
+            beaten = self.k
+            for c, count in enumerate(counts):  # p itself meets neither rule
+                if count * floor > ceiling or (c < p and not column & ~columns[c]):
+                    beaten -= 1
+                    if not beaten:
+                        return False
+            return p in _greedy_picks(columns, self.rule, self.k, counts, p)
         return bool(self.values.cowinners(self.total) >> p & 1)
 
     def cowinners(self) -> int:

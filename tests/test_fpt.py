@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from abcbribery import (
@@ -26,7 +28,7 @@ from abcbribery.fpt import (
     unpriced_type_enum,
 )
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
-from abcbribery.oracle import oracle_bribery
+from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
 from helpers import count_calls, random_sized_election, verdict
 
@@ -159,7 +161,7 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
 def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     # Every solve builds one tally of the base election and moves it per
     # changed voter: no leaf reruns the whole kernel, GAV/RAV transpose once
-    # per solve and run one greedy per leaf, AV/SAV score once per solve.
+    # per solve, AV/SAV score once per solve, and every leaf asks wins once.
     # Leaves: the empty set and 8 single swaps; the empty set and 4 single
     # additions; the empty set and the 5 swaps toward p within budget 1.  The
     # priced search first asks is_cowinner whether p wins already: one more
@@ -169,6 +171,7 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     rescans = count_calls(monkeypatch, rules, "_is_cowinner_from_ballots")
     tallies = count_calls(monkeypatch, fpt, "_Tally")
     transposes = count_calls(monkeypatch, rules, "_transpose")
+    asks = count_calls(monkeypatch, rules._Tally, "wins")
     greedies = count_calls(monkeypatch, rules, "_greedy_picks")
     scorings = count_calls(monkeypatch, rules, "_scores")
     checks = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
@@ -179,9 +182,12 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
         BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True), rule).feasible
     leaves = (1 + 8) + (1 + 4) + (1 + 5)
     assert rescans[0] == 1 and tallies[0] == 3
+    assert asks[0] == leaves + 1
     greedy = rule in (Rule.GAV, Rule.RAV)
     assert transposes[0] == (3 + 1 if greedy else 0)
-    assert greedies[0] == (leaves + 1 if greedy else 0)
+    # GAV/RAV at k = 1: the screen settles all leaves + 1 asks, since p is
+    # approved by at most one voter and a by at least two, so no greedy runs.
+    assert greedies[0] == 0
     assert scorings[0] == (3 + 1 if rule in (Rule.AV, Rule.SAV) else 0)
     assert checks[0] == (leaves + 1 if rule in (Rule.CCAV, Rule.PAV) else 0)
 
@@ -464,3 +470,28 @@ def test_flow_matches_oracle_on_wider_elections():
             for inst in chosen:
                 got = rules.certify(inst, rule, ccav_gav_flow_bribery(inst, rule))
                 assert verdict(got) == verdict(oracle_bribery(inst, rule)), (rule, inst)
+
+
+def test_searches_leave_no_reference_cycles():
+    # The depth-first searches are closures that call themselves; each search
+    # must drop that cycle itself, also when a resource guard stops it, so
+    # that nothing it built waits for the cyclic collector.
+    e = make_election(["a", "b", "p"],
+                      [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
+    gc.collect()
+    gc.disable()
+    try:
+        for rule in Rule:
+            assert oracle_margins(e, rule, 1, Op.DELETE)[0] == 0
+            assert oracle_margin(e, rule, 1, 2, Op.SWAP) in (2, 3)
+            assert oracle_bribery(BriberyInstance(e, 2, 1, 4, Op.ADD), rule).feasible
+            with pytest.raises(ResourceGuardError):
+                oracle_margins(e, rule, 1, Op.ADD, max_configs=10)
+            swap = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
+            assert not priced_swap_to_p_type_enum(swap, rule).feasible
+            assert gc.collect() == 0, rule
+        delete = BriberyInstance(e, 2, 1, 3, Op.DELETE, priced=True)
+        assert not ccav_gav_flow_bribery(delete, Rule.GAV).feasible
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -233,19 +233,45 @@ def test_one_cowinner_mask_per_leaf(monkeypatch, rule):
     leaves = math.prod(map(len, options))
     tallies = count_calls(monkeypatch, oracle, "_Tally")
     transposes = count_calls(monkeypatch, rules, "_transpose")
+    masks = count_calls(monkeypatch, rules._Tally, "cowinners")
+    singles = count_calls(monkeypatch, rules._Tally, "wins")
     greedies = count_calls(monkeypatch, rules, "_greedy_picks")
     packed = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
     margins = oracle_margins(e, rule, 1, Op.DELETE, prices)
     assert margins[2] == math.inf and margins[0] == 0
     # One tally per search, and no fresh one per leaf: CCAV and PAV read each
     # leaf off its running packed committee values; GAV and RAV transpose
-    # once and run the greedy on its live candidate columns.
-    greedy = rule in (Rule.GAV, Rule.RAV)
-    leaf_tests = greedies if greedy else packed
-    assert leaf_tests[0] == leaves == 8
-    assert greedies[0] + packed[0] == 8
-    assert transposes[0] == (1 if greedy else 0)
+    # once and run the greedy on its live candidate columns.  A leaf reads
+    # the co-winner mask while several targets are pending and asks wins once
+    # c2 is the only one.
+    assert masks[0] + singles[0] == leaves == 8
+    if rule in (Rule.GAV, Rule.RAV):
+        # The greedy picks c0 at cost 0 and c1 at the second leaf of cost 1.
+        # c2 is approved by nobody, so c0 < c2 screens each of the other 5
+        # leaves: 5 screened + 3 greedy = 8.
+        assert (masks[0], singles[0], greedies[0], packed[0]) == (3, 5, 3, 0)
+        assert transposes[0] == 1
+    else:
+        # c0 and c1 tie at cost 0, which leaves c2 alone from the second leaf.
+        assert (masks[0], singles[0], greedies[0], packed[0]) == (1, 7, 0, 8)
+        assert transposes[0] == 0
     assert tallies[0] == 1
+
+
+@pytest.mark.parametrize("rule", [Rule.GAV, Rule.RAV])
+def test_single_target_leaves_ask_wins(monkeypatch, rule):
+    # oracle_margin has one target, so every leaf asks wins(c1).  Cost 0: c0
+    # and c1 both have 2 approvers, nothing screens, and the greedy picks c0.
+    # Cost 1, first leaf: v3 drops c1, c0's 2 approvers beat c1's 1, screened.
+    # Second leaf: v2 drops c0, the greedy picks c1 and the search ends.
+    e = make_election(["c0", "c1", "c2"],
+                      [("v1", ["c0", "c1"]), ("v2", ["c0"]), ("v3", ["c1"])])
+    prices = PriceTable(delete={(0, 0): math.inf})
+    masks = count_calls(monkeypatch, rules._Tally, "cowinners")
+    singles = count_calls(monkeypatch, rules._Tally, "wins")
+    greedies = count_calls(monkeypatch, rules, "_greedy_picks")
+    assert oracle_margin(e, rule, 1, 1, Op.DELETE, prices) == 1
+    assert (masks[0], singles[0], greedies[0]) == (0, 3, 2)
 
 
 def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):

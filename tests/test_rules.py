@@ -27,7 +27,7 @@ from abcbribery.core import approver_masks, ballot_masks
 from abcbribery.fpt import _type_cowinner_ccav
 from abcbribery.generators import Stream64
 
-from helpers import random_sized_election
+from helpers import count_calls, random_sized_election
 
 
 def test_av_scores(e0):
@@ -443,6 +443,57 @@ def test_tally_counts_follow_set(rule):
         for v in range(e.n):
             tally.set(v, base[v])
         assert tally.counts == [column.bit_count() for column in approver_masks(e)]
+
+
+def test_wins_screen_matches_reference(monkeypatch):
+    # The GAV/RAV screen in wins answers False without a greedy once k
+    # candidates are sure to be picked before p; every answer, screened or
+    # not, must match the Fraction greedy.  Screened asks are those that ran
+    # no greedy.
+    greedies = count_calls(monkeypatch, rules, "_greedy_picks")
+    stream = Stream64(71)
+    screened = {"superset": 0, "count only": 0, "gav k >= 2": 0}
+    for _ in range(40):
+        e = random_sized_election(stream, 8, 8, probability=stream.choice([0.3, 0.5, 0.7]))
+        ballots, columns = ballot_masks(e), approver_masks(e)
+        for k in range(1, e.m + 1):
+            for rule in (Rule.GAV, Rule.RAV):
+                picks = _reference_greedy(e, rule, k)
+                tally = rules._Tally(ballots, e.m, rule, k)
+                for p in range(e.m):
+                    before = greedies[0]
+                    assert tally.wins(p) == (p in picks), (rule, e, k, p)
+                    if greedies[0] == before:
+                        superset = any(not columns[p] & ~columns[c] for c in range(p))
+                        screened["superset" if superset else "count only"] += 1
+                        screened["gav k >= 2"] += rule is Rule.GAV and k >= 2
+    assert min(screened.values()) > 20, screened
+
+
+@pytest.mark.parametrize("names, rule, k, p", [
+    # k - 1 = 1 dominator: c0 approves all of p's voters; p then ties c2 at
+    # 2 and takes the second seat on its lower index.
+    ([["c0", "p"], ["c0", "p"], ["c0"], ["c2"]], Rule.RAV, 2, 1),
+    # c1 has p's column but a higher index: the tie goes to p.
+    ([["p", "c1"], ["p", "c1"], ["c2"]], Rule.RAV, 1, 0),
+    ([["p", "c1"], ["p", "c1"], ["c2"]], Rule.GAV, 1, 0),
+    # count(c) * w(1) = count(p) * w(0) for c0 and c2 (4 * 1 = 2 * 2): after
+    # c0, p and c2 tie at 4 and p takes the seat.
+    ([["c0", "c2"]] * 4 + [["p"]] * 2, Rule.RAV, 2, 1),
+    # GAV at k = 2 has w(1) = 0: c0 and c1 cover 5 voters each, but after c0
+    # the second round gives p 1 and c1 nothing.
+    ([["c0", "c1"]] * 5 + [["p"]], Rule.GAV, 2, 2),
+])
+def test_wins_screen_boundaries(monkeypatch, names, rule, k, p):
+    # Fewer than k sure dominators: the screen must pass p to the greedy,
+    # which seats p.
+    candidates = ["c0", "c1", "c2"]
+    candidates[p] = "p"
+    e = make_election(candidates, [(f"v{v}", approved) for v, approved in enumerate(names)])
+    greedies = count_calls(monkeypatch, rules, "_greedy_picks")
+    assert rules._Tally(ballot_masks(e), e.m, rule, k).wins(p)
+    assert greedies[0] == 1
+    assert p in _reference_greedy(e, rule, k)
 
 
 def test_rules_hash_by_identity():
