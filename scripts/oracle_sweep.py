@@ -6,13 +6,16 @@ a rule, a ``solve`` algorithm and a suite shape; the routing table picks the
 solver, and every answer, the oracle's included, is certified by ``solve``.
 Every such lane keeps drawing from its seeded suite until ``--count``
 instances in which p is not already a co-winner, so each one reaches its
-solver instead of being answered at cost 0.  The ``margins`` lane checks the
-oracle against itself on ``--count`` instances per operation: the shared
-sweep ``oracle_margins`` against one ``oracle_margin`` call per candidate,
-for every rule and operation, and, for each finite margin,
-``solve(..., "oracle")`` at a budget of exactly that margin, whose certified
-witness must cost it.  It needs no screening, since it asks about every
-candidate, losers included.  An answer that fails ``solve``'s certificate
+solver instead of being answered at cost 0.  The ``subset-*`` and
+``pricedswap-*`` solvers build options for the oracle's own search, so
+those lanes check the option builders; the brute force over the built
+options in ``tests/test_fpt.py`` checks the search itself.  The ``margins``
+lane checks the oracle against itself on ``--count`` instances per
+operation: the shared sweep ``oracle_margins`` against one ``oracle_margin``
+call per candidate, for every rule and operation, and, for each finite
+margin, ``solve(..., "oracle")`` at a budget of exactly that margin, whose
+certified witness must cost it.  It needs no screening, since it asks about
+every candidate, losers included.  An answer that fails ``solve``'s certificate
 counts as a mismatch, and the sweep goes on.
 """
 

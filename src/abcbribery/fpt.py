@@ -1,20 +1,21 @@
 """Bribery solvers whose running time is governed by the number of voters.
 
-Four families: subset enumeration over voters for restricted additions; full
-enumeration over type-restricted candidate pools for unit-price additions and
-swaps; the same with per-type-pair cheapest pools for priced swaps toward the
-preferred candidate; and, for the coverage rules, priced additions and
-deletions.  CCAV guesses the candidate types present after bribery: a guess
-whose cheapest-conversion lower bound cannot beat the best answer is skipped,
-and one that remains is priced with a min-cost flow whose sink arcs carry
-lower bounds.  GAV makes no guesses: one branch-and-bound search runs over
-concrete candidate-to-type assignments.
+Four families.  Restricted additions and priced swaps toward the preferred
+candidate p build options for the oracle's cost-level search: each voter
+keeps its ballot or takes one action toward p, swaps drawing their donors
+from per-type-pair cheapest pools.  Unit-price additions and swaps enumerate
+action sets over type-restricted candidate pools.  The coverage rules take
+priced additions and deletions.  CCAV guesses the candidate types present
+after bribery: a guess whose cheapest-conversion lower bound cannot beat the
+best answer is skipped, and one that remains is priced with a min-cost flow
+whose sink arcs carry lower bounds.  GAV makes no guesses: one
+branch-and-bound search runs over concrete candidate-to-type assignments.
 
-The enumerations test each candidate action set by flipping bits of the
+The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
-for the set a solver returns.  No leaf re-derives the election: each solve
-builds one ``rules._Tally`` of the base election, moves it per changed
-voter and restores it after the leaf.
+for the set it returns.  No leaf re-derives the election: the solve builds
+one ``rules._Tally`` of the base election, moves it per changed voter and
+restores it after the leaf.
 
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
@@ -44,6 +45,7 @@ from .core import (
 )
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
+from .oracle import _cheapest, _vote_options
 from .rules import Rule, _greedy_picks, _Tally, certify, is_cowinner
 
 VOTER_SUBSET_CAP = 20
@@ -66,35 +68,25 @@ def _wins_with(tally: _Tally, base: list[int], changed: dict[int, int], p: int) 
 
 def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
                           voter_cap: int = VOTER_SUBSET_CAP) -> BriberySolution:
-    """Exact optimum for adding approvals for p: try every voter subset."""
+    """Exact optimum for adding approvals for p: try every voter subset.
+
+    Each eligible voter keeps its ballot or gains p, and the oracle's
+    cost-level search visits those subsets cheapest first.  Its cap is the
+    number of subsets, which it cannot exceed: ``voter_cap`` is the one guard.
+    """
     if instance.op is not Op.ADD:
         raise ValueError("subset enumeration handles additions only")
     if not instance.restricted_to_p:
         raise ValueError("subset enumeration handles adding approvals for p only")
-    e, p, k = instance.election, instance.p, instance.k
-    eligible = [
-        v for v in range(e.n)
-        if p not in e.ballots[v].approved and instance.prices.add_price(v, p) != FORBIDDEN
-    ]
-    if len(eligible) > voter_cap:
+    e, p = instance.election, instance.p
+    eligible = sum(p not in e.ballots[v].approved and instance.prices.add_price(v, p) != FORBIDDEN
+                   for v in range(e.n))
+    if eligible > voter_cap:
         raise ResourceGuardError(
-            f"{len(eligible)} eligible voters exceed the subset cap of {voter_cap}")
-    base = ballot_masks(e)
-    tally = _Tally(base, e.m, rule, k)
-    bit = 1 << p
-    best: tuple[int, tuple[int, ...]] | None = None
-    for size in range(len(eligible) + 1):
-        for chosen in itertools.combinations(eligible, size):
-            cost = sum(instance.prices.add_price(v, p) for v in chosen)
-            # Only a strictly cheaper set can replace the first one found.
-            if cost > instance.budget or (best is not None and cost >= best[0]):
-                continue
-            if _wins_with(tally, base, {v: base[v] | bit for v in chosen}, p):
-                best = (cost, chosen)
-    if best is None:
-        return BriberySolution((), None, False)
-    return BriberySolution(tuple(AtomicAction(Op.ADD, v, target=p) for v in best[1]),
-                           best[0], True)
+            f"{eligible} eligible voters exceed the subset cap of {voter_cap}")
+    subsets = 1 << eligible
+    options, parents = _vote_options(e, instance.prices, Op.ADD, True, p, instance.budget, subsets)
+    return _cheapest(instance, rule, options, parents, subsets)
 
 
 def _type_pool(e: Election, p: int) -> set[int]:
@@ -196,14 +188,12 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     Each vote hosts at most one such swap, so at most n candidates change
     type.  For interchangeable rules the donors are restricted, per ordered
     type pair, to the n members cheapest to convert; GAV and RAV again use
-    every candidate.  The remaining space is searched with branch and bound.
+    every candidate.  Each voter keeps its ballot or swaps one pool donor to
+    p, and the oracle's cost-level search runs over those options.
     """
     if instance.op is not Op.SWAP or not instance.restricted_to_p:
         raise ValueError("this algorithm handles swaps toward p only")
-    e, p, k = instance.election, instance.p, instance.k
-    if is_cowinner(e, rule, k, p):
-        return BriberySolution((), 0, True)
-    n = e.n
+    e, p, n = instance.election, instance.p, instance.election.n
     if rule in _INTERCHANGEABLE:
         approvals = approver_masks(e)
         groups: dict[int, list[int]] = {}
@@ -231,51 +221,20 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     else:
         pool = set(range(e.m))
 
-    options: list[list[tuple[int, AtomicAction | None]]] = []
+    # The guard counts every finite-price donor in the pool, within the budget or not.
     space = 1
     for v in range(e.n):
-        here: list[tuple[int, AtomicAction | None]] = [(0, None)]
         if p not in e.ballots[v].approved:
-            for c in sorted(e.ballots[v].approved & pool):
-                price = instance.prices.swap_price(v, c, p)
-                if price != FORBIDDEN:
-                    here.append((price, AtomicAction(Op.SWAP, v, source=c, target=p)))
-        options.append(here)
-        space *= len(here)
-        if space > enum_cap:
-            raise ResourceGuardError(
-                f"swap combinations exceed the cap of {enum_cap}")
-
-    tally = _Tally(ballot_masks(e), e.m, rule, k)
-    best: tuple[int, tuple[AtomicAction, ...]] | None = None
-    chosen: list[AtomicAction] = []
-
-    def dfs(v: int, cost: int):
-        nonlocal best
-        # Only a strictly cheaper leaf can replace the first one found.
-        if best is not None and cost >= best[0]:
-            return
-        if v == e.n:
-            if cost <= instance.budget and tally.wins(p):
-                best = (cost, tuple(chosen))
-            return
-        old = tally.ballots[v]
-        for price, action in options[v]:
-            if action is not None:
-                tally.set(v, old ^ (1 << action.source | 1 << p))
-                chosen.append(action)
-            dfs(v + 1, cost + price)
-            if action is not None:
-                tally.set(v, old)
-                chosen.pop()
-
-    try:
-        dfs(0, 0)
-    finally:
-        del dfs  # dfs names itself: a cycle the collector alone would free
-    if best is None:
-        return BriberySolution((), None, False)
-    return BriberySolution(best[1], best[0], True)
+            space *= 1 + sum(instance.prices.swap_price(v, c, p) != FORBIDDEN
+                             for c in e.ballots[v].approved & pool)
+    if space > enum_cap:
+        raise ResourceGuardError(f"swap combinations exceed the cap of {enum_cap}")
+    # At most m ballots per voter, `space` configurations kept: no search cap trips.
+    options, parents = _vote_options(e, instance.prices, Op.SWAP, True, p, instance.budget, e.m)
+    outside = sum(1 << c for c in range(e.m) if c not in pool)
+    options = [[(cost, mask) for cost, mask in opts if not start & ~mask & outside]
+               for start, opts in zip(ballot_masks(e), options)]
+    return _cheapest(instance, rule, options, parents, enum_cap)
 
 
 # --- type guessing with a min-cost flow for the coverage rules ---------------

@@ -23,11 +23,12 @@ candidate's answer off it at each leaf: the co-winner mask while several
 are pending, ``wins`` once one is left.  Each target keeps the final
 ballots of the first winning configuration the depth-first order reaches at
 its cheapest cost -- the same configuration a single-target search finds.
-Only ``oracle_bribery`` turns them into actions: the changed cells of each
-voter for additions and deletions, a walk back through the voter's Dijkstra
-parents for swaps.  It passes that witness through ``rules.certify`` before
-returning it.  Purely exponential; guarded by a configuration-count estimate
-and by the length of each voter's option list.
+Only ``_cheapest`` turns them into actions: the changed cells of each voter
+for additions and deletions, a walk back through the voter's Dijkstra parents
+for swaps.  Its options come from ``oracle_bribery`` or from an fpt option
+builder, and it leaves certification to them: ``oracle_bribery`` passes the
+witness through ``rules.certify``.  Purely exponential; guarded by a
+configuration-count estimate and by the length of each voter's option list.
 """
 
 from __future__ import annotations
@@ -317,18 +318,25 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
     return found
 
 
-def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
-                   max_configs: int = DEFAULT_MAX_CONFIGS) -> BriberySolution:
-    """Minimum-cost solution within the budget by exhaustive enumeration."""
+def _cheapest(instance: BriberyInstance, rule: Rule, options: list[list[tuple[int, int]]],
+              parents: list[dict[int, tuple[int, int, int]]], max_configs: int) -> BriberySolution:
+    """The options' cheapest winning configuration within the budget, uncertified."""
     e, p = instance.election, instance.p
-    options, parents = _vote_options(e, instance.prices, instance.op,
-                                     instance.restricted_to_p, p, instance.budget, max_configs)
     found = _search(e, rule, instance.k, [p], options, instance.budget, max_configs)
     if p not in found:
         return BriberySolution((), None, False)
     cost, finals = found[p]
     actions = _witness(instance.op, ballot_masks(e), finals, parents)
-    return certify(instance, rule, BriberySolution(actions, cost, cost <= instance.budget))
+    return BriberySolution(actions, cost, cost <= instance.budget)
+
+
+def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
+                   max_configs: int = DEFAULT_MAX_CONFIGS) -> BriberySolution:
+    """Minimum-cost solution within the budget by exhaustive enumeration."""
+    options, parents = _vote_options(instance.election, instance.prices, instance.op,
+                                     instance.restricted_to_p, instance.p, instance.budget,
+                                     max_configs)
+    return certify(instance, rule, _cheapest(instance, rule, options, parents, max_configs))
 
 
 def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,

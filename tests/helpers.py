@@ -1,6 +1,10 @@
-"""Shared test utilities: deterministic random elections, result shapes and call counters."""
+"""Shared test utilities: deterministic random elections, result shapes, call
+counters and the Fraction reference winners."""
 
-from abcbribery import BriberySolution, make_election
+import itertools
+from fractions import Fraction
+
+from abcbribery import BriberySolution, Rule, make_election
 from abcbribery.generators import Stream64
 
 
@@ -38,3 +42,42 @@ def count_calls(monkeypatch, module, name):
         return original(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def fraction_reference(e):
+    """AV and SAV scores, CC and PAV committee values, from the definitions."""
+    ballots = [b.approved for b in e.ballots]
+    av = [sum(c in a for a in ballots) for c in range(e.m)]
+    sav = [sum(Fraction(1, len(a)) for a in ballots if c in a) for c in range(e.m)]
+
+    def cc(w):
+        return sum(1 for a in ballots if a & w)
+
+    def pav(w):
+        return sum(Fraction(1, t) for a in ballots for t in range(1, len(a & w) + 1))
+    return av, sav, cc, pav
+
+
+def reference_greedy(e, rule, k):
+    """GAV or RAV pick order: each round the lowest index of maximal gain."""
+    _, _, cc, pav = fraction_reference(e)
+    objective = cc if rule is Rule.GAV else pav
+    picks = []
+    for _ in range(k):
+        w = frozenset(picks)
+        gain = {c: objective(w | {c}) - objective(w) for c in range(e.m) if c not in w}
+        picks.append(min(c for c in gain if gain[c] == max(gain.values())))
+    return picks
+
+
+def reference_winners(e, rule, k):
+    """The winning committees from the definitions: every committee of maximal
+    value for AV, SAV, CCAV and PAV, the greedy's one for GAV and RAV."""
+    av, sav, cc, pav = fraction_reference(e)
+    if rule in (Rule.GAV, Rule.RAV):
+        return {frozenset(reference_greedy(e, rule, k))}
+    value = {Rule.AV: lambda w: sum(av[c] for c in w), Rule.SAV: lambda w: sum(sav[c] for c in w),
+             Rule.CCAV: cc, Rule.PAV: pav}[rule]
+    committees = [frozenset(w) for w in itertools.combinations(range(e.m), k)]
+    best = max(map(value, committees))
+    return {w for w in committees if value(w) == best}

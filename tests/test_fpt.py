@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import pytest
 
@@ -16,9 +17,9 @@ from abcbribery import (
     make_election,
     solution_cost,
 )
-from abcbribery import fpt, rules
+from abcbribery import fpt, oracle, rules
 from abcbribery.avbribery import av_add, av_swap_unit
-from abcbribery.core import ballot_masks
+from abcbribery.core import _iter_bits, ballot_masks
 from abcbribery.fpt import (
     FLOW_VOTER_CAP,
     _reachable_types,
@@ -30,7 +31,7 @@ from abcbribery.fpt import (
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
-from helpers import count_calls, random_sized_election, verdict
+from helpers import count_calls, random_sized_election, reference_winners, verdict
 
 
 def test_subset_enum_e0_matches_av(e0):
@@ -48,6 +49,23 @@ def test_subset_enum_guard(e0):
     inst = BriberyInstance(e0, 3, 2, 1, Op.ADD, restricted_to_p=True)
     with pytest.raises(ResourceGuardError):
         add_for_p_subset_enum(inst, Rule.AV, voter_cap=2)
+
+
+def test_subset_enum_guard_at_its_boundary(e0):
+    # Every voter but v7 lacks p: 8 eligible voters.
+    inst = BriberyInstance(e0, 3, 2, 9, Op.ADD, restricted_to_p=True)
+    assert add_for_p_subset_enum(inst, Rule.AV, voter_cap=8).cost == 4
+    with pytest.raises(ResourceGuardError,
+                       match="8 eligible voters exceed the subset cap of 7"):
+        add_for_p_subset_enum(inst, Rule.AV, voter_cap=7)
+
+
+def test_subset_enum_voter_cap_is_the_only_guard():
+    # 2^22 voter subsets, above the oracle's default cap: the builder caps the
+    # search at the number of subsets, so voter_cap alone decides.
+    e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(22)])
+    inst = BriberyInstance(e, 1, 1, 1, Op.ADD, restricted_to_p=True)
+    assert verdict(add_for_p_subset_enum(inst, Rule.AV, voter_cap=22)) == (False, None)
 
 
 def test_subset_enum_matches_oracle_ccav():
@@ -152,9 +170,10 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     assert not add_for_p_subset_enum(add, Rule.PAV).feasible
     priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
     assert not priced_swap_to_p_type_enum(priced, Rule.PAV).feasible
-    assert checks[0] > 1 + 8 + 2
-    # The one from-scratch check is the priced search's is_cowinner start check.
-    assert applied[0] == 0 and rescans[0] == 1
+    # The empty set and the 4 single additions; the empty set and the 5 swaps
+    # toward p.  Cost level 0 tests p winning already: no from-scratch check.
+    assert checks[0] == (1 + 8) + (1 + 4) + (1 + 5)
+    assert applied[0] == 0 and rescans[0] == 0
 
 
 @pytest.mark.parametrize("rule", list(Rule))
@@ -164,12 +183,13 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     # per solve, AV/SAV score once per solve, and every leaf asks wins once.
     # Leaves: the empty set and 8 single swaps; the empty set and 4 single
     # additions; the empty set and the 5 swaps toward p within budget 1.  The
-    # priced search first asks is_cowinner whether p wins already: one more
-    # fresh tally, one more transpose or scoring, one more co-winner read.
+    # last two solves run the oracle's search, whose tallies are built in
+    # oracle; its cost level 0 tests p winning already, with no fresh tally.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     rescans = count_calls(monkeypatch, rules, "_is_cowinner_from_ballots")
     tallies = count_calls(monkeypatch, fpt, "_Tally")
+    oracle_tallies = count_calls(monkeypatch, oracle, "_Tally")
     transposes = count_calls(monkeypatch, rules, "_transpose")
     asks = count_calls(monkeypatch, rules._Tally, "wins")
     greedies = count_calls(monkeypatch, rules, "_greedy_picks")
@@ -181,15 +201,15 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     assert not priced_swap_to_p_type_enum(
         BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True), rule).feasible
     leaves = (1 + 8) + (1 + 4) + (1 + 5)
-    assert rescans[0] == 1 and tallies[0] == 3
-    assert asks[0] == leaves + 1
+    assert rescans[0] == 0 and (tallies[0], oracle_tallies[0]) == (1, 2)
+    assert asks[0] == leaves
     greedy = rule in (Rule.GAV, Rule.RAV)
-    assert transposes[0] == (3 + 1 if greedy else 0)
-    # GAV/RAV at k = 1: the screen settles all leaves + 1 asks, since p is
+    assert transposes[0] == (3 if greedy else 0)
+    # GAV/RAV at k = 1: the screen settles every ask, since p is
     # approved by at most one voter and a by at least two, so no greedy runs.
     assert greedies[0] == 0
-    assert scorings[0] == (3 + 1 if rule in (Rule.AV, Rule.SAV) else 0)
-    assert checks[0] == (leaves + 1 if rule in (Rule.CCAV, Rule.PAV) else 0)
+    assert scorings[0] == (3 if rule in (Rule.AV, Rule.SAV) else 0)
+    assert checks[0] == (leaves if rule in (Rule.CCAV, Rule.PAV) else 0)
 
 
 def test_leaf_test_matches_kernel():
@@ -421,6 +441,63 @@ def test_enumeration_guards_at_their_boundary():
         priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=23)
 
 
+def test_priced_swap_guard_counts_pool_donors_only():
+    # a and b share v1's type, so PAV's pool keeps one of them: the guard
+    # counts 2 options for v1, although v1 reaches 3 ballots.
+    e = make_election(["a", "b", "p"], [("v1", ["a", "b"])])
+    inst = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
+    assert priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=2).cost == 1
+    with pytest.raises(ResourceGuardError, match="cap of 1"):
+        priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=1)
+
+
+def _record_options(monkeypatch):
+    """Each voter's options as an fpt builder hands them to the shared search."""
+    seen = []
+    search = fpt._cheapest
+
+    def recording(instance, rule, options, parents, max_configs):
+        seen.append(options)
+        return search(instance, rule, options, parents, max_configs)
+    monkeypatch.setattr(fpt, "_cheapest", recording)
+    return seen
+
+
+def _brute_force_cost(inst, rule, options):
+    """Cheapest choice of one option per voter within the budget that makes p
+    win by the Fraction reference, over every choice; None when none does."""
+    names = [c.name for c in inst.election.candidates]
+    best = None
+    for choice in itertools.product(*options):
+        cost = sum(price for price, _ in choice)
+        if cost > inst.budget or (best is not None and cost >= best):
+            continue
+        e = make_election(names, [(f"v{v}", [names[c] for c in _iter_bits(mask)])
+                                  for v, (_, mask) in enumerate(choice)])
+        if any(inst.p in w for w in reference_winners(e, rule, inst.k)):
+            best = cost
+    return best
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_shared_search_matches_brute_force(monkeypatch, rule):
+    # An independent check of the search both builders run: every choice of
+    # one option per voter is scored by the Fraction reference, not by the
+    # integer kernel.  Prices include free and forbidden cells.
+    seen = _record_options(monkeypatch)
+    outcomes = set()
+    seed = 170 + list(Rule).index(rule)
+    for op, solver in ((Op.ADD, add_for_p_subset_enum), (Op.SWAP, priced_swap_to_p_type_enum)):
+        cfg = SuiteConfig(op=op, count=150, seed=seed, priced=True, restricted_to_p=True,
+                          max_candidates=5, max_voters=5, price_choices=(0, 1, 2, FORBIDDEN))
+        for inst in suite_instances(cfg):
+            got = rules.certify(inst, rule, solver(inst, rule))
+            cost = _brute_force_cost(inst, rule, seen.pop())
+            assert verdict(got) == (cost is not None, cost), (rule, inst)
+            outcomes.add(cost if cost is None else min(cost, 1))
+    assert outcomes == {None, 0, 1}, rule
+
+
 def test_flow_guess_guard_at_its_boundary():
     # Deletions reach the four approver sets over (v1, v2); p keeps the empty
     # one, and with m = 3 a guess adds at most two of the other three types:
@@ -475,7 +552,8 @@ def test_flow_matches_oracle_on_wider_elections():
 def test_searches_leave_no_reference_cycles():
     # The depth-first searches are closures that call themselves; each search
     # must drop that cycle itself, also when a resource guard stops it, so
-    # that nothing it built waits for the cyclic collector.
+    # that nothing it built waits for the cyclic collector.  The priced swap
+    # solver runs the oracle's search through its option builder.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     gc.collect()

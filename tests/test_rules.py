@@ -27,7 +27,13 @@ from abcbribery.core import approver_masks, ballot_masks
 from abcbribery.fpt import _type_cowinner_ccav
 from abcbribery.generators import Stream64
 
-from helpers import count_calls, random_sized_election
+from helpers import (
+    count_calls,
+    fraction_reference,
+    random_sized_election,
+    reference_greedy,
+    reference_winners,
+)
 
 
 def test_av_scores(e0):
@@ -236,53 +242,16 @@ def test_type_cowinner_single_type():
         assert is_cowinner(e, Rule.CCAV, 1, p)
 
 
-def _fraction_reference(e):
-    """AV and SAV scores, CC and PAV committee values, from the definitions."""
-    ballots = [b.approved for b in e.ballots]
-    av = [sum(c in a for a in ballots) for c in range(e.m)]
-    sav = [sum(Fraction(1, len(a)) for a in ballots if c in a) for c in range(e.m)]
-
-    def cc(w):
-        return sum(1 for a in ballots if a & w)
-
-    def pav(w):
-        return sum(Fraction(1, t) for a in ballots for t in range(1, len(a & w) + 1))
-    return av, sav, cc, pav
-
-
-def _reference_greedy(e, rule, k):
-    """GAV or RAV pick order: each round the lowest index of maximal gain."""
-    _, _, cc, pav = _fraction_reference(e)
-    objective = cc if rule is Rule.GAV else pav
-    picks = []
-    for _ in range(k):
-        w = frozenset(picks)
-        gain = {c: objective(w | {c}) - objective(w) for c in range(e.m) if c not in w}
-        picks.append(min(c for c in gain if gain[c] == max(gain.values())))
-    return picks
-
-
-def _reference_winners(e, rule, k):
-    av, sav, cc, pav = _fraction_reference(e)
-    if rule in (Rule.GAV, Rule.RAV):
-        return {frozenset(_reference_greedy(e, rule, k))}
-    value = {Rule.AV: lambda w: sum(av[c] for c in w), Rule.SAV: lambda w: sum(sav[c] for c in w),
-             Rule.CCAV: cc, Rule.PAV: pav}[rule]
-    committees = [frozenset(w) for w in itertools.combinations(range(e.m), k)]
-    best = max(map(value, committees))
-    return {w for w in committees if value(w) == best}
-
-
 def test_kernel_matches_fraction_reference():
     stream = Stream64(41)
     for _ in range(40):
         e = random_sized_election(stream, 7, 7)
-        av, sav, _, pav = _fraction_reference(e)
+        av, sav, _, pav = fraction_reference(e)
         assert av_scores(e) == av
         assert sav_scores(e) == sav
         for k in range(1, e.m + 1):
             for rule in Rule:
-                expected = _reference_winners(e, rule, k)
+                expected = reference_winners(e, rule, k)
                 assert winning_committees(e, rule, k) == expected, (rule, e, k)
                 for p in range(e.m):
                     assert is_cowinner(e, rule, k, p) == any(p in w for w in expected)
@@ -313,7 +282,7 @@ def test_packed_values_match_fraction_reference(rule):
         e = random_sized_election(stream, 7, 7)
         ballots = ballot_masks(e)
         for k in range(1, e.m + 1):
-            expected = _reference_winners(e, rule, k)
+            expected = reference_winners(e, rule, k)
             assert _packed_winners(ballots, e.m, rule, k) == (
                 expected, sum(1 << c for c in frozenset().union(*expected))), (e, k)
 
@@ -341,7 +310,7 @@ def test_packed_running_total_under_replacements(rule):
             undo.append((v, ballots[v]))
             tally.set(v, new)
             ballots[v] = new
-            expected = frozenset().union(*_reference_winners(_mask_election(ballots, e.m), rule, k))
+            expected = frozenset().union(*reference_winners(_mask_election(ballots, e.m), rule, k))
             assert tally.cowinners() == sum(1 << c for c in expected), (e, k, ballots)
             assert [tally.wins(p) for p in range(e.m)] == [p in expected for p in range(e.m)]
         while undo:
@@ -362,7 +331,7 @@ def test_lane_width_switch(rule, k, n):
     m = 4
     for voters in (n, n + 1):
         for ballots in ([(1 << m) - 1] * voters, [(1 << m) - 1] * (voters - 1) + [1]):
-            expected = _reference_winners(_mask_election(ballots, m), rule, k)
+            expected = reference_winners(_mask_election(ballots, m), rule, k)
             assert _packed_winners(ballots, m, rule, k)[0] == expected
 
 
@@ -371,7 +340,7 @@ def test_lanes_wider_than_64_bits():
     m, k = 47, 45
     ballots = [(1 << m) - 1, (1 << 30) - 1, (1 << m) - 1 - 0b111, 0b101 << 44]
     assert rules._lane_width(Rule.PAV, k, len(ballots)) > 64
-    expected = _reference_winners(_mask_election(ballots, m), Rule.PAV, k)
+    expected = reference_winners(_mask_election(ballots, m), Rule.PAV, k)
     assert _packed_winners(ballots, m, Rule.PAV, k)[0] == expected
 
 
@@ -407,7 +376,7 @@ def test_cowinner_mask_and_pick_order_match_reference():
         counts = [column.bit_count() for column in columns]
         for k in range(e.m + 1):
             for rule in (Rule.GAV, Rule.RAV):
-                picks = _reference_greedy(e, rule, k)
+                picks = reference_greedy(e, rule, k)
                 assert rules._thiele_greedy(ballots, e.m, rule, k) == picks, (rule, e, k)
                 assert rules._greedy_picks(columns, rule, k, counts) == picks
                 for stop in range(e.m):
@@ -419,7 +388,7 @@ def test_cowinner_mask_and_pick_order_match_reference():
             if not k:
                 continue
             for rule in Rule:
-                union = frozenset().union(*_reference_winners(e, rule, k))
+                union = frozenset().union(*reference_winners(e, rule, k))
                 mask = rules._Tally(ballots, e.m, rule, k).cowinners()
                 assert mask == sum(1 << c for c in union)
     assert unapproved_picks > 50
@@ -458,7 +427,7 @@ def test_wins_screen_matches_reference(monkeypatch):
         ballots, columns = ballot_masks(e), approver_masks(e)
         for k in range(1, e.m + 1):
             for rule in (Rule.GAV, Rule.RAV):
-                picks = _reference_greedy(e, rule, k)
+                picks = reference_greedy(e, rule, k)
                 tally = rules._Tally(ballots, e.m, rule, k)
                 for p in range(e.m):
                     before = greedies[0]
@@ -493,7 +462,7 @@ def test_wins_screen_boundaries(monkeypatch, names, rule, k, p):
     greedies = count_calls(monkeypatch, rules, "_greedy_picks")
     assert rules._Tally(ballot_masks(e), e.m, rule, k).wins(p)
     assert greedies[0] == 1
-    assert p in _reference_greedy(e, rule, k)
+    assert p in reference_greedy(e, rule, k)
 
 
 def test_rules_hash_by_identity():
