@@ -194,6 +194,9 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     if instance.op is not Op.SWAP or not instance.restricted_to_p:
         raise ValueError("this algorithm handles swaps toward p only")
     e, p, n = instance.election, instance.p, instance.election.n
+    # p winning already costs 0: answer before the pool and the guard can trip.
+    if is_cowinner(e, rule, instance.k, p):
+        return BriberySolution((), 0, True)
     if rule in _INTERCHANGEABLE:
         approvals = approver_masks(e)
         groups: dict[int, list[int]] = {}

@@ -61,11 +61,17 @@ def test_subset_enum_guard_at_its_boundary(e0):
 
 
 def test_subset_enum_voter_cap_is_the_only_guard():
-    # 2^22 voter subsets, above the oracle's default cap: the builder caps the
-    # search at the number of subsets, so voter_cap alone decides.
+    # 22 eligible voters within voter_cap=22 raise no guard; budget 1 keeps
+    # the search to cost levels 0 and 1.
     e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(22)])
     inst = BriberyInstance(e, 1, 1, 1, Op.ADD, restricted_to_p=True)
     assert verdict(add_for_p_subset_enum(inst, Rule.AV, voter_cap=22)) == (False, None)
+    # A search that must count every voter subset: p ties a only once all 14
+    # voters approve it, so the cost levels up to 14 hold exactly 2^14
+    # configurations.  A search cap below the number of subsets would trip.
+    e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(14)])
+    inst = BriberyInstance(e, 1, 1, 14, Op.ADD, restricted_to_p=True)
+    assert verdict(add_for_p_subset_enum(inst, Rule.AV, voter_cap=14)) == (True, 14)
 
 
 def test_subset_enum_matches_oracle_ccav():
@@ -170,10 +176,11 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     assert not add_for_p_subset_enum(add, Rule.PAV).feasible
     priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
     assert not priced_swap_to_p_type_enum(priced, Rule.PAV).feasible
-    # The empty set and the 4 single additions; the empty set and the 5 swaps
-    # toward p.  Cost level 0 tests p winning already: no from-scratch check.
-    assert checks[0] == (1 + 8) + (1 + 4) + (1 + 5)
-    assert applied[0] == 0 and rescans[0] == 0
+    # The empty set and the 4 single additions; the priced solve's start
+    # check, then the empty set and the 5 swaps toward p.
+    assert checks[0] == (1 + 8) + (1 + 4) + (1 + 1 + 5)
+    # The one from-scratch check is the priced solve's is_cowinner start check.
+    assert applied[0] == 0 and rescans[0] == 1
 
 
 @pytest.mark.parametrize("rule", list(Rule))
@@ -184,7 +191,8 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     # Leaves: the empty set and 8 single swaps; the empty set and 4 single
     # additions; the empty set and the 5 swaps toward p within budget 1.  The
     # last two solves run the oracle's search, whose tallies are built in
-    # oracle; its cost level 0 tests p winning already, with no fresh tally.
+    # oracle.  The priced solve first asks is_cowinner whether p wins already:
+    # one more fresh tally, one more transpose or scoring, one more co-winner read.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     rescans = count_calls(monkeypatch, rules, "_is_cowinner_from_ballots")
@@ -201,15 +209,15 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     assert not priced_swap_to_p_type_enum(
         BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True), rule).feasible
     leaves = (1 + 8) + (1 + 4) + (1 + 5)
-    assert rescans[0] == 0 and (tallies[0], oracle_tallies[0]) == (1, 2)
-    assert asks[0] == leaves
+    assert rescans[0] == 1 and (tallies[0], oracle_tallies[0]) == (1, 2)
+    assert asks[0] == leaves + 1
     greedy = rule in (Rule.GAV, Rule.RAV)
-    assert transposes[0] == (3 if greedy else 0)
-    # GAV/RAV at k = 1: the screen settles every ask, since p is
+    assert transposes[0] == (3 + 1 if greedy else 0)
+    # GAV/RAV at k = 1: the screen settles all leaves + 1 asks, since p is
     # approved by at most one voter and a by at least two, so no greedy runs.
     assert greedies[0] == 0
-    assert scorings[0] == (3 if rule in (Rule.AV, Rule.SAV) else 0)
-    assert checks[0] == (leaves if rule in (Rule.CCAV, Rule.PAV) else 0)
+    assert scorings[0] == (3 + 1 if rule in (Rule.AV, Rule.SAV) else 0)
+    assert checks[0] == (leaves + 1 if rule in (Rule.CCAV, Rule.PAV) else 0)
 
 
 def test_leaf_test_matches_kernel():
@@ -441,6 +449,16 @@ def test_enumeration_guards_at_their_boundary():
         priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=23)
 
 
+@pytest.mark.parametrize("rule", [Rule.GAV, Rule.RAV, Rule.PAV])
+def test_priced_swap_answers_p_winning_already_before_the_guard(rule):
+    # 21 voters could each swap a to p, 2^21 combinations above the cap, but
+    # p already wins: the solve costs nothing and no guard runs.
+    e = make_election(["a", "p"], [(f"a{i}", ["a"]) for i in range(21)]
+                      + [(f"p{i}", ["p"]) for i in range(22)])
+    inst = BriberyInstance(e, 1, 1, 5, Op.SWAP, priced=True, restricted_to_p=True)
+    assert verdict(priced_swap_to_p_type_enum(inst, rule, enum_cap=1)) == (True, 0)
+
+
 def test_priced_swap_guard_counts_pool_donors_only():
     # a and b share v1's type, so PAV's pool keeps one of them: the guard
     # counts 2 options for v1, although v1 reaches 3 ballots.
@@ -452,7 +470,9 @@ def test_priced_swap_guard_counts_pool_donors_only():
 
 
 def _record_options(monkeypatch):
-    """Each voter's options as an fpt builder hands them to the shared search."""
+    """Each voter's options as an fpt builder hands them to the shared search.
+
+    A solve that answers before building options records nothing."""
     seen = []
     search = fpt._cheapest
 
@@ -492,7 +512,11 @@ def test_shared_search_matches_brute_force(monkeypatch, rule):
                           max_candidates=5, max_voters=5, price_choices=(0, 1, 2, FORBIDDEN))
         for inst in suite_instances(cfg):
             got = rules.certify(inst, rule, solver(inst, rule))
-            cost = _brute_force_cost(inst, rule, seen.pop())
+            # The priced solver answers p winning already without a search:
+            # then the start ballots are the one choice to brute-force.
+            options = seen.pop() if seen else [[(0, mask)] for mask in
+                                               ballot_masks(inst.election)]
+            cost = _brute_force_cost(inst, rule, options)
             assert verdict(got) == (cost is not None, cost), (rule, inst)
             outcomes.add(cost if cost is None else min(cost, 1))
     assert outcomes == {None, 0, 1}, rule
