@@ -9,13 +9,17 @@ priced additions and deletions.  CCAV guesses the candidate types present
 after bribery: a guess whose cheapest-conversion lower bound cannot beat the
 best answer is skipped, and one that remains is priced with a min-cost flow
 whose sink arcs carry lower bounds.  GAV makes no guesses: one
-branch-and-bound search runs over concrete candidate-to-type assignments.
+branch-and-bound search runs over concrete candidate-to-type assignments,
+and each leaf asks ``rules._greedy_wins``, whose screen settles most of them
+without a greedy.
 
 The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
 for the set it returns.  No leaf re-derives the election: the solve builds
-one ``rules._Tally`` of the base election, moves it per changed voter and
-restores it after the leaf.
+one ``rules._Tally`` of the base election, and a depth-first walk over the
+action indices sets each chosen action on it and restores it on return, so a
+set costs one ``wins``.  For CCAV and PAV that is one AND of the best
+committee lanes with p's member lanes.
 
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
@@ -46,24 +50,13 @@ from .core import (
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
 from .oracle import _cheapest, _vote_options
-from .rules import Rule, _greedy_picks, _Tally, certify, is_cowinner
+from .rules import Rule, _greedy_wins, _Tally, _thiele_weights, certify, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
 FLOW_VOTER_CAP = 4
 
 _INTERCHANGEABLE = frozenset({Rule.AV, Rule.SAV, Rule.CCAV, Rule.PAV})
-
-
-def _wins_with(tally: _Tally, base: list[int], changed: dict[int, int], p: int) -> bool:
-    """Is p a co-winner once each voter v in ``changed`` holds changed[v] and
-    every other voter its base ballot?  The tally is left at ``base``."""
-    for v, mask in changed.items():
-        tally.set(v, mask)
-    won = tally.wins(p)
-    for v in changed:
-        tally.set(v, base[v])
-    return won
 
 
 def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
@@ -109,6 +102,13 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     vote lacking one (for swaps, in every nonempty such vote) and unanimity
     does the rest.  Below that, action sets are enumerated over a pool of at
     most n candidates per type.  GAV and RAV drop both shortcuts.
+
+    Sets are visited by size, each size in lexicographic order of the action
+    indices, after the size's count is checked against ``enum_cap``.  The
+    walk moves one shared tally: it sets an action when chosen and restores
+    it on return, and an action clashing with a chosen swap in the same vote
+    prunes every set extending that prefix.  The first winning set is
+    returned.
     """
     if instance.priced:
         raise ValueError("unit-price algorithm called on a priced instance")
@@ -142,30 +142,50 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     tally = _Tally(base, e.m, rule, k)
     cap = min(cap, len(cells))
     explored = 0
+    chosen: list[int] = []
     for size in range(cap + 1):
         explored += comb(len(cells), size)
         if explored > enum_cap:
             raise ResourceGuardError(
                 f"enumerating action sets of size {size} needs {explored} "
                 f"combinations, above the cap of {enum_cap}")
-        for chosen in itertools.combinations(range(len(cells)), size):
-            changed: dict[int, int] = {}
-            for i in chosen:
-                v, flip = flips[i]
-                mask = changed.get(v, base[v])
-                if (mask ^ base[v]) & flip:
-                    break
-                changed[v] = mask ^ flip
-            else:
-                # The empty set comes first: p already winning costs 0.
-                if _wins_with(tally, base, changed, p):
-                    actions = tuple(AtomicAction(instance.op, *cells[i]) for i in chosen)
-                    return BriberySolution(actions, size, True)
+        # The empty set comes first: p already winning costs 0.
+        if tally.wins(p) if not size else _first_win(tally, base, flips, p, size, 0, chosen):
+            actions = tuple(AtomicAction(instance.op, *cells[i]) for i in chosen)
+            return BriberySolution(actions, size, True)
 
     if interchangeable and instance.budget >= n:
         actions = _approve_p_everywhere(e, p, instance.op)
         return certify(instance, rule, BriberySolution(actions, len(actions), True))
     return BriberySolution((), None, False)
+
+
+def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], p: int,
+               size: int, start: int, chosen: list[int]) -> bool:
+    """Walk the sets of ``size`` more cells from index ``start`` on, in
+    lexicographic order, on a tally moved by the cells in ``chosen``.
+
+    A cell is set on the tally when chosen and restored on return, so each
+    set costs one ``wins``.  A cell that clashes with a chosen one is
+    skipped, and with it every set extending that prefix.  On the first set
+    that makes p win its cells are appended to ``chosen``; the tally is
+    always left as it was found.
+    """
+    ballots = tally.ballots  # moved in place by tally.set
+    for i in range(start, len(flips) - size + 1):
+        v, flip = flips[i]
+        mask = ballots[v]
+        if (mask ^ base[v]) & flip:
+            continue
+        tally.set(v, mask ^ flip)
+        chosen.append(i)
+        won = tally.wins(p) if size == 1 else _first_win(tally, base, flips, p, size - 1,
+                                                         i + 1, chosen)
+        tally.set(v, mask)
+        if won:
+            return True
+        chosen.pop()
+    return False
 
 
 def _approve_p_everywhere(e: Election, p: int, op: Op) -> tuple[AtomicAction, ...]:
@@ -187,9 +207,12 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
 
     Each vote hosts at most one such swap, so at most n candidates change
     type.  For interchangeable rules the donors are restricted, per ordered
-    type pair, to the n members cheapest to convert; GAV and RAV again use
-    every candidate.  Each voter keeps its ballot or swaps one pool donor to
-    p, and the oracle's cost-level search runs over those options.
+    type pair, to the n members cheapest to convert: a type of at most n
+    members enters whole, and a larger one ranks its members for every
+    subset of its approvers, a count checked against ``enum_cap`` first.
+    GAV and RAV again use every candidate.  Each voter keeps its ballot or
+    swaps one pool donor to p, and the oracle's cost-level search runs over
+    those options.
     """
     if instance.op is not Op.SWAP or not instance.restricted_to_p:
         raise ValueError("this algorithm handles swaps toward p only")
@@ -205,7 +228,16 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
                 groups.setdefault(approvals[c], []).append(c)
         pool = {p}
         for source_type, members in groups.items():
+            # With no voter removed every member costs 0, so the n
+            # lowest-index ones enter: a type of at most n members enters whole.
+            if len(members) <= n:
+                pool.update(members)
+                continue
             vote_bits = list(_iter_bits(source_type))
+            if 1 << len(vote_bits) > enum_cap:
+                raise ResourceGuardError(
+                    f"{1 << len(vote_bits)} approver subsets of a candidate type "
+                    f"exceed the cap of {enum_cap}")
             for r in range(len(vote_bits) + 1):
                 for removed in itertools.combinations(vote_bits, r):
                     ranked = []
@@ -443,22 +475,25 @@ def _gav_assignment_search(reach: list[dict[int, int]], p: int, k: int, budget: 
     branch already costs as much as the best one found.
     """
     m = len(reach)
-    ladders = [sorted((cost, t) for t, cost in r.items()) for r in reach]
+    ladders = [sorted((cost, t, t.bit_count()) for t, cost in r.items()) for r in reach]
+    weights = _thiele_weights(Rule.GAV, k)
+    w0, w_last = weights[0], weights[-1]
     best: tuple[int, list[int]] | None = None
     limit = budget
     assignment = [0] * m  # the candidates' approver masks: the greedy's columns
+    counts = [0] * m  # and their approval counts
 
     def dfs(c: int, cost: int):
         nonlocal best, limit
         if c == m:
-            if p in _greedy_picks(assignment, Rule.GAV, k, stop=p):
+            if _greedy_wins(assignment, counts, Rule.GAV, k, p, w0, w_last):
                 best = (cost, assignment.copy())
                 limit = cost - 1  # costs are integers: only a cheaper one replaces it
             return
-        for extra, t in ladders[c]:
+        for extra, t, count in ladders[c]:
             if cost + extra > limit:  # ladders are cheapest first: no later type fits
                 break
-            assignment[c] = t
+            assignment[c], counts[c] = t, count
             dfs(c + 1, cost + extra)
 
     try:

@@ -24,9 +24,10 @@ counts.  After each pick, its approvers move up a level (``levels[t]``
 holds the voters with exactly t committee members), and every candidate's
 gain drops by w(t) - w(t+1) per approver it shares with them at level t:
 the coverage rules keep one drop, and no round recomputes the gains.  A
-membership test stops the greedy once its target is picked, and first
-screens: with k candidates sure to be picked before the target, it loses
-without a greedy.
+membership test, ``_greedy_wins``, stops the greedy once its target is
+picked, and first screens: with k candidates sure to be picked before the
+target, it loses without a greedy.  ``_Tally.wins`` and the GAV
+assignment search in ``fpt`` share it.
 
 CCAV and PAV keep every size-k committee's value in one packed integer,
 ``_CommitteeValues``: lane j holds the value of the j-th committee of a
@@ -36,7 +37,8 @@ its approved candidates and turns the member counts into satisfaction with
 one threshold test per nonzero Thiele weight; no loop runs over committees.
 The election's total is the sum of the rows, so a changed voter moves it by
 row(new) - row(old).  The best lanes are read by one descent over the bit
-planes, and their committees are unioned.
+planes.  A single target wins when one AND of the best lanes with its
+member lanes is nonzero; the co-winner mask unions the best committees.
 
 ``certify`` reruns the kernel on a solver's answer: every answer ``solve``
 returns has passed it.
@@ -378,6 +380,27 @@ def _greedy_picks(columns: list[int], rule: Rule, k: int, counts: list[int] | No
             levels.append(moved)
 
 
+def _greedy_wins(columns: list[int], counts: list[int], rule: Rule, k: int, p: int,
+                 w0: int, w_last: int) -> bool:
+    """Does the greedy over these columns pick p?  w0 and w_last are w(0)
+    and w(k-1).
+
+    Screen first: a candidate c is picked before p when (a) c < p and c's
+    voters include p's, so c gains at least as much in every round and wins
+    the tie, or (b) c's gain can never fall to the highest gain p can have:
+    count(c) * w(k-1) > count(p) * w(0).  With k such candidates p is out
+    before the greedy runs.
+    """
+    column, ceiling = columns[p], counts[p] * w0
+    beaten = k
+    for c, count in enumerate(counts):  # p itself meets neither rule
+        if count * w_last > ceiling or (c < p and not column & ~columns[c]):
+            beaten -= 1
+            if not beaten:
+                return False
+    return p in _greedy_picks(columns, rule, k, counts, p)
+
+
 def _thiele_greedy(ballots: list[int], m: int, rule: Rule, k: int) -> list[int]:
     """Greedy committee as an ordered pick list, ties toward the lowest index."""
     return _greedy_picks(_transpose(ballots, m), rule, k)
@@ -454,21 +477,10 @@ class _Tally:
         if self.scores is not None:
             return _score_cowinner(self.scores, self.k, p)
         if self.columns is not None:
-            # Screen: a candidate c is picked before p when (a) c < p and c's
-            # voters include p's, so c gains at least as much in every round
-            # and wins the tie, or (b) c's gain can never fall to the highest
-            # gain p can have: count(c) * w(k-1) > count(p) * w(0).  With k
-            # such candidates p is out before the greedy runs.
-            columns, counts = self.columns, self.counts
-            column, ceiling, floor = columns[p], counts[p] * self.w0, self.w_last
-            beaten = self.k
-            for c, count in enumerate(counts):  # p itself meets neither rule
-                if count * floor > ceiling or (c < p and not column & ~columns[c]):
-                    beaten -= 1
-                    if not beaten:
-                        return False
-            return p in _greedy_picks(columns, self.rule, self.k, counts, p)
-        return bool(self.values.cowinners(self.total) >> p & 1)
+            return _greedy_wins(self.columns, self.counts, self.rule, self.k, p,
+                                self.w0, self.w_last)
+        values = self.values
+        return bool(values.best(self.total) & values.members[p])
 
     def cowinners(self) -> int:
         """Bitmask of every candidate belonging to some winning committee."""

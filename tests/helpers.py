@@ -4,8 +4,10 @@ counters and the Fraction reference winners."""
 import itertools
 from fractions import Fraction
 
-from abcbribery import BriberySolution, Rule, make_election
+from abcbribery import AtomicAction, BriberySolution, Op, Rule, certify, fpt, make_election
+from abcbribery.core import _iter_bits, ballot_masks
 from abcbribery.generators import Stream64
+from abcbribery.rules import _Tally
 
 
 def verdict(solution: BriberySolution):
@@ -81,3 +83,50 @@ def reference_winners(e, rule, k):
     committees = [frozenset(w) for w in itertools.combinations(range(e.m), k)]
     best = max(map(value, committees))
     return {w for w in committees if value(w) == best}
+
+
+def reference_type_enum(instance, rule):
+    """``fpt.unpriced_type_enum`` as a plain loop, with no guard: every action
+    set by size, each size in ``itertools.combinations`` order, tested on a
+    tally moved to the set's ballots and back; the first winning set is the
+    answer.  A set holding two swaps that clash in one vote is skipped."""
+    e, p, n = instance.election, instance.p, instance.election.n
+    interchangeable = rule in fpt._INTERCHANGEABLE
+    if interchangeable:
+        pool = fpt._type_pool(e, p)
+        cap = min(instance.budget, n - 1)
+    else:
+        pool = set(range(e.m))
+        cap = instance.budget
+    base = ballot_masks(e)
+    sources = sum(1 << c for c in pool)
+    targets = 1 << p if instance.restricted_to_p else sources
+    if instance.op is Op.ADD:
+        cells = [(v, None, t) for v in range(n) for t in _iter_bits(targets & ~base[v])]
+    else:
+        cells = [(v, s, t) for v in range(n) for s in _iter_bits(sources & base[v])
+                 for t in _iter_bits(targets & ~base[v])]
+    flips = [(v, (0 if s is None else 1 << s) | 1 << t) for v, s, t in cells]
+    tally = _Tally(base, e.m, rule, instance.k)
+    for size in range(min(cap, len(cells)) + 1):
+        for chosen in itertools.combinations(range(len(cells)), size):
+            changed = {}
+            for i in chosen:
+                v, flip = flips[i]
+                mask = changed.get(v, base[v])
+                if (mask ^ base[v]) & flip:
+                    break
+                changed[v] = mask ^ flip
+            else:
+                for v, mask in changed.items():
+                    tally.set(v, mask)
+                won = tally.wins(p)
+                for v in changed:
+                    tally.set(v, base[v])
+                if won:
+                    actions = tuple(AtomicAction(instance.op, *cells[i]) for i in chosen)
+                    return BriberySolution(actions, size, True)
+    if interchangeable and instance.budget >= n:
+        actions = fpt._approve_p_everywhere(e, p, instance.op)
+        return certify(instance, rule, BriberySolution(actions, len(actions), True))
+    return BriberySolution((), None, False)

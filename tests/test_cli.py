@@ -134,6 +134,28 @@ def test_verify_invalid_action(e0_file, tmp_path, capsys):
     assert code == 5
 
 
+def test_verify_unparsable_solution(e0_file, tmp_path, capsys):
+    sol = tmp_path / "garbled.txt"
+    sol.write_text("swap v1 b p\nmove v2 b p\n")
+    code, out, err = run(capsys, "verify", e0_file, str(sol), "--rule", "av", "--p", "p")
+    assert code == 5 and out == ""
+    assert err == "invalid solution: line 2: malformed action line: 'move v2 b p'\n"
+
+
+def test_verify_forbidden_price(tmp_path, e0_text, capsys):
+    # The action replays, but the file's price table forbids it: only a
+    # priced verify reads that table.
+    path = tmp_path / "priced.elect"
+    path.write_text(e0_text + "swapprice v1 b p inf\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("swap v1 b p\n")
+    code, out, err = run(capsys, "verify", str(path), str(sol), "--p", "p", "--priced")
+    assert code == 5 and out == ""
+    assert err.startswith("invalid solution: forbidden operation: ")
+    code, out, _ = run(capsys, "verify", str(path), str(sol), "--p", "p")
+    assert code == 1 and "cost: 1" in out
+
+
 def test_gen_is_reduction(tmp_path, capsys):
     out_path = tmp_path / "is.elect"
     code, out, _ = run(capsys, "gen", "--kind", "is-reduction", "--vertices", "4",

@@ -31,7 +31,13 @@ from abcbribery.fpt import (
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
-from helpers import count_calls, random_sized_election, reference_winners, verdict
+from helpers import (
+    count_calls,
+    random_sized_election,
+    reference_type_enum,
+    reference_winners,
+    verdict,
+)
 
 
 def test_subset_enum_e0_matches_av(e0):
@@ -161,6 +167,34 @@ def test_unpriced_type_enum_clone_invariance():
         checked += 1
 
 
+def test_type_enum_walk_matches_combinations_loop():
+    # The walk returns the same (cost, feasible, actions) as the combinations
+    # loop it replaced, for every rule, both operations and budgets 0-3.  p
+    # loses at the start, so most answers need the walk past size 0, and the
+    # swap witnesses include votes holding two swaps, whose other pairs in
+    # that vote clash.
+    stream = Stream64(91)
+    costs, two_in_one_vote = set(), 0
+    for _ in range(40):
+        e = random_sized_election(stream, 5, 6)
+        k = stream.randint(1, e.m)
+        for rule in Rule:
+            losers = [c for c in range(e.m) if not is_cowinner(e, rule, k, c)]
+            if not losers:
+                continue
+            p = losers[stream.randint(0, len(losers) - 1)]
+            for op in (Op.ADD, Op.SWAP):
+                for budget in range(4):
+                    inst = BriberyInstance(e, p, k, budget, op)
+                    got, want = unpriced_type_enum(inst, rule), reference_type_enum(inst, rule)
+                    assert (got.cost, got.feasible, got.actions) == \
+                        (want.cost, want.feasible, want.actions), (rule, inst)
+                    costs.add(got.cost)
+                    voters = [a.voter for a in got.actions]
+                    two_in_one_vote += op is Op.SWAP and len(set(voters)) < len(voters)
+    assert costs == {None, 1, 2, 3} and two_in_one_vote > 0, (costs, two_in_one_vote)
+
+
 def test_enumerations_test_masks_not_elections(monkeypatch):
     # Below the approve-p-everywhere budget no Election is built: every action
     # set is tested on flipped ballot masks, and p never wins with one move.
@@ -168,7 +202,7 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     applied = count_calls(monkeypatch, fpt, "apply_actions")
     rescans = count_calls(monkeypatch, rules, "_is_cowinner_from_ballots")
-    checks = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
+    checks = count_calls(monkeypatch, rules._CommitteeValues, "best")
     swap = BriberyInstance(e, 2, 1, 1, Op.SWAP)
     assert not unpriced_type_enum(swap, Rule.PAV).feasible
     assert checks[0] == 1 + 8  # the empty set and each of the 8 single swaps
@@ -202,7 +236,7 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     asks = count_calls(monkeypatch, rules._Tally, "wins")
     greedies = count_calls(monkeypatch, rules, "_greedy_picks")
     scorings = count_calls(monkeypatch, rules, "_scores")
-    checks = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
+    checks = count_calls(monkeypatch, rules._CommitteeValues, "best")
     assert not unpriced_type_enum(BriberyInstance(e, 2, 1, 1, Op.SWAP), rule).feasible
     assert not add_for_p_subset_enum(
         BriberyInstance(e, 2, 1, 1, Op.ADD, restricted_to_p=True), rule).feasible
@@ -221,10 +255,10 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
 
 
 def test_leaf_test_matches_kernel():
-    # The enumerations' leaf test, a shared tally moved to the leaf's ballots
-    # and back, against a fresh tally of the leaf's ballots, for 0-3 changed
-    # voters, some of them given their base ballot.  The tally must return
-    # to the base after every leaf.
+    # The enumerations' leaf test, a shared tally set to the leaf's ballots,
+    # asked wins and restored in reverse order, against a fresh tally of the
+    # leaf's ballots, for 0-3 changed voters, some of them given their base
+    # ballot.  The tally must return to the base after every leaf.
     stream = Stream64(83)
     leaves = 0
     for _ in range(60):
@@ -245,8 +279,12 @@ def test_leaf_test_matches_kernel():
                                       else base[v])
                     ballots = [changed.get(v, mask) for v, mask in enumerate(base)]
                     expected = rules._is_cowinner_from_ballots(ballots, m, rule, k, p)
-                    assert fpt._wins_with(tally, base, changed, p) == expected, (
-                        rule, e, k, p, changed)
+                    for v, mask in changed.items():
+                        tally.set(v, mask)
+                    assert tally.ballots == ballots
+                    assert tally.wins(p) == expected, (rule, e, k, p, changed)
+                    for v in reversed(changed):
+                        tally.set(v, base[v])
                     assert tally.ballots == base and tally.cowinners() == start
                     leaves += 1
     assert leaves > 10_000
@@ -365,6 +403,13 @@ def test_flow_solve_counts_are_pinned(monkeypatch):
         got = ccav_gav_flow_bribery(inst, rule)
         assert (got.feasible, got.cost, calls) == (True, 2, flows), rule
         _assert_certified(inst, rule, got)
+    # GAV's search asks the shared screen at each of its 10 leaves; at k = 1
+    # one candidate sure to be picked before p settles a leaf, which leaves
+    # one greedy to run.
+    leaves = count_calls(monkeypatch, fpt, "_greedy_wins")
+    greedies = count_calls(monkeypatch, rules, "_greedy_picks")
+    assert ccav_gav_flow_bribery(inst, Rule.GAV).cost == 2
+    assert (inst.k, leaves[0], greedies[0]) == (1, 10, 1)
 
 
 def test_flow_budget_boundary():
@@ -461,12 +506,48 @@ def test_priced_swap_answers_p_winning_already_before_the_guard(rule):
 
 def test_priced_swap_guard_counts_pool_donors_only():
     # a and b share v1's type, so PAV's pool keeps one of them: the guard
-    # counts 2 options for v1, although v1 reaches 3 ballots.
+    # counts 2 options for v1, although v1 reaches 3 ballots.  With 2
+    # members to n = 1 the type is ranked over the 2 subsets of {v1}, so at
+    # a cap of 1 the pool's own guard trips first.
     e = make_election(["a", "b", "p"], [("v1", ["a", "b"])])
     inst = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
     assert priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=2).cost == 1
     with pytest.raises(ResourceGuardError, match="cap of 1"):
         priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=1)
+
+
+def test_priced_swap_pool_takes_small_types_whole():
+    # 24 voters approve only a and one approves p and a: a's type has one
+    # member, so it enters the pool whole, without a walk over the 2^25
+    # subsets of its approvers, and the swap guard counts the 2^24 choices.
+    e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(24)] + [("w", ["p", "a"])])
+    inst = BriberyInstance(e, 1, 1, 3, Op.SWAP, priced=True, restricted_to_p=True)
+    with pytest.raises(ResourceGuardError, match="^swap combinations exceed the cap of 100$"):
+        priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=100)
+
+
+def test_priced_swap_pool_guard_before_its_walk():
+    # 24 voters approve a0..a24: one type of 25 members, more than n, so its
+    # pool would rank members over the 2^24 subsets of its approvers; the
+    # count is checked first.
+    names = [f"a{i}" for i in range(25)]
+    e = make_election(names + ["p"], [(f"v{i}", names) for i in range(24)])
+    inst = BriberyInstance(e, 25, 1, 3, Op.SWAP, priced=True, restricted_to_p=True)
+    with pytest.raises(ResourceGuardError, match="^16777216 approver subsets of a candidate "
+                                                 "type exceed the cap of 100$"):
+        priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=100)
+    # At its boundary: 3 voters approve a0..a3, a type of 4 members, whose
+    # 2^3 subsets rank a0, a1, a2 into the pool; the swap guard then counts
+    # 4 options per voter, 64 in all.
+    names = names[:4]
+    e = make_election(names + ["p"], [(f"v{i}", names) for i in range(3)])
+    inst = BriberyInstance(e, 4, 1, 3, Op.SWAP, priced=True, restricted_to_p=True)
+    with pytest.raises(ResourceGuardError, match="^swap combinations exceed the cap of 8$"):
+        priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=8)
+    with pytest.raises(ResourceGuardError, match="^8 approver subsets .* cap of 7$"):
+        priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=7)
+    assert verdict(priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=64)) == \
+        verdict(oracle_bribery(inst, Rule.PAV)) == (True, 3)
 
 
 def _record_options(monkeypatch):
@@ -543,7 +624,7 @@ def test_flow_guess_guard_trips_before_any_search(monkeypatch):
     e = make_election(["a", "b", "p"], [("v1", ["a", "b"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 2, 1, 3, Op.DELETE)
     flows = count_calls(monkeypatch, fpt, "min_cost_flow_lb")
-    greedies = count_calls(monkeypatch, fpt, "_greedy_picks")
+    greedies = count_calls(monkeypatch, fpt, "_greedy_wins")
     for rule in (Rule.CCAV, Rule.GAV):
         with pytest.raises(ResourceGuardError, match="cap of 6"):
             ccav_gav_flow_bribery(inst, rule, guess_cap=6)
@@ -577,7 +658,9 @@ def test_searches_leave_no_reference_cycles():
     # The depth-first searches are closures that call themselves; each search
     # must drop that cycle itself, also when a resource guard stops it, so
     # that nothing it built waits for the cyclic collector.  The priced swap
-    # solver runs the oracle's search through its option builder.
+    # solver runs the oracle's search through its option builder; the type
+    # enumeration's walk recurses through a module function, here to a
+    # winning set of size 3 or 4, to no set at all and into its guard.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     gc.collect()
@@ -591,6 +674,10 @@ def test_searches_leave_no_reference_cycles():
                 oracle_margins(e, rule, 1, Op.ADD, max_configs=10)
             swap = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
             assert not priced_swap_to_p_type_enum(swap, rule).feasible
+            assert unpriced_type_enum(BriberyInstance(e, 2, 1, 4, Op.ADD), rule).cost in (3, 4)
+            assert not unpriced_type_enum(BriberyInstance(e, 2, 1, 1, Op.SWAP), rule).feasible
+            with pytest.raises(ResourceGuardError):
+                unpriced_type_enum(BriberyInstance(e, 2, 1, 1, Op.SWAP), rule, enum_cap=8)
             assert gc.collect() == 0, rule
         delete = BriberyInstance(e, 2, 1, 3, Op.DELETE, priced=True)
         assert not ccav_gav_flow_bribery(delete, Rule.GAV).feasible

@@ -14,8 +14,9 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 TRACED_ONLY = {("cli.py", "oracle_bribery"), ("fpt.py", "apply_actions"),
                ("oracle.py", "_is_cowinner_from_ballots"), ("oracle.py", "_score_cowinner")}
 # How each rule's state moves when one ballot changes is known to rules._Tally
-# alone; the solvers go through it.
-TALLY_INTERNALS = {"_score_delta", "_committee_values"}
+# alone, and the greedy runs behind rules' own membership test and committee
+# functions; the solvers go through them.
+TALLY_INTERNALS = {"_score_delta", "_committee_values", "_greedy_picks"}
 
 
 def _tree(path):

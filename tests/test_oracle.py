@@ -236,7 +236,7 @@ def test_one_cowinner_mask_per_leaf(monkeypatch, rule):
     masks = count_calls(monkeypatch, rules._Tally, "cowinners")
     singles = count_calls(monkeypatch, rules._Tally, "wins")
     greedies = count_calls(monkeypatch, rules, "_greedy_picks")
-    packed = count_calls(monkeypatch, rules._CommitteeValues, "cowinners")
+    packed = count_calls(monkeypatch, rules._CommitteeValues, "best")
     margins = oracle_margins(e, rule, 1, Op.DELETE, prices)
     assert margins[2] == math.inf and margins[0] == 0
     # One tally per search, and no fresh one per leaf: CCAV and PAV read each
