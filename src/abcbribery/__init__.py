@@ -15,7 +15,6 @@ from .core import (
     ParseError,
     PriceTable,
     ResourceGuardError,
-    apply_action,
     apply_actions,
     make_election,
     parse_election,

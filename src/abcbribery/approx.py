@@ -232,18 +232,14 @@ def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,
                 cand = (base[0] + price, base[1] + (v,))
                 if dp[g] is None or cand[0] < dp[g][0]:
                     dp[g] = cand
-        best = None
-        for g in range(theta, total_value + 1):
-            if dp[g] is not None and (best is None or dp[g][0] < best[0]):
-                best = dp[g]
-        if best is None:
-            return None
-        return best[0], list(best[1])
+        # theta <= total_value, so dp[total_value], every item, is a cover.
+        cost, voters = min((dp[g] for g in range(theta, total_value + 1) if dp[g] is not None),
+                           key=lambda entry: entry[0])
+        return cost, list(voters)
     # Price-scaled fallback: sweep candidate optima on a (1+epsilon/2) grid.
-    lo = min((price for _, price, _ in items if price > 0), default=1)
-    hi = sum(price for _, price, _ in items)
-    guess = Fraction(max(1, lo))
-    while guess <= hi * (1 + epsilon):
+    # Every item together covers theta: the sweep returns once guess >= the optimum.
+    guess = Fraction(min((price for _, price, _ in items if price > 0), default=1))
+    while True:
         nu = max(1, int(epsilon * guess / (2 * max(1, len(items)))))
         cap = int(guess / nu) + len(items)
         dp: list[tuple[int, tuple[int, ...]] | None] = [None] * (cap + 1)
@@ -265,4 +261,3 @@ def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,
                     return cost, voters
                 break
         guess = guess * (1 + epsilon / 2)
-    return None

@@ -167,8 +167,8 @@ def av_swap_unit(instance: BriberyInstance) -> BriberySolution:
             scores[donor] -= 1
             scores[p] += 1
             swaps.append((vote, donor))
-    if best is None:
-        return BriberySolution((), None, False)
+    # The T = 0 run always ends with p winning: while p loses, the donor
+    # scores above p, so it has a voter lacking p, and p gains one per swap.
     cost, _, actions = best
     return BriberySolution(actions, cost, cost <= instance.budget)
 

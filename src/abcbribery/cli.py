@@ -5,9 +5,10 @@ error, 3 resource guard tripped, 4 unsupported rule/operation combination
 without an explicit oracle request, 5 invalid action in a solution file.
 
 ``bribe`` and the AV margins of ``rank`` go through ``solve.solve``, which
-routes the cell and certifies the answer.  ``verify`` keeps its own replay
-loop: it reports the index of a failing action (exit 5) and a replay that
-leaves p losing as an answer (exit 1), not as a solver fault.
+routes the cell and certifies the answer.  ``verify`` makes the certificate's
+checks itself, on the same replay (``core.replay_masks``), pricing and
+co-winner test: it reports the position of a failing action (exit 5) and a
+replay that leaves p losing as an answer (exit 1), not as a solver fault.
 """
 
 from __future__ import annotations
@@ -28,17 +29,18 @@ from .core import (
     ParseError,
     PriceTable,
     ResourceGuardError,
-    apply_action,
+    format_action,
     parse_election,
     parse_solution,
+    replay_masks,
     serialize_election,
     solution_cost,
-    format_action,
 )
 from .generators import Graph, X3CInstance, gen_is_to_av_swap, gen_random_election, gen_x3c_to_sav_swap
 from .oracle import oracle_margin, oracle_margins
 from .oracle import oracle_bribery  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .rules import Rule, av_scores, ccav_coverage, is_cowinner, pav_score, sav_scores, winning_committees
+from .rules import (Rule, _check_k, _is_cowinner_from_ballots, av_scores, ccav_coverage, pav_score,
+                    sav_scores, winning_committees)
 from .solve import ALGORITHMS, UnsupportedCombination, solve
 
 EXIT_OK = 0
@@ -173,22 +175,18 @@ def cmd_verify(args) -> int:
         text = handle.read()
     try:
         actions = parse_solution(text, e)
-    except ParseError as exc:
-        print(f"invalid solution: {exc}", file=sys.stderr)
-        return EXIT_BAD_ACTION
-    cur = e
-    for i, action in enumerate(actions, start=1):
-        try:
-            cur = apply_action(cur, action)
-        except InvalidActionError as exc:
-            print(f"invalid action {i} ({format_action(e, action)}): {exc}", file=sys.stderr)
-            return EXIT_BAD_ACTION
-    try:
+        ballots = replay_masks(e, actions)
         cost = solution_cost(actions, prices if args.priced else PriceTable())
-    except InfeasibleActionError as exc:
+    except InvalidActionError as exc:
+        action = format_action(e, actions[exc.position - 1])
+        print(f"invalid action {exc.position} ({action}): {exc}", file=sys.stderr)
+        return EXIT_BAD_ACTION
+    except (ParseError, InfeasibleActionError) as exc:
         print(f"invalid solution: {exc}", file=sys.stderr)
         return EXIT_BAD_ACTION
-    winning = is_cowinner(cur, rule, k, e.candidate_index(args.p))
+    p = e.candidate_index(args.p)
+    _check_k(e, k)
+    winning = _is_cowinner_from_ballots(ballots, e.m, rule, k, p)
     print("valid: yes")
     print(f"cost: {cost}")
     print(f"p co-winner: {'yes' if winning else 'no'}")

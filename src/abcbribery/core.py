@@ -33,7 +33,11 @@ class ParseError(ElectionError):
 
 
 class InvalidActionError(ElectionError):
-    """An atomic action whose precondition does not hold."""
+    """An action whose precondition fails, at 1-based ``position`` in its list."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(message)
+        self.position = position
 
 
 class InfeasibleActionError(ElectionError):
@@ -288,32 +292,35 @@ class BriberySolution:
             raise ElectionError(f"solution cost must be a nonnegative integer: {self.cost!r}")
 
 
-def apply_action(e: Election, a: AtomicAction) -> Election:
-    """Apply one atomic action, checking its precondition; returns a new election."""
-    return apply_actions(e, (a,))
+def replay_masks(e: Election, actions: Iterable[AtomicAction]) -> list[int]:
+    """Ballot masks after the actions in order, each checked against the
+    approvals so far: its voter and candidates exist, its source is approved
+    and its target is not.  The package's one replay of an action list."""
+    masks, cands = ballot_masks(e), e.candidates
+    for position, a in enumerate(actions, start=1):
+        if not 0 <= a.voter < len(masks):
+            raise InvalidActionError(position, f"no voter with index {a.voter}")
+        moved = 0  # the source's bit and the target's: they differ
+        for idx in (a.source, a.target):
+            if idx is not None:
+                if not 0 <= idx < len(cands):
+                    raise InvalidActionError(position, f"no candidate with index {idx}")
+                moved |= 1 << idx
+        vname, mask = e.ballots[a.voter].voter_name, masks[a.voter]
+        if a.source is not None and not mask >> a.source & 1:
+            raise InvalidActionError(position, f"{vname} does not approve {cands[a.source].name}")
+        if a.target is not None and mask >> a.target & 1:
+            raise InvalidActionError(position, f"{vname} already approves {cands[a.target].name}")
+        masks[a.voter] = mask ^ moved
+    return masks
 
 
 def apply_actions(e: Election, actions: Iterable[AtomicAction]) -> Election:
-    """Apply the actions in order, checking each one's precondition against
-    the approvals so far; one election is built at the end."""
-    ballots = list(e.ballots)
-    for a in actions:
-        if not 0 <= a.voter < e.n:
-            raise InvalidActionError(f"no voter with index {a.voter}")
-        for idx in (a.source, a.target):
-            if idx is not None and not 0 <= idx < e.m:
-                raise InvalidActionError(f"no candidate with index {idx}")
-        vname, approved = ballots[a.voter].voter_name, ballots[a.voter].approved
-        if a.source is not None:
-            if a.source not in approved:
-                raise InvalidActionError(f"{vname} does not approve {e.candidates[a.source].name}")
-            approved = approved - {a.source}
-        if a.target is not None:
-            if a.target in approved:
-                raise InvalidActionError(f"{vname} already approves {e.candidates[a.target].name}")
-            approved = approved | {a.target}
-        ballots[a.voter] = ApprovalBallot(vname, approved)
-    return Election(e.candidates, tuple(ballots))
+    """The election after ``replay_masks``: the same checks, and only the
+    ballots whose approvals changed are rebuilt."""
+    return Election(e.candidates, tuple(
+        ballot if mask == start else ApprovalBallot(ballot.voter_name, frozenset(_iter_bits(mask)))
+        for ballot, start, mask in zip(e.ballots, ballot_masks(e), replay_masks(e, actions))))
 
 
 def solution_cost(actions: Iterable[AtomicAction], prices: PriceTable) -> int:

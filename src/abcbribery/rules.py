@@ -40,8 +40,8 @@ row(new) - row(old).  The best lanes are read by one descent over the bit
 planes.  A single target wins when one AND of the best lanes with its
 member lanes is nonzero; the co-winner mask unions the best committees.
 
-``certify`` reruns the kernel on a solver's answer: every answer ``solve``
-returns has passed it.
+``certify`` replays a solver's answer on ballot masks (``core.replay_masks``)
+and reruns the kernel on them: every answer ``solve`` returns has passed it.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ from .core import (
     ResourceGuardError,
     _iter_bits,
     _transpose,
-    apply_actions,
     approver_masks,
     ballot_masks,
+    replay_masks,
     solution_cost,
 )
 
@@ -599,25 +599,25 @@ def certify(instance: BriberyInstance, rule: Rule, solution: BriberySolution) ->
     """Return the solution once its witness checks out against the instance.
 
     The actions must be the instance's operation (toward p when restricted),
-    replay on the election, reprice to ``cost`` and make p a co-winner, and
-    ``feasible`` must equal cost <= budget.  A solution without a cost has
-    nothing to replay.  Raises ``CertificationError``, never through
-    ``assert``, so ``python -O`` keeps the check.
+    replay on the election's ballot masks, reprice to ``cost`` and make p a
+    co-winner there, and ``feasible`` must equal cost <= budget.  A solution
+    without a cost has nothing to replay.  Raises ``CertificationError``,
+    never through ``assert``, so ``python -O`` keeps the check.
     """
     if solution.cost is None:
         return solution
-    p = instance.p
+    e, p = instance.election, instance.p
     for action in solution.actions:
         if action.kind is not instance.op or (instance.restricted_to_p and action.target != p):
             raise CertificationError(f"{action} is outside the instance's operation")
     try:
-        final = apply_actions(instance.election, solution.actions)
+        ballots = replay_masks(e, solution.actions)
         cost = solution_cost(solution.actions, instance.prices)
     except ElectionError as exc:
         raise CertificationError(f"the actions do not replay: {exc}") from None
     if cost != solution.cost:
         raise CertificationError(f"the actions cost {cost}, not {solution.cost}")
-    if not is_cowinner(final, rule, instance.k, p):
+    if not _is_cowinner_from_ballots(ballots, e.m, rule, instance.k, p):
         raise CertificationError("the actions do not make p a co-winner")
     if solution.feasible != (cost <= instance.budget):
         raise CertificationError(f"feasible is {solution.feasible} at cost {cost} "

@@ -1,10 +1,11 @@
 """Shared test utilities: deterministic random elections, result shapes, call
-counters and the Fraction reference winners."""
+counters, the Fraction reference winners and an Election-level certify."""
 
 import itertools
 from fractions import Fraction
 
-from abcbribery import AtomicAction, BriberySolution, Op, Rule, certify, fpt, make_election
+from abcbribery import (AtomicAction, BriberySolution, CertificationError, ElectionError, Op, Rule,
+                        apply_actions, certify, fpt, is_cowinner, make_election, solution_cost)
 from abcbribery.core import _iter_bits, ballot_masks
 from abcbribery.generators import Stream64
 from abcbribery.rules import _Tally
@@ -130,3 +131,28 @@ def reference_type_enum(instance, rule):
         actions = fpt._approve_p_everywhere(e, p, instance.op)
         return certify(instance, rule, BriberySolution(actions, len(actions), True))
     return BriberySolution((), None, False)
+
+
+def election_certify(instance, rule, solution):
+    """``certify`` on elections: the same checks in the same order, with the
+    replay through ``apply_actions`` and the co-winner test through
+    ``is_cowinner``."""
+    if solution.cost is None:
+        return solution
+    p = instance.p
+    for action in solution.actions:
+        if action.kind is not instance.op or (instance.restricted_to_p and action.target != p):
+            raise CertificationError(f"{action} is outside the instance's operation")
+    try:
+        final = apply_actions(instance.election, solution.actions)
+        cost = solution_cost(solution.actions, instance.prices)
+    except ElectionError as exc:
+        raise CertificationError(f"the actions do not replay: {exc}") from None
+    if cost != solution.cost:
+        raise CertificationError(f"the actions cost {cost}, not {solution.cost}")
+    if not is_cowinner(final, rule, instance.k, p):
+        raise CertificationError("the actions do not make p a co-winner")
+    if solution.feasible != (cost <= instance.budget):
+        raise CertificationError(f"feasible is {solution.feasible} at cost {cost} "
+                                 f"and budget {instance.budget}")
+    return solution

@@ -14,7 +14,6 @@ from abcbribery import (
     Op,
     PriceTable,
     Rule,
-    apply_action,
     apply_actions,
     av_scores,
     ccav_coverage,
@@ -276,10 +275,10 @@ def test_criterion_7_structure_properties():
         approved = sorted(e.ballots[v].approved)
         outside = [c for c in range(e.m) if c not in e.ballots[v].approved]
         if approved and outside:
-            swapped = apply_action(e, AtomicAction(
+            swapped = apply_actions(e, [AtomicAction(
                 Op.SWAP, v,
                 source=approved[stream.randint(0, len(approved) - 1)],
-                target=outside[stream.randint(0, len(outside) - 1)]))
+                target=outside[stream.randint(0, len(outside) - 1)])])
             assert all(len(b1.approved) == len(b2.approved)
                        for b1, b2 in zip(e.ballots, swapped.ballots))
         preserved += 1

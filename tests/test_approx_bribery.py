@@ -13,7 +13,6 @@ from abcbribery import (
     Op,
     PriceTable,
     Rule,
-    apply_action,
     apply_actions,
     gav_committee,
     is_cowinner,
@@ -152,7 +151,7 @@ def test_rav_add_for_p_certifies_cover(e0, monkeypatch):
     # The returned cover is replayed through the RAV kernel, not trusted.
     inst = BriberyInstance(e0, 3, 2, 9, Op.ADD, restricted_to_p=True)
     assert rav_add_for_p(inst).feasible
-    monkeypatch.setattr(rules, "is_cowinner", lambda *args: False)
+    monkeypatch.setattr(rules, "_is_cowinner_from_ballots", lambda *args: False)
     with pytest.raises(CertificationError, match="co-winner"):
         rav_add_for_p(inst)
 
@@ -198,6 +197,26 @@ def test_rav_add_for_p_price_scaled_fallback(monkeypatch):
         assert opt <= sol.cost <= (1 + epsilon) * opt
         bought += sol.cost > 0
     assert bought >= 30
+
+
+def test_rav_add_for_p_cover_out_of_reach():
+    # Every voter approving p still leaves p tied with a, who wins the tie:
+    # the round needs a gain of 3 from two voters worth 1 each.
+    e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"]), ("v3", ["a", "p"])])
+    inst = BriberyInstance(e, 1, 1, 5, Op.ADD, restricted_to_p=True)
+    assert verdict(rav_add_for_p(inst)) == verdict(oracle_bribery(inst, Rule.RAV)) == (False, None)
+
+
+def test_rav_add_for_p_price_scaled_fallback_finds_a_free_cover(monkeypatch):
+    # With every price 0 the price-scaled sweep's first guess, 1, already
+    # bounds the optimum, 0: the sweep must run it.
+    monkeypatch.setattr(approx, "VALUE_DP_CAP", 0)
+    e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"]), ("v3", [])])
+    prices = PriceTable(add={(v, 1): 0 for v in range(3)})
+    inst = BriberyInstance(e, 1, 1, 0, Op.ADD, priced=True, restricted_to_p=True, prices=prices)
+    sol = rav_add_for_p(inst)
+    assert (sol.cost, sol.feasible) == (0, True)
+    assert oracle_margin(e, Rule.RAV, 1, 1, Op.ADD, prices, restricted=True) == 0
 
 
 def test_add_for_p_solutions_stay_on_p():
@@ -258,7 +277,7 @@ def _election_gav_add(instance):
                 break
             price, v = min(eligible)
             action = AtomicAction(Op.ADD, v, target=p)
-            cur = apply_action(cur, action)
+            cur = apply_actions(cur, [action])
             actions.append(action)
             cost += price
     return (best[1], best[0][0]) if best else ((), None)

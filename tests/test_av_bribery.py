@@ -9,7 +9,6 @@ from abcbribery import (
     PriceTable,
     ResourceGuardError,
     Rule,
-    apply_action,
     apply_actions,
     av_scores,
     is_cowinner,
@@ -51,6 +50,30 @@ def test_av_delete_e0(e0):
 def test_av_delete_never_touches_p(e0):
     sol = av_delete(BriberyInstance(e0, 3, 2, 9, Op.DELETE))
     assert all(a.source != 3 for a in sol.actions)
+
+
+def test_av_delete_forbidden_bring_down():
+    # Bringing a down to p needs v1's approval of a, which may not be deleted.
+    e = make_election(["a", "b", "p"], [("v1", ["a"]), ("v2", ["b"]), ("v3", [])])
+    prices = PriceTable(delete={(0, 0): FORBIDDEN})
+    for k, cost in ((1, None), (2, 1)):  # with k = 2, bringing b down is enough
+        inst = BriberyInstance(e, 2, k, 9, Op.DELETE, priced=True, prices=prices)
+        sol = av_delete(inst)
+        assert sol.cost == cost and verdict(sol) == verdict(oracle_bribery(inst, Rule.AV))
+
+
+def test_av_swap_unit_always_finds_a_witness():
+    # Its T = 0 run always makes p win, so av_swap_unit never answers
+    # cost None, even with voters whose empty ballots cannot swap.
+    cfg = SuiteConfig(op=Op.SWAP, count=150, seed=71, max_candidates=5, max_voters=6,
+                      approval_probability=0.25)
+    empty = 0
+    for inst in suite_instances(cfg):
+        sol = av_swap_unit(inst)
+        assert sol.cost is not None
+        assert verdict(sol) == verdict(oracle_bribery(inst, Rule.AV)), inst
+        empty += any(not b.approved for b in inst.election.ballots)
+    assert empty > 50
 
 
 def test_av_swap_unit_e0(e0):
@@ -164,7 +187,7 @@ def _election_add(instance):
     actions, cost, cur = [], 0, e
     for price, v in cells:
         action = AtomicAction(Op.ADD, v, target=p)
-        cur = apply_action(cur, action)
+        cur = apply_actions(cur, [action])
         actions.append(action)
         cost += price
         if is_cowinner(cur, Rule.AV, k, p):
@@ -204,7 +227,7 @@ def _election_swap_unit(instance):
                     break
                 donor = min(cur.ballots[vote].approved)
             action = AtomicAction(Op.SWAP, vote, source=donor, target=p)
-            cur = apply_action(cur, action)
+            cur = apply_actions(cur, [action])
             actions.append(action)
     return (best[1], best[0][0]) if best else ((), None)
 

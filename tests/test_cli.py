@@ -130,8 +130,35 @@ def test_verify_empty_solution_for_winner(e0_file, tmp_path, capsys):
 def test_verify_invalid_action(e0_file, tmp_path, capsys):
     sol = tmp_path / "bad.txt"
     sol.write_text("swap v1 b a\n")  # a is already approved in v1
-    code, _, err = run(capsys, "verify", e0_file, str(sol), "--rule", "av", "--p", "p")
-    assert code == 5
+    code, out, err = run(capsys, "verify", e0_file, str(sol), "--rule", "av", "--p", "p")
+    assert code == 5 and out == ""
+    assert err == "invalid action 1 (swap v1 b a): v1 already approves a\n"
+    # The second action fails on the ballot the first one left: v1 gave b to p.
+    sol.write_text("swap v1 b p\nswap v1 b a\n")
+    code, out, err = run(capsys, "verify", e0_file, str(sol), "--rule", "av", "--p", "p")
+    assert code == 5 and out == ""
+    assert err == "invalid action 2 (swap v1 b a): v1 does not approve b\n"
+
+
+def test_verify_replays_before_it_prices(tmp_path, e0_text, capsys):
+    # Action 1 is forbidden by the price table and action 2 does not replay:
+    # every action replays before any is priced, so action 2 is reported.
+    path = tmp_path / "priced.elect"
+    path.write_text(e0_text + "swapprice v1 b p inf\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("swap v1 b p\nswap v2 a p\n")
+    code, out, err = run(capsys, "verify", str(path), str(sol), "--p", "p", "--priced")
+    assert code == 5 and out == ""
+    assert err == "invalid action 2 (swap v2 a p): v2 does not approve a\n"
+
+
+@pytest.mark.parametrize("k", ["0", "5"])
+def test_verify_committee_size_out_of_range_is_a_parameter_error(e0_file, tmp_path, capsys, k):
+    sol = tmp_path / "sol.txt"
+    sol.write_text("swap v1 b p\n")
+    code, out, err = run(capsys, "verify", e0_file, str(sol), "--p", "p", "--k", k)
+    assert (code, out) == (2, "")
+    assert err == f"error: committee size {k} out of range 1..4\n"
 
 
 def test_verify_unparsable_solution(e0_file, tmp_path, capsys):

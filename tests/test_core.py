@@ -16,7 +16,6 @@ from abcbribery import (
     Op,
     ParseError,
     PriceTable,
-    apply_action,
     apply_actions,
     make_election,
     parse_election,
@@ -113,8 +112,11 @@ def test_token_whitespace_is_str_isspace():
 
 
 def test_apply_swap_e0(e0):
-    swapped = apply_action(e0, AtomicAction(Op.SWAP, 5, source=2, target=3))
+    swapped = apply_actions(e0, [AtomicAction(Op.SWAP, 5, source=2, target=3)])
     assert swapped.ballots[5].approved == frozenset({0, 3})
+    # only the changed ballot is rebuilt
+    assert all(after is before for v, (before, after) in enumerate(zip(e0.ballots, swapped.ballots))
+               if v != 5)
     assert av_scores(swapped) == [7, 5, 3, 2]
     # original untouched
     assert av_scores(e0) == [7, 5, 4, 1]
@@ -122,7 +124,7 @@ def test_apply_swap_e0(e0):
 
 def test_apply_add_existing_is_error(e0):
     with pytest.raises(InvalidActionError):
-        apply_action(e0, AtomicAction(Op.ADD, 0, target=0))
+        apply_actions(e0, [AtomicAction(Op.ADD, 0, target=0)])
 
 
 def test_apply_double_delete(e0):
@@ -140,9 +142,9 @@ def test_apply_double_delete(e0):
 
 def test_apply_swap_preconditions(e0):
     with pytest.raises(InvalidActionError):
-        apply_action(e0, AtomicAction(Op.SWAP, 2, source=1, target=3))  # v3 lacks b
+        apply_actions(e0, [AtomicAction(Op.SWAP, 2, source=1, target=3)])  # v3 lacks b
     with pytest.raises(InvalidActionError):
-        apply_action(e0, AtomicAction(Op.SWAP, 6, source=1, target=3))  # v7 has p
+        apply_actions(e0, [AtomicAction(Op.SWAP, 6, source=1, target=3)])  # v7 has p
 
 
 @pytest.mark.parametrize("action", [
@@ -156,23 +158,27 @@ def test_apply_rejects_candidate_index_out_of_range(action):
     e = make_election(["a", "b", "c"], [("v1", ["a", "c"])])
     bad = action.target if action.kind is Op.ADD or action.target == 3 else action.source
     with pytest.raises(InvalidActionError, match=f"^no candidate with index {bad}$"):
-        apply_action(e, action)
+        apply_actions(e, [action])
 
 
 def test_apply_actions_reports_the_failing_action(e0):
-    # Replaying on approval sets keeps apply_action's per-action checks: the
-    # third action fails on the state the first two left behind.
+    # A replay checks each action against the state the earlier ones left
+    # behind, as one-at-a-time replays do: the third action fails, and the
+    # error carries its 1-based position.
     actions = [AtomicAction(Op.DELETE, 1, source=1), AtomicAction(Op.ADD, 2, target=3),
                AtomicAction(Op.SWAP, 1, source=1, target=3), AtomicAction(Op.ADD, 0, target=3)]
-    with pytest.raises(InvalidActionError, match="^v2 does not approve b$"):
+    with pytest.raises(InvalidActionError, match="^v2 does not approve b$") as failed:
         apply_actions(e0, actions)
+    assert failed.value.position == 3
     cur = e0
-    with pytest.raises(InvalidActionError, match="^v2 does not approve b$"):
+    with pytest.raises(InvalidActionError, match="^v2 does not approve b$") as failed:
         for a in actions:
-            cur = apply_action(cur, a)
+            cur = apply_actions(cur, [a])
+    assert failed.value.position == 1
     assert cur == apply_actions(e0, actions[:2])
-    with pytest.raises(InvalidActionError, match="^no voter with index -1$"):
+    with pytest.raises(InvalidActionError, match="^no voter with index -1$") as failed:
         apply_actions(e0, actions[:1] + [AtomicAction(Op.ADD, -1, target=3)])
+    assert failed.value.position == 2
 
 
 def test_solution_cost_unit_and_priced(e0):
@@ -254,7 +260,7 @@ def test_swap_preserves_ballot_sizes(seed):
         return
     source = sorted(approved)[stream.randint(0, len(approved) - 1)]
     target = outside[stream.randint(0, len(outside) - 1)]
-    swapped = apply_action(e, AtomicAction(Op.SWAP, v, source=source, target=target))
+    swapped = apply_actions(e, [AtomicAction(Op.SWAP, v, source=source, target=target)])
     for before, after in zip(e.ballots, swapped.ballots):
         assert len(before.approved) == len(after.approved)
 
@@ -289,7 +295,7 @@ def test_unit_cost_counts_actions(seed, count):
             continue
         c = outside[stream.randint(0, len(outside) - 1)]
         a = AtomicAction(Op.ADD, v, target=c)
-        cur = apply_action(cur, a)
+        cur = apply_actions(cur, [a])
         actions.append(a)
     assert solution_cost(actions, PriceTable()) == len(actions)
 

@@ -105,7 +105,7 @@ def test_unpriced_type_enum_certifies_fallback(monkeypatch):
     e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 1, 1, 2, Op.ADD)
     assert unpriced_type_enum(inst, Rule.AV).feasible
-    monkeypatch.setattr(rules, "is_cowinner", lambda *args: False)
+    monkeypatch.setattr(rules, "_is_cowinner_from_ballots", lambda *args: False)
     with pytest.raises(CertificationError, match="co-winner"):
         unpriced_type_enum(inst, Rule.AV)
 

@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, each private helper defined once, no assert,
-the rule state's internals used in rules only."""
+the rule state's internals used in rules only, and no Election replay in rules or cli."""
 
 import ast
 from collections import defaultdict
@@ -17,6 +17,9 @@ TRACED_ONLY = {("cli.py", "oracle_bribery"), ("fpt.py", "apply_actions"),
 # alone, and the greedy runs behind rules' own membership test and committee
 # functions; the solvers go through them.
 TALLY_INTERNALS = {"_score_delta", "_committee_values", "_greedy_picks"}
+# certify and verify replay action lists on ballot masks (core.replay_masks);
+# the Election-level replay is public API, not their path.
+ELECTION_REPLAY = {"apply_action", "apply_actions"}
 
 
 def _tree(path):
@@ -43,18 +46,26 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-def test_tally_internals_stay_in_rules():
+def _uses(path, names):
+    """Where the module imports or refers to any of the names."""
     found = []
-    for path in MODULES:
-        if path.name == "rules.py":
-            continue
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
-            else:  # a bare name or an attribute such as rules._score_delta
-                names = [getattr(node, "id", None), getattr(node, "attr", None)]
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name in TALLY_INTERNALS]
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            used = [alias.name for alias in node.names]
+        else:  # a bare name or an attribute such as rules._score_delta
+            used = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found += [f"{path.name}:{node.lineno} {name}" for name in used if name in names]
+    return found
+
+
+def test_tally_internals_stay_in_rules():
+    found = [use for path in MODULES if path.name != "rules.py"
+             for use in _uses(path, TALLY_INTERNALS)]
+    assert not found, found
+
+
+def test_certify_and_verify_replay_on_masks():
+    found = [use for name in ("rules.py", "cli.py") for use in _uses(PACKAGE / name, ELECTION_REPLAY)]
     assert not found, found
 
 

@@ -289,7 +289,7 @@ def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):
 def test_oracle_witness_is_certified(monkeypatch, e0):
     inst = BriberyInstance(e0, 3, 2, 9, Op.ADD)
     assert oracle_bribery(inst, Rule.PAV).feasible
-    monkeypatch.setattr(rules, "is_cowinner", lambda *args: False)
+    monkeypatch.setattr(rules, "_is_cowinner_from_ballots", lambda *args: False)
     with pytest.raises(CertificationError, match="co-winner"):
         oracle_bribery(inst, Rule.PAV)
 

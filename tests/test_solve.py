@@ -1,10 +1,13 @@
 """The routing table behind solve(), and the certificate every answer passes."""
 
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from abcbribery import (
     Rule,
     UnsupportedCombination,
     certify,
+    solution_cost,
     solve,
 )
 from abcbribery import approx, avbribery, fpt, oracle
@@ -30,7 +34,7 @@ from abcbribery.generators import Stream64
 from abcbribery.oracle import oracle_margin
 from abcbribery.solve import ALGORITHMS, route
 
-from helpers import random_election, verdict
+from helpers import election_certify, random_election, verdict
 
 CELLS = [(rule, op, priced, restricted) for rule in Rule for op in Op
          for priced in (False, True) for restricted in (False, True)
@@ -151,6 +155,103 @@ def test_over_budget_witness_is_certified(e0):
     inst = BriberyInstance(e0, 3, 2, 0, Op.ADD)
     sol, guarantee = solve(inst, Rule.AV)
     assert (sol.cost, sol.feasible, guarantee) == (4, False, "exact")
+
+
+def _tampered(e0):
+    """Answers that each fail certify's check named by their key, with its
+    message.  Most fail later checks too, which pins the order of checks."""
+    swap = BriberyInstance(e0, 3, 2, 3, Op.SWAP)
+    acts = solve(swap, Rule.AV)[0].actions  # v1 a->p, v2 b->p, v3 a->p at cost 3
+    add = BriberyInstance(e0, 3, 2, 9, Op.ADD)
+    for_p = BriberyInstance(e0, 3, 2, 9, Op.ADD, restricted_to_p=True)
+    delete, for_c = AtomicAction(Op.DELETE, 7, source=3), AtomicAction(Op.ADD, 2, target=2)
+    forbidden = BriberyInstance(e0, 3, 2, 3, Op.SWAP, priced=True,
+                                prices=PriceTable(swap={(1, 1, 3): FORBIDDEN}))
+    return {
+        # the deletion would not replay either: v8 does not approve p
+        "wrong operation": (swap, BriberySolution(acts + (delete,), 4, True),
+                            f"{delete} is outside the instance's operation"),
+        "not toward p": (for_p, BriberySolution((for_c,), 1, True),
+                         f"{for_c} is outside the instance's operation"),
+        "invalid action": (swap, BriberySolution(
+            (AtomicAction(Op.SWAP, 2, source=1, target=3),) + acts[1:], 4, True),
+            "the actions do not replay: v3 does not approve b"),
+        "forbidden price": (forbidden, BriberySolution(acts, 4, True),
+                            f"the actions do not replay: forbidden operation: {acts[1]}"),
+        "truncated": (swap, BriberySolution(acts[:-1], 3, False), "the actions cost 2, not 3"),
+        "over-priced": (swap, BriberySolution(acts, 4, True), "the actions cost 3, not 4"),
+        "not a co-winner": (add, BriberySolution((for_c,), 1, False),
+                            "the actions do not make p a co-winner"),
+        "wrong feasible": (swap, BriberySolution(acts, 3, False),
+                           "feasible is False at cost 3 and budget 3"),
+    }
+
+
+@pytest.mark.parametrize("name", ["wrong operation", "not toward p", "invalid action",
+                                  "forbidden price", "truncated", "over-priced", "not a co-winner",
+                                  "wrong feasible"])
+def test_certify_rejection_messages(e0, name):
+    # In process, so each tampered answer is seen to trip the check it is
+    # named for, not an earlier one.
+    inst, bad, message = _tampered(e0)[name]
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        certify(inst, Rule.AV, bad)
+
+
+def _variants(instance, solution):
+    """The answer, then tampered copies of it: each fails some check of
+    certify, or passes them all, as it happens."""
+    yield solution
+    if solution.cost is None:
+        return
+    acts, cost, feasible = solution.actions, solution.cost, solution.feasible
+    e, p, op = instance.election, instance.p, instance.op
+    yield replace(solution, cost=cost + 1)
+    yield replace(solution, feasible=not feasible)
+    if acts:
+        yield replace(solution, actions=acts[:-1], cost=solution_cost(acts[:-1], instance.prices))
+        yield replace(solution, actions=acts[::-1])
+        yield replace(solution, actions=acts + acts[-1:])
+        yield replace(solution, actions=(replace(acts[0], voter=(acts[0].voter + 1) % e.n),)
+                      + acts[1:])
+    other = (p + 1) % e.m
+    extra = {Op.ADD: [AtomicAction(Op.ADD, e.n, target=p), AtomicAction(Op.ADD, 0, target=e.m),
+                      AtomicAction(Op.ADD, 0, target=other), AtomicAction(Op.DELETE, 0, source=p)],
+             Op.DELETE: [AtomicAction(Op.DELETE, e.n, source=p),
+                         AtomicAction(Op.DELETE, 0, source=e.m), AtomicAction(Op.ADD, 0, target=p)],
+             Op.SWAP: [AtomicAction(Op.SWAP, e.n, source=other, target=p),
+                       AtomicAction(Op.SWAP, 0, source=e.m, target=p),
+                       AtomicAction(Op.ADD, 0, target=p)]}[op]
+    for action in extra:
+        yield replace(solution, actions=acts + (action,), cost=cost + 1)
+
+
+def _outcome(check, instance, rule, solution):
+    try:
+        check(instance, rule, solution)
+    except CertificationError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_certify_matches_election_level_reference():
+    # Seeded answers of every oracle_sweep lane and tampered copies of them:
+    # certify on ballot masks and the Election-level reference accept the
+    # same ones and reject the rest with the same message.
+    spec = importlib.util.spec_from_file_location(
+        "oracle_sweep", Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    kinds = ("outside the instance's operation", "do not replay", "the actions cost",
+             "co-winner", "feasible is")
+    seen = Counter()
+    for lane, (rule, algorithm, _) in sweep.LANES.items():
+        for inst in sweep.lane_instances(lane, 4, 1):
+            for bad in _variants(inst, solve(inst, rule, algorithm)[0]):
+                got = _outcome(certify, inst, rule, bad)
+                assert got == _outcome(election_certify, inst, rule, bad), (lane, inst, bad)
+                seen[got if got == "accepted" else next(k for k in kinds if k in got)] += 1
+    assert seen.keys() == {"accepted", *kinds}, seen
 
 
 TAMPER_SCRIPT = """
