@@ -6,10 +6,11 @@ a rule, a ``solve`` algorithm and a suite shape; the routing table picks the
 solver, and every answer, the oracle's included, is certified by ``solve``.
 Every such lane keeps drawing from its seeded suite until ``--count``
 instances in which p is not already a co-winner, so each one reaches its
-solver instead of being answered at cost 0.  The ``subset-*`` and
-``pricedswap-*`` solvers build options for the oracle's own search, so
-those lanes check the option builders; the brute force over the built
-options in ``tests/test_fpt.py`` checks the search itself.  The ``margins``
+solver instead of being answered at cost 0.  The ``subset-*`` solver is
+the oracle's restricted-add search behind a voter guard, and the
+``pricedswap-*`` solver builds options for that search, so those lanes check
+the guard and the option builder; the brute force over the searched options
+in ``tests/test_fpt.py`` checks the search itself.  The ``margins``
 lane checks the oracle against itself on ``--count`` instances per
 operation: the shared sweep ``oracle_margins`` against one ``oracle_margin``
 call per candidate, for every rule and operation, and, for each finite

@@ -32,7 +32,6 @@ from .rules import (
     _thiele_gains,
     _thiele_greedy,
     _thiele_weights,
-    certify,
     is_cowinner,
 )
 
@@ -169,7 +168,8 @@ def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fractio
     gains scale to integers by the lcm of 1..round.  The knapsack is solved
     exactly while the scaled value range stays small, which makes unit-price
     instances exact; very large ranges fall back to a price-scaled dynamic
-    program whose cost stays within (1+epsilon) of the optimum.
+    program whose cost stays within (1+epsilon) of the optimum.  The answer
+    is uncertified; ``solve`` certifies.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -206,7 +206,7 @@ def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fractio
     if best is None:
         return BriberySolution((), None, False)
     cost, actions = best
-    return certify(instance, Rule.RAV, BriberySolution(actions, cost, cost <= instance.budget))
+    return BriberySolution(actions, cost, cost <= instance.budget)
 
 
 def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,

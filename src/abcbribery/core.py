@@ -276,8 +276,9 @@ class BriberySolution:
     ``actions`` is empty and ``feasible`` False.  Otherwise ``cost`` is a
     nonnegative integer, replaying ``actions`` makes the preferred candidate
     a co-winner at exactly that price, and ``feasible`` is cost <= budget; a
-    solver may return such a witness above the budget.  ``rules.certify``
-    checks the part that needs the instance.
+    solver may return such a witness above the budget (README "result
+    contract" says which do, and why both shapes stay).  ``solve`` checks
+    the part that needs the instance, through ``rules.certify``.
     """
 
     actions: tuple[AtomicAction, ...]

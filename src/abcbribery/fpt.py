@@ -49,8 +49,8 @@ from .core import (
 )
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
-from .oracle import _cheapest, _vote_options
-from .rules import Rule, _greedy_wins, _Tally, _thiele_weights, certify, is_cowinner
+from .oracle import _cheapest, _vote_options, _witness, oracle_bribery
+from .rules import Rule, _greedy_wins, _Tally, _thiele_weights, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
@@ -63,9 +63,10 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
                           voter_cap: int = VOTER_SUBSET_CAP) -> BriberySolution:
     """Exact optimum for adding approvals for p: try every voter subset.
 
-    Each eligible voter keeps its ballot or gains p, and the oracle's
-    cost-level search visits those subsets cheapest first.  Its cap is the
-    number of subsets, which it cannot exceed: ``voter_cap`` is the one guard.
+    This is the oracle's restricted-add search: each eligible voter keeps its
+    ballot or gains p, and the subsets are visited cheapest first.  Its cap
+    is the number of subsets, which it cannot exceed: ``voter_cap`` is the
+    one guard.  The answer is uncertified; ``solve`` certifies.
     """
     if instance.op is not Op.ADD:
         raise ValueError("subset enumeration handles additions only")
@@ -77,9 +78,7 @@ def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
     if eligible > voter_cap:
         raise ResourceGuardError(
             f"{eligible} eligible voters exceed the subset cap of {voter_cap}")
-    subsets = 1 << eligible
-    options, parents = _vote_options(e, instance.prices, Op.ADD, True, p, instance.budget, subsets)
-    return _cheapest(instance, rule, options, parents, subsets)
+    return oracle_bribery(instance, rule, max_configs=1 << eligible)
 
 
 def _type_pool(e: Election, p: int) -> set[int]:
@@ -108,7 +107,8 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     walk moves one shared tally: it sets an action when chosen and restores
     it on return, and an action clashing with a chosen swap in the same vote
     prunes every set extending that prefix.  The first winning set is
-    returned.
+    returned.  Answers are uncertified, the approve-p-everywhere one too;
+    ``solve`` certifies.
     """
     if instance.priced:
         raise ValueError("unit-price algorithm called on a priced instance")
@@ -156,7 +156,7 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
 
     if interchangeable and instance.budget >= n:
         actions = _approve_p_everywhere(e, p, instance.op)
-        return certify(instance, rule, BriberySolution(actions, len(actions), True))
+        return BriberySolution(actions, len(actions), True)
     return BriberySolution((), None, False)
 
 
@@ -308,20 +308,6 @@ def _type_cowinner_ccav(types: tuple[int, ...], k: int) -> int:
     return _Tally(ballots, len(types), Rule.CCAV, min(k, len(types))).cowinners()
 
 
-def _conversion_actions(instance: BriberyInstance, assignment: list[int],
-                        columns: list[int]) -> tuple[AtomicAction, ...]:
-    actions = []
-    for c, target in enumerate(assignment):
-        start = columns[c]
-        if instance.op is Op.ADD:
-            for v in _iter_bits(target & ~start):
-                actions.append(AtomicAction(Op.ADD, v, target=c))
-        else:
-            for v in _iter_bits(start & ~target):
-                actions.append(AtomicAction(Op.DELETE, v, source=c))
-    return tuple(actions)
-
-
 def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                           voter_cap: int = FLOW_VOTER_CAP,
                           guess_cap: int = 300_000) -> BriberySolution:
@@ -353,8 +339,7 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     # With k > n every candidate is a CCAV co-winner already (handled above),
     # so reaching here with CCAV means k <= n.
 
-    columns = approver_masks(e)
-    reach = [_reachable_types(instance, c, columns[c]) for c in range(m)]
+    reach = [_reachable_types(instance, c, column) for c, column in enumerate(approver_masks(e))]
     universe = sorted(set().union(*[set(r) for r in reach]))
     # A guess is p's type plus up to m - 1 of the other types.
     guesses = len(reach[p]) * sum(comb(len(universe) - 1, size)
@@ -368,7 +353,10 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     if best is None:
         return BriberySolution((), None, False)
     cost, assignment = best
-    return BriberySolution(_conversion_actions(instance, assignment, columns), cost, True)
+    # The assignment holds each candidate's final approvers: its transpose is
+    # the final ballots, and the witness lists each voter's changed cells.
+    actions = _witness(instance.op, ballot_masks(e), _transpose(assignment, n), [])
+    return BriberySolution(actions, cost, True)
 
 
 def _ccav_type_guesses(instance: BriberyInstance, reach: list[dict[int, int]],

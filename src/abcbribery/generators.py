@@ -11,7 +11,9 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
+    ApprovalBallot,
     BriberyInstance,
+    Candidate,
     Election,
     ElectionError,
     Op,
@@ -51,6 +53,17 @@ class Stream64:
         return seq[self.bits(48) % len(seq)]
 
 
+def _draw_election(stream: Stream64, m: int, n: int, probability: float) -> Election:
+    """Candidates c0..c(m-1) and voters v0..v(n-1); voter by voter, one coin
+    per candidate in index order, each drawn as ``stream.chance(probability)``."""
+    threshold = int(probability * (1 << 53))
+    bits = stream.bits
+    candidates = tuple(Candidate(c, f"c{c}") for c in range(m))
+    ballots = tuple(ApprovalBallot(f"v{v}", frozenset([c for c in range(m) if bits(53) < threshold]))
+                    for v in range(n))
+    return Election(candidates, ballots)
+
+
 def gen_random_election(m: int, n: int, approval_probability: float, seed: int) -> Election:
     """Independent coin per (voter, candidate) pair, driven by Stream64."""
     if m < 1:
@@ -59,13 +72,7 @@ def gen_random_election(m: int, n: int, approval_probability: float, seed: int) 
         raise ElectionError("voter count must be nonnegative")
     if not 0 <= approval_probability <= 1:
         raise ElectionError("approval probability must lie in [0, 1]")
-    stream = Stream64(seed)
-    names = [f"c{i}" for i in range(m)]
-    ballots = []
-    for v in range(n):
-        approved = [names[c] for c in range(m) if stream.chance(approval_probability)]
-        ballots.append((f"v{v}", approved))
-    return make_election(names, ballots)
+    return _draw_election(Stream64(seed), m, n, approval_probability)
 
 
 # --- graphs and the independent-set construction -----------------------------
@@ -314,13 +321,7 @@ def suite_instances(cfg: SuiteConfig):
         stream = Stream64(cfg.seed * 1_000_003 + index)
         m = stream.randint(2, cfg.max_candidates)
         n = stream.randint(1, cfg.max_voters)
-        names = [f"c{i}" for i in range(m)]
-        ballots = []
-        for v in range(n):
-            approved = [names[c] for c in range(m)
-                        if stream.chance(cfg.approval_probability)]
-            ballots.append((f"v{v}", approved))
-        e = make_election(names, ballots)
+        e = _draw_election(stream, m, n, cfg.approval_probability)
         k = stream.randint(1, m)
         p = stream.randint(0, m - 1)
         budget = stream.randint(0, cfg.max_budget)

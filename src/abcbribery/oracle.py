@@ -23,12 +23,12 @@ candidate's answer off it at each leaf: the co-winner mask while several
 are pending, ``wins`` once one is left.  Each target keeps the final
 ballots of the first winning configuration the depth-first order reaches at
 its cheapest cost -- the same configuration a single-target search finds.
-Only ``_cheapest`` turns them into actions: the changed cells of each voter
-for additions and deletions, a walk back through the voter's Dijkstra parents
-for swaps.  Its options come from ``oracle_bribery`` or from an fpt option
-builder, and it leaves certification to them: ``oracle_bribery`` passes the
-witness through ``rules.certify``.  Purely exponential; guarded by a
-configuration-count estimate and by the length of each voter's option list.
+Only ``_cheapest`` turns them into actions, through ``_witness``: the changed
+cells of each voter for additions and deletions, a walk back through the
+voter's Dijkstra parents for swaps.  Its options come from ``oracle_bribery``
+or from an fpt option builder.  Its answers are uncertified; ``solve``
+certifies.  Purely exponential; guarded by a configuration-count estimate and
+by the length of each voter's option list.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .core import (
     _iter_bits,
     ballot_masks,
 )
-from .rules import Rule, _check_k, _Tally, certify
+from .rules import Rule, _check_k, _Tally
 # Wrapped by name in perfbench/tracing.py, although the search no longer calls them.
 from .rules import _is_cowinner_from_ballots, _score_cowinner  # noqa: F401
 
@@ -320,7 +320,7 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
 
 def _cheapest(instance: BriberyInstance, rule: Rule, options: list[list[tuple[int, int]]],
               parents: list[dict[int, tuple[int, int, int]]], max_configs: int) -> BriberySolution:
-    """The options' cheapest winning configuration within the budget, uncertified."""
+    """The options' cheapest winning configuration in budget; uncertified, ``solve`` certifies."""
     e, p = instance.election, instance.p
     found = _search(e, rule, instance.k, [p], options, instance.budget, max_configs)
     if p not in found:
@@ -332,11 +332,11 @@ def _cheapest(instance: BriberyInstance, rule: Rule, options: list[list[tuple[in
 
 def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
                    max_configs: int = DEFAULT_MAX_CONFIGS) -> BriberySolution:
-    """Minimum-cost solution within the budget by exhaustive enumeration."""
+    """Minimum-cost solution within the budget by enumeration; uncertified, ``solve`` certifies."""
     options, parents = _vote_options(instance.election, instance.prices, instance.op,
                                      instance.restricted_to_p, instance.p, instance.budget,
                                      max_configs)
-    return certify(instance, rule, _cheapest(instance, rule, options, parents, max_configs))
+    return _cheapest(instance, rule, options, parents, max_configs)
 
 
 def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,

@@ -2,6 +2,7 @@
 counters, the Fraction reference winners and an Election-level certify."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 from abcbribery import (AtomicAction, BriberySolution, CertificationError, ElectionError, Op, Rule,
@@ -44,6 +45,20 @@ def count_calls(monkeypatch, module, name):
         calls[0] += 1
         return original(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_certify(monkeypatch):
+    """Wrap ``certify`` in every package module that binds it, all with one
+    counter, so a solver certifying its own answer counts too."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return certify(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "abcbribery" and getattr(module, "certify", None) is certify:
+            monkeypatch.setattr(module, "certify", counted)
     return calls
 
 

@@ -19,6 +19,7 @@ from abcbribery import (
     make_election,
     rav_committee,
     solution_cost,
+    solve,
 )
 from abcbribery import approx, rules
 from abcbribery.approx import (
@@ -31,7 +32,7 @@ from abcbribery.core import ballot_masks
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin
 
-from helpers import count_calls, random_sized_election, verdict
+from helpers import count_calls, count_certify, random_sized_election, verdict
 
 
 def test_sav_max_gain_zero_budget(e0):
@@ -148,12 +149,14 @@ def test_rav_add_for_p_already_winning(e0):
 
 
 def test_rav_add_for_p_certifies_cover(e0, monkeypatch):
-    # The returned cover is replayed through the RAV kernel, not trusted.
+    # solve replays the returned cover through the RAV kernel, once.
     inst = BriberyInstance(e0, 3, 2, 9, Op.ADD, restricted_to_p=True)
-    assert rav_add_for_p(inst).feasible
+    certified = count_certify(monkeypatch)
+    assert solve(inst, Rule.RAV)[0].feasible
+    assert certified[0] == 1
     monkeypatch.setattr(rules, "_is_cowinner_from_ballots", lambda *args: False)
     with pytest.raises(CertificationError, match="co-winner"):
-        rav_add_for_p(inst)
+        solve(inst, Rule.RAV)
 
 
 def test_rav_add_for_p_unit_matches_oracle():

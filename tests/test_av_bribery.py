@@ -101,6 +101,13 @@ def test_av_priced_swap_relay_chain():
     assert verdict(oracle_bribery(inst, Rule.AV)) == verdict(sol)
 
 
+def test_relay_ordering_rejects_an_invalid_hop():
+    # Vote 0 approves only candidate 0, so a relay hop out of candidate 1
+    # has nothing to move.
+    with pytest.raises(RuntimeError, match=r"^relay swap 1->2 is invalid in vote 0$"):
+        avbribery._order_vote_swaps(0, 0b001, [[(1, 2)]])
+
+
 def test_av_priced_swap_all_forbidden(e0):
     swap = {(v, c, d): FORBIDDEN for v in range(e0.n)
             for c in range(e0.m) for d in range(e0.m) if c != d}

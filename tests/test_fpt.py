@@ -16,6 +16,7 @@ from abcbribery import (
     is_cowinner,
     make_election,
     solution_cost,
+    solve,
 )
 from abcbribery import fpt, oracle, rules
 from abcbribery.avbribery import av_add, av_swap_unit
@@ -33,6 +34,7 @@ from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
 from helpers import (
     count_calls,
+    count_certify,
     random_sized_election,
     reference_type_enum,
     reference_winners,
@@ -101,13 +103,16 @@ def test_unpriced_type_enum_large_budget_accepts():
 
 
 def test_unpriced_type_enum_certifies_fallback(monkeypatch):
-    # The approve-p-everywhere answer is replayed, not trusted.
+    # solve replays the approve-p-everywhere answer, once.  Under auto an
+    # unpriced AV add routes to av_add, so the fpt-n row is asked for.
     e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 1, 1, 2, Op.ADD)
-    assert unpriced_type_enum(inst, Rule.AV).feasible
+    certified = count_certify(monkeypatch)
+    assert solve(inst, Rule.AV, "fpt-n")[0].feasible
+    assert certified[0] == 1
     monkeypatch.setattr(rules, "_is_cowinner_from_ballots", lambda *args: False)
     with pytest.raises(CertificationError, match="co-winner"):
-        unpriced_type_enum(inst, Rule.AV)
+        solve(inst, Rule.AV, "fpt-n")
 
 
 def test_unpriced_type_enum_e0_swap(e0):
@@ -551,16 +556,18 @@ def test_priced_swap_pool_guard_before_its_walk():
 
 
 def _record_options(monkeypatch):
-    """Each voter's options as an fpt builder hands them to the shared search.
+    """Each voter's options as an fpt solver hands them to the shared search,
+    directly or through ``oracle_bribery``.
 
     A solve that answers before building options records nothing."""
     seen = []
-    search = fpt._cheapest
+    search = oracle._cheapest
 
     def recording(instance, rule, options, parents, max_configs):
         seen.append(options)
         return search(instance, rule, options, parents, max_configs)
     monkeypatch.setattr(fpt, "_cheapest", recording)
+    monkeypatch.setattr(oracle, "_cheapest", recording)
     return seen
 
 

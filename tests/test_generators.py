@@ -19,15 +19,20 @@ from abcbribery.avbribery import av_priced_swap_exact
 from abcbribery.generators import (
     Graph,
     Stream64,
+    SuiteConfig,
     X3CInstance,
+    _draw_election,
     cubic_graphs,
     exact_cover_exists,
     gen_is_to_av_swap,
     gen_random_election,
     gen_x3c_to_sav_swap,
     independent_set_exists,
+    suite_instances,
 )
 from abcbribery.oracle import oracle_bribery
+
+from helpers import random_election, random_sized_election
 
 K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
@@ -55,6 +60,48 @@ def test_random_election_validation():
         gen_random_election(0, 3, 0.5, 1)
     with pytest.raises(ElectionError):
         gen_random_election(3, 3, 1.5, 1)
+
+
+def test_draw_matches_the_reference_coins():
+    # One coin per (voter, candidate) pair, voter by voter, as the
+    # name-based reference draws them; the streams end in the same state.
+    shapes = Stream64(2024)
+    for seed in range(5_000):
+        m, n = shapes.randint(1, 8), shapes.randint(0, 8)
+        probability = (0.0, 0.22, 0.3, 0.5, 0.75, 1.0)[seed % 6]
+        ours, theirs = Stream64(seed), Stream64(seed)
+        assert _draw_election(ours, m, n, probability) == random_election(theirs, m, n, probability)
+        assert ours.state == theirs.state
+
+
+def _reference_suite(cfg):
+    """suite_instances with the election drawn by the test reference."""
+    for index in range(cfg.count):
+        stream = Stream64(cfg.seed * 1_000_003 + index)
+        e = random_sized_election(stream, cfg.max_candidates, cfg.max_voters,
+                                  cfg.approval_probability)
+        k, p, budget = stream.randint(1, e.m), stream.randint(0, e.m - 1), \
+            stream.randint(0, cfg.max_budget)
+        add, delete, swap = {}, {}, {}
+        if cfg.priced:
+            for v in range(e.n):
+                for c in range(e.m):
+                    add[(v, c)] = stream.choice(cfg.price_choices)
+                    delete[(v, c)] = stream.choice(cfg.price_choices)
+                    for d in range(e.m):
+                        if c != d:
+                            swap[(v, c, d)] = stream.choice(cfg.price_choices)
+        yield (e, p, k, budget, cfg.op, cfg.priced, cfg.restricted_to_p, add, delete, swap)
+
+
+@pytest.mark.parametrize("op", list(Op))
+@pytest.mark.parametrize("priced", [False, True])
+def test_suite_instances_unchanged(op, priced):
+    cfg = SuiteConfig(op=op, count=200, seed=31 + priced, priced=priced,
+                      restricted_to_p=op is not Op.DELETE, approval_probability=0.4)
+    got = [(i.election, i.p, i.k, i.budget, i.op, i.priced, i.restricted_to_p,
+            i.prices.add, i.prices.delete, i.prices.swap) for i in suite_instances(cfg)]
+    assert got == list(_reference_suite(cfg))
 
 
 def test_stream_is_stable():

@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, each private helper defined once, no assert,
-the rule state's internals used in rules only, and no Election replay in rules or cli."""
+the rule state's internals used in rules only, no Election replay in rules or cli,
+and solve the one certifier."""
 
 import ast
 from collections import defaultdict
@@ -20,6 +21,9 @@ TALLY_INTERNALS = {"_score_delta", "_committee_values", "_greedy_picks"}
 # certify and verify replay action lists on ballot masks (core.replay_masks);
 # the Election-level replay is public API, not their path.
 ELECTION_REPLAY = {"apply_action", "apply_actions"}
+# Solvers return uncertified answers and solve certifies each once; rules
+# defines certify and __init__ re-exports it.
+CERTIFIER_MODULES = {"solve.py", "rules.py", "__init__.py"}
 
 
 def _tree(path):
@@ -66,6 +70,12 @@ def test_tally_internals_stay_in_rules():
 
 def test_certify_and_verify_replay_on_masks():
     found = [use for name in ("rules.py", "cli.py") for use in _uses(PACKAGE / name, ELECTION_REPLAY)]
+    assert not found, found
+
+
+def test_solve_is_the_one_certifier():
+    found = [use for path in MODULES if path.name not in CERTIFIER_MODULES
+             for use in _uses(path, {"certify"})]
     assert not found, found
 
 

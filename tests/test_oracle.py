@@ -16,13 +16,14 @@ from abcbribery import (
     is_cowinner,
     make_election,
     solution_cost,
+    solve,
 )
 from abcbribery import oracle, rules
 from abcbribery.core import _iter_bits
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
-from helpers import count_calls, verdict
+from helpers import count_calls, count_certify, verdict
 
 
 def test_e0_paper_margins(e0):
@@ -287,11 +288,14 @@ def test_score_rule_leaves_skip_the_mask_kernel(monkeypatch):
 
 
 def test_oracle_witness_is_certified(monkeypatch, e0):
+    # solve replays the oracle's witness through the kernel, once.
     inst = BriberyInstance(e0, 3, 2, 9, Op.ADD)
-    assert oracle_bribery(inst, Rule.PAV).feasible
+    certified = count_certify(monkeypatch)
+    assert solve(inst, Rule.PAV, "oracle")[0].feasible
+    assert certified[0] == 1
     monkeypatch.setattr(rules, "_is_cowinner_from_ballots", lambda *args: False)
     with pytest.raises(CertificationError, match="co-winner"):
-        oracle_bribery(inst, Rule.PAV)
+        solve(inst, Rule.PAV, "oracle")
 
 
 def _moves(solution):
