@@ -61,7 +61,7 @@ LANES = {
                                          max_voters=4, price_choices=(1, 2))),
     "flow-ccav-delete": (Rule.CCAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=6,
                                                   max_voters=4)),
-    # Restricted GAV additions route to approx.gav_add_for_p, not the flow.
+    # Restricted GAV additions route to approx.gav_add_for_p, not the assignment search.
     "flow-gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=6,
                                              max_voters=4)),
 }

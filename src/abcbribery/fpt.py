@@ -5,13 +5,11 @@ candidate p build options for the oracle's cost-level search: each voter
 keeps its ballot or takes one action toward p, swaps drawing their donors
 from per-type-pair cheapest pools.  Unit-price additions and swaps enumerate
 action sets over type-restricted candidate pools.  The coverage rules take
-priced additions and deletions.  CCAV guesses the candidate types present
-after bribery: a guess whose cheapest-conversion lower bound cannot beat the
-best answer is skipped, and one that remains is priced with a min-cost flow
-whose sink arcs carry lower bounds.  GAV makes no guesses: one
-branch-and-bound search runs over concrete candidate-to-type assignments,
-and each leaf asks ``rules._greedy_wins``, whose screen settles most of them
-without a greedy.
+priced additions and deletions through one branch-and-bound search over
+concrete candidate-to-type assignments.  A GAV leaf asks
+``rules._greedy_wins``, whose screen settles most leaves without a greedy; a
+CCAV leaf tests the set of types present, once per set, and prefixes that
+reach the same set no cheaper are dropped.
 
 The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
@@ -25,8 +23,8 @@ The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
 score and coverage rules here.  The deterministic lowest-index tie-break of
 GAV and RAV makes membership index-dependent, so for those two the pools are
-not restricted, and GAV's coverage search checks winners on concrete
-candidate-to-type assignments instead of on type sets.
+not restricted, and the coverage search tests GAV winners on the concrete
+assignment instead of on its type set.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .core import (
     ballot_masks,
 )
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .flows import Arc, FlowNetwork, InfeasibleFlowError, min_cost_flow_lb
+from .flows import min_cost_flow_lb  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .oracle import _cheapest, _vote_options, _witness, oracle_bribery
 from .rules import Rule, _greedy_wins, _Tally, _thiele_weights, is_cowinner
 
@@ -272,7 +270,7 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     return _cheapest(instance, rule, options, parents, enum_cap)
 
 
-# --- type guessing with a min-cost flow for the coverage rules ---------------
+# --- an assignment search for the coverage rules ------------------------------
 
 
 def _reachable_types(instance: BriberyInstance, candidate: int, start: int) -> dict[int, int]:
@@ -313,17 +311,12 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                           guess_cap: int = 300_000) -> BriberySolution:
     """Exact priced additions/deletions for the coverage rules CCAV and GAV.
 
-    For CCAV, guess the set of candidate types present after bribery and the
-    type p ends up with.  A guess is priced only if it can still beat the
-    best answer so far: the sum of each candidate's cheapest conversion into
-    the guessed types bounds its cost from below.  Any guess whose type set
-    lets p's type join an optimal committee is acceptable, and a min-cost
-    flow (candidates feed type nodes whose sink arcs require one unit each)
-    finds its cheapest assignment.  GAV's deterministic tie-break sees
-    candidate indices, so it makes no guesses: one branch-and-bound search
-    over concrete candidate-to-type assignments replays the greedy; no flow
-    is built.  ``guess_cap`` bounds the number of CCAV guesses and is
-    checked, for both rules, before any search.
+    Each candidate's approver set can be bought into the types (approver
+    masks) its conversion reaches, and one branch-and-bound search runs over
+    concrete candidate-to-type assignments for both rules.  No flow is built
+    any more; the name stays for its callers.  ``guess_cap`` bounds the
+    type-set guesses (p's type plus up to m - 1 other reachable types) that
+    the assignments can realize, and is checked before any search.
     """
     if rule not in (Rule.CCAV, Rule.GAV):
         raise ValueError("the flow algorithm covers CCAV and GAV only")
@@ -336,20 +329,15 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                                  f"for the type-guessing flow")
     if is_cowinner(e, rule, k, p):
         return BriberySolution((), 0, True)
-    # With k > n every candidate is a CCAV co-winner already (handled above),
-    # so reaching here with CCAV means k <= n.
 
     reach = [_reachable_types(instance, c, column) for c, column in enumerate(approver_masks(e))]
-    universe = sorted(set().union(*[set(r) for r in reach]))
+    universe = set().union(*reach)
     # A guess is p's type plus up to m - 1 of the other types.
     guesses = len(reach[p]) * sum(comb(len(universe) - 1, size)
                                   for size in range(min(m, len(universe))))
     if guesses > guess_cap:
         raise ResourceGuardError(f"type-set guesses exceed the cap of {guess_cap}")
-    if rule is Rule.GAV:
-        best = _gav_assignment_search(reach, p, k, instance.budget)
-    else:
-        best = _ccav_type_guesses(instance, reach, universe)
+    best = _assignment_search(reach, rule, p, k, instance.budget)
     if best is None:
         return BriberySolution((), None, False)
     cost, assignment = best
@@ -359,133 +347,62 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     return BriberySolution(actions, cost, True)
 
 
-def _ccav_type_guesses(instance: BriberyInstance, reach: list[dict[int, int]],
-                       universe: list[int]):
-    """Cheapest assignment over the type-set guesses that let p's type win."""
-    p, k, budget = instance.p, instance.k, instance.budget
-    m = len(reach)
-    # Guesses are bitmasks over the universe; each candidate's reachable
-    # types are listed cheapest first, so its cheapest guessed type is the
-    # first one in the guess.
-    bit = {t: 1 << i for i, t in enumerate(universe)}
-    ladders = [sorted((cost, bit[t], t) for t, cost in r.items()) for r in reach]
-    reached_by_others = 0
-    for c in range(m):
-        if c != p:
-            for t in reach[c]:
-                reached_by_others |= bit[t]
-    # A type set is tested once, whichever of its types p is guessed to take.
-    cowinners: dict[tuple[int, ...], int] = {}
-    best: tuple[int, list[int]] | None = None
-    for p_type in sorted(reach[p]):
-        others = [t for t in universe if t != p_type]
-        ladders[p] = [(reach[p][p_type], bit[p_type], p_type)]
-        reached = reached_by_others | bit[p_type]
-        for size in range(1, min(m, len(universe)) + 1):
-            for extra in itertools.combinations(others, size - 1):
-                guess = bit[p_type]
-                for t in extra:
-                    guess |= bit[t]
-                if guess & ~reached:  # a guessed type no candidate can take
-                    continue
-                # Costs are integers, so "cheaper than best" is "<= best - 1".
-                limit = budget if best is None else min(budget, best[0] - 1)
-                bound = _guess_lower_bound(ladders, guess)
-                if bound is None or bound > limit:
-                    continue
-                types = tuple(sorted(extra + (p_type,)))
-                mask = cowinners.get(types)
-                if mask is None:
-                    mask = cowinners[types] = _type_cowinner_ccav(types, k)
-                if not mask >> types.index(p_type) & 1:
-                    continue
-                solved = _solve_type_guess(instance, reach, types, p_type, p)
-                if solved is not None and solved[0] <= limit:
-                    best = solved
-    return best
+def _ccav_wins(present: int, p_type: int, k: int, cowinners: dict[int, int]) -> bool:
+    """Whether p's type can join an optimal CCAV committee of the types in
+    ``present``, a bitmask over the types; each type set is tested once."""
+    mask = cowinners.get(present)
+    if mask is None:
+        mask = cowinners[present] = _type_cowinner_ccav(tuple(_iter_bits(present)), k)
+    # The types are listed lowest first, so p's index is the count of those below it.
+    return bool(mask >> (present & ((1 << p_type) - 1)).bit_count() & 1)
 
 
-def _guess_lower_bound(ladders: list[list[tuple[int, int, int]]], guess: int) -> int | None:
-    """Sum of each candidate's cheapest conversion into the guessed types.
+def _assignment_search(reach: list[dict[int, int]], rule: Rule, p: int, k: int, budget: int):
+    """Cheapest assignment of reachable types that makes p a co-winner.
 
-    ``ladders[c]`` lists candidate c's reachable types as (cost, type bit,
-    type), cheapest first (p's holds only its pinned type), and ``guess`` is
-    the bitmask of the guessed types' bits.  None when some candidate reaches
-    no guessed type: no assignment realizes the guess then.
-    """
-    total = 0
-    for ladder in ladders:
-        for cost, type_bit, _ in ladder:
-            if type_bit & guess:
-                total += cost
-                break
-        else:
-            return None
-    return total
-
-
-def _solve_type_guess(instance: BriberyInstance, reach: list[dict[int, int]],
-                      types: tuple[int, ...], p_type: int, p: int):
-    """Min-cost assignment realizing exactly these types, p's type pinned."""
-    m = len(reach)
-    type_index = {t: i for i, t in enumerate(types)}
-    node_count = 1 + m + len(types) + 1
-    sink = node_count - 1
-    arcs: list[Arc] = []
-    assign_arcs: list[tuple[int, int, int]] = []  # arc idx, candidate, type mask
-    for c in range(m):
-        arcs.append(Arc(0, 1 + c, 0, 1, 0))
-        targets = [p_type] if c == p else types
-        for t in targets:
-            cost = reach[c].get(t)
-            if cost is None:
-                continue
-            assign_arcs.append((len(arcs), c, t))
-            arcs.append(Arc(1 + c, 1 + m + type_index[t], 0, 1, cost))
-    for i in range(len(types)):
-        arcs.append(Arc(1 + m + i, sink, 1, m, 0))
-    net = FlowNetwork(node_count, tuple(arcs), 0, sink, m)
-    try:
-        total, flows = min_cost_flow_lb(net)
-    except InfeasibleFlowError:
-        return None
-    assignment = [0] * m
-    for idx, c, t in assign_arcs:
-        if flows[idx] > 0:
-            assignment[c] = t
-    return total, assignment
-
-
-def _gav_assignment_search(reach: list[dict[int, int]], p: int, k: int, budget: int):
-    """Cheapest assignment of reachable types that makes p win the greedy.
-
-    Every assignment within the budget is visited once, except where a
-    branch already costs as much as the best one found.
+    Each candidate takes its reachable types cheapest first, and a branch
+    stops once it costs more than the budget or than the best assignment
+    found less one.  A GAV leaf replays the greedy on the assigned columns.
+    A CCAV leaf depends only on the set of types present and p's type, so a
+    prefix is dropped when one at the same depth with the same types (and
+    the same p type, once p is assigned) was reached at no higher cost: the
+    limit only falls, so that prefix already tried every completion this
+    one could.
     """
     m = len(reach)
-    ladders = [sorted((cost, t, t.bit_count()) for t, cost in r.items()) for r in reach]
+    ladders = [sorted((cost, t, t.bit_count(), 1 << t) for t, cost in r.items()) for r in reach]
+    gav = rule is Rule.GAV
     weights = _thiele_weights(Rule.GAV, k)
     w0, w_last = weights[0], weights[-1]
     best: tuple[int, list[int]] | None = None
     limit = budget
     assignment = [0] * m  # the candidates' approver masks: the greedy's columns
     counts = [0] * m  # and their approval counts
+    cowinners: dict[int, int] = {}
+    reached: dict[tuple[int, int, int], int] = {}  # CCAV prefix -> cheapest cost
 
-    def dfs(c: int, cost: int):
+    def dfs(c: int, cost: int, present: int):
         nonlocal best, limit
-        if c == m:
-            if _greedy_wins(assignment, counts, Rule.GAV, k, p, w0, w_last):
-                best = (cost, assignment.copy())
-                limit = cost - 1  # costs are integers: only a cheaper one replaces it
-            return
-        for extra, t, count in ladders[c]:
-            if cost + extra > limit:  # ladders are cheapest first: no later type fits
+        if not gav:
+            key = (c, present, assignment[p] if c > p else -1)
+            if reached.get(key, cost + 1) <= cost:
+                return
+            reached[key] = cost
+        last = c == m - 1  # the leaves are tested in place, not one call deeper
+        for extra, t, count, bit in ladders[c]:
+            total = cost + extra
+            if total > limit:  # ladders are cheapest first: no later type fits
                 break
             assignment[c], counts[c] = t, count
-            dfs(c + 1, cost + extra)
+            if not last:
+                dfs(c + 1, total, present | bit)
+            elif (_greedy_wins(assignment, counts, Rule.GAV, k, p, w0, w_last) if gav
+                    else _ccav_wins(present | bit, assignment[p], k, cowinners)):
+                best = (total, assignment.copy())
+                limit = total - 1  # costs are integers: only a cheaper one replaces it
 
     try:
-        dfs(0, 0)
+        dfs(0, 0, 0)
     finally:
         del dfs  # dfs names itself: a cycle the collector alone would free
     return best

@@ -3,8 +3,9 @@
 A cell is (rule, operation, priced, restricted to p).  ``ROUTES`` is read
 first match wins: a row lists the algorithms it serves, the cells it covers
 (None matches either value of a flag), its solver and its guarantee.  Row
-order matters where rows overlap: the exact/auto flow row for the coverage
-rules comes before type enumeration, fpt-n's flow row after it.  Solvers are
+order matters where rows overlap: the exact/auto assignment-search row for
+the coverage rules comes before type enumeration, fpt-n's row for them after
+it.  Solvers are
 looked up on their modules at call time and return uncertified answers;
 ``solve`` passes each through ``rules.certify`` once, the package's one
 certifier.

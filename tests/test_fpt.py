@@ -29,7 +29,7 @@ from abcbribery.fpt import (
     priced_swap_to_p_type_enum,
     unpriced_type_enum,
 )
-from abcbribery.generators import Stream64, SuiteConfig, suite_instances
+from abcbribery.generators import Stream64, SuiteConfig, gen_random_election, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
 from helpers import (
@@ -389,25 +389,20 @@ def test_flow_matches_oracle_at_voter_cap():
 
 
 def test_flow_solve_counts_are_pinned(monkeypatch):
-    # Deterministic work: GAV never builds a flow, and CCAV prices only
-    # the guesses its lower bound cannot rule out (15,528 flows before pruning).
+    # Deterministic work: neither rule builds a flow.  CCAV's search reaches
+    # 10 leaves here, each with its own set of types, so each set is tested
+    # once.
     cfg = SuiteConfig(op=Op.DELETE, count=35, seed=96, priced=True,
                       max_candidates=5, max_voters=4, max_budget=6)
     inst = list(suite_instances(cfg))[34]
-    calls = 0
-    solve = fpt.min_cost_flow_lb
-
-    def counting(net):
-        nonlocal calls
-        calls += 1
-        return solve(net)
-
-    monkeypatch.setattr(fpt, "min_cost_flow_lb", counting)
-    for rule, flows in ((Rule.CCAV, 3), (Rule.GAV, 0)):
-        calls = 0
+    flows = count_calls(monkeypatch, fpt, "min_cost_flow_lb")
+    type_sets = count_calls(monkeypatch, fpt, "_type_cowinner_ccav")
+    ccav_leaves = count_calls(monkeypatch, fpt, "_ccav_wins")
+    for rule in (Rule.CCAV, Rule.GAV):
         got = ccav_gav_flow_bribery(inst, rule)
-        assert (got.feasible, got.cost, calls) == (True, 2, flows), rule
+        assert (got.feasible, got.cost, flows[0]) == (True, 2, 0), rule
         _assert_certified(inst, rule, got)
+    assert (ccav_leaves[0], type_sets[0]) == (10, 10)
     # GAV's search asks the shared screen at each of its 10 leaves; at k = 1
     # one candidate sure to be picked before p settles a leaf, which leaves
     # one greedy to run.
@@ -630,16 +625,36 @@ def test_flow_guess_guard_at_its_boundary():
 def test_flow_guess_guard_trips_before_any_search(monkeypatch):
     e = make_election(["a", "b", "p"], [("v1", ["a", "b"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 2, 1, 3, Op.DELETE)
-    flows = count_calls(monkeypatch, fpt, "min_cost_flow_lb")
+    type_sets = count_calls(monkeypatch, fpt, "_type_cowinner_ccav")
     greedies = count_calls(monkeypatch, fpt, "_greedy_wins")
     for rule in (Rule.CCAV, Rule.GAV):
         with pytest.raises(ResourceGuardError, match="cap of 6"):
             ccav_gav_flow_bribery(inst, rule, guess_cap=6)
-    assert (flows[0], greedies[0]) == (0, 0)
+    assert (type_sets[0], greedies[0]) == (0, 0)
     # The same counters see the searches when the guard lets them run.
     for rule in (Rule.CCAV, Rule.GAV):
         ccav_gav_flow_bribery(inst, rule, guess_cap=7)
-    assert flows[0] > 0 and greedies[0] > 0
+    assert type_sets[0] > 0 and greedies[0] > 0
+
+
+def test_ccav_search_drops_dominated_prefixes(monkeypatch):
+    # A dense election: p = c1 has three approvers, c0 and c2-c4 have four.
+    # At one below the optimal deletion cost of 7 the search must exhaust
+    # every assignment within the budget.  A CCAV leaf depends only on the
+    # types present and p's type, so a prefix that reaches a (depth, types,
+    # p type) already reached at no higher cost is dropped: without that,
+    # the two searches reach 614 and 960 leaves.
+    e = gen_random_election(6, 4, 0.8, 21)
+    stream = Stream64(21)
+    prices = PriceTable(delete={(v, c): stream.randint(1, 3)
+                                for v in range(e.n) for c in range(e.m)})
+    leaves = count_calls(monkeypatch, fpt, "_ccav_wins")
+    for budget, answer, reached in ((6, (False, None), 142), (7, (True, 7), 248)):
+        leaves[0] = 0
+        inst = BriberyInstance(e, 1, 1, budget, Op.DELETE, priced=True, prices=prices)
+        got = rules.certify(inst, Rule.CCAV, ccav_gav_flow_bribery(inst, Rule.CCAV))
+        assert (leaves[0], verdict(got)) == (reached, answer)
+        assert verdict(got) == verdict(oracle_bribery(inst, Rule.CCAV))
 
 
 def test_flow_matches_oracle_on_wider_elections():
@@ -667,7 +682,8 @@ def test_searches_leave_no_reference_cycles():
     # that nothing it built waits for the cyclic collector.  The priced swap
     # solver runs the oracle's search through its option builder; the type
     # enumeration's walk recurses through a module function, here to a
-    # winning set of size 3 or 4, to no set at all and into its guard.
+    # winning set of size 3 or 4, to no set at all and into its guard; the
+    # coverage rules share one assignment search.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     gc.collect()
@@ -688,6 +704,9 @@ def test_searches_leave_no_reference_cycles():
             assert gc.collect() == 0, rule
         delete = BriberyInstance(e, 2, 1, 3, Op.DELETE, priced=True)
         assert not ccav_gav_flow_bribery(delete, Rule.GAV).feasible
+        assert not ccav_gav_flow_bribery(delete, Rule.CCAV).feasible
+        add = BriberyInstance(e, 2, 1, 4, Op.ADD, priced=True)
+        assert ccav_gav_flow_bribery(add, Rule.CCAV).cost == 3
         assert gc.collect() == 0
     finally:
         gc.enable()

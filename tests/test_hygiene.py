@@ -13,6 +13,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # perfbench/tracing.py wraps these module attributes by name, so they stay
 # importable although the module no longer calls them.
 TRACED_ONLY = {("cli.py", "oracle_bribery"), ("fpt.py", "apply_actions"),
+               ("fpt.py", "min_cost_flow_lb"),
                ("oracle.py", "_is_cowinner_from_ballots"), ("oracle.py", "_score_cowinner")}
 # How each rule's state moves when one ballot changes is known to rules._Tally
 # alone, and the greedy runs behind rules' own membership test and committee
