@@ -35,6 +35,7 @@ LANES = {
     "av-delete": (Rule.AV, "exact", dict(op=Op.DELETE, priced=True)),
     "av-swap-unit": (Rule.AV, "exact", dict(op=Op.SWAP)),
     "av-swap-priced": (Rule.AV, "exact", dict(op=Op.SWAP, priced=True)),
+    "av-swap-priced-p": (Rule.AV, "exact", dict(op=Op.SWAP, priced=True, restricted_to_p=True)),
     "gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, restricted_to_p=True)),
     "rav-add": (Rule.RAV, "auto", dict(op=Op.ADD, restricted_to_p=True)),
     "subset-ccav": (Rule.CCAV, "fpt-n",

@@ -10,9 +10,11 @@ preferred candidate win; ``is_cowinner`` is asked once per solve, for the
 election as given.
 
 Priced swaps guess the winning committee and its lowest member score, then
-solve a min-cost flow where every approval either stays put or moves within
-its vote; a move from c to d may relay through intermediate candidates, so
-effective move prices are per-vote shortest paths over the swap price table.
+route only that guess's threshold violations (each non-member's excess above
+it, each member's deficit below it) as a min-cost flow over one network of
+per-vote moves, built once per solve.  A move from c to d may relay through
+intermediate candidates, so effective move prices are per-vote shortest paths
+over the swap price table.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     PriceTable,
     ResourceGuardError,
     _actions_key,
+    _iter_bits,
     approver_masks,
     ballot_masks,
 )
@@ -246,9 +249,16 @@ def av_priced_swap_exact(instance: BriberyInstance, *,
     """Exact optimum for priced swaps by guessing the committee and threshold.
 
     For every committee W containing p and every threshold T, a min-cost flow
-    with lower bounds decides the cheapest swap set giving all members at
-    least T approvals and all non-members at most T.  Exponential in the
-    number of candidates, hence the guess cap.
+    decides the cheapest swap set giving all members at least T approvals and
+    all non-members at most T.  The move network is built once per solve:
+    candidate c -> slot (v, c), capacity 1, for each approval of vote v; slot
+    -> receiver (v, d) at the vote's move price, for each d that v lacks (only
+    d = p when restricted); receiver -> d, capacity 1.  A guess adds 2m + 1
+    arcs that carry only its violations: source -> u with a lower bound of
+    non-member u's excess over T, w -> sink with a lower bound of member w's
+    deficit below T, each side's slack as capacity, and a sink -> source
+    return arc.  Prices are nonnegative, so no cheapest flow routes slack to
+    slack.  Exponential in the number of candidates, hence the guess cap.
     """
     _require(instance, Op.SWAP)
     e, p, k = instance.election, instance.p, instance.k
@@ -261,50 +271,50 @@ def av_priced_swap_exact(instance: BriberyInstance, *,
     masks = ballot_masks(e)
     scores = av_scores(e)
     restricted = instance.restricted_to_p
-    move_prices = []
-    next_hops = []
-    for v in range(n):
-        if restricted:
-            # Direct moves to p only: a relay's intermediate swap would have a
-            # target other than p.
-            dist = [[inf] * m for _ in range(m)]
-            for c in range(m):
-                if c != p:
-                    price = instance.prices.swap_price(v, c, p)
-                    if price != FORBIDDEN:
-                        dist[c][p] = price
-            move_prices.append(dist)
-            next_hops.append(None)
-        else:
-            dist, nxt = _vote_move_prices(e, instance.prices, v)
-            move_prices.append(dist)
-            next_hops.append(nxt)
+    if restricted:
+        # Direct moves to p only: a relay's intermediate swap would have a
+        # target other than p.
+        receivers = (p,)
+        move_price = instance.prices.swap_price
+    else:
+        receivers = range(m)
+        relays = [_vote_move_prices(e, instance.prices, v) for v in range(n)]
 
-    votes_without = [0] * m
-    for mask in masks:
-        for c in range(m):
-            if not mask >> c & 1:
-                votes_without[c] += 1
+        def move_price(v, c, d):
+            return relays[v][0][c][d]
+    min_price = min((price for v in range(n) for c in range(m) for d in receivers
+                     if c != d and (price := move_price(v, c, d)) != inf), default=0)
 
-    total_units = sum(mask.bit_count() for mask in masks)
+    arcs: list[Arc] = []
+    move_arcs: list[tuple[int, int, int, int]] = []  # arc index, vote, source, target
+    node_count = m  # candidates are nodes 0..m-1
+    for v, mask in enumerate(masks):
+        receiver = {}
+        for d in receivers:
+            if not mask >> d & 1:
+                receiver[d] = node_count
+                node_count += 1
+        for c in _iter_bits(mask):
+            moves = [(d, price) for d in receiver if (price := move_price(v, c, d)) != inf]
+            if not moves:
+                continue
+            arcs.append(Arc(c, node_count, 0, 1, 0))
+            for d, price in moves:
+                move_arcs.append((len(arcs), v, c, d))
+                arcs.append(Arc(node_count, receiver[d], 0, 1, int(price)))
+            node_count += 1
+        arcs.extend(Arc(node, d, 0, 1, 0) for d, node in receiver.items())
+    move_network = tuple(arcs)
+    source, sink = node_count, node_count + 1
+    return_arc = (Arc(sink, source, 0, n * m, 0),)
+
     others = [c for c in range(m) if c != p]
     best: tuple[int, tuple, tuple[AtomicAction, ...]] | None = None
-    min_price = min((move_prices[v][c][d]
-                     for v in range(n) for c in range(m) for d in range(m)
-                     if c != d and move_prices[v][c][d] not in (inf, FORBIDDEN)),
-                    default=0)
-
     for chosen in itertools.combinations(others, k - 1):
         members = frozenset(chosen) | {p}
         for threshold in range(n + 1):
-            if any(threshold - scores[w] > votes_without[w] for w in members):
-                continue
-            if restricted and any(scores[w] < threshold for w in members if w != p):
-                continue
             shed = sum(max(0, scores[u] - threshold) for u in range(m) if u not in members)
             gain = sum(max(0, threshold - scores[w]) for w in members)
-            if restricted and shed > max(0, votes_without[p]):
-                continue
             # Every swap donates once and receives once, so the swap count is
             # at least max(gain, shed); each swap costs at least min_price.
             lower_bound = max(gain, shed) * min_price
@@ -312,22 +322,27 @@ def av_priced_swap_exact(instance: BriberyInstance, *,
                 continue
             if best is not None and lower_bound > best[0]:
                 continue
-            solved = _solve_guess(e, masks, move_prices, members, threshold,
-                                  total_units, restricted, p)
-            if solved is None:
+            guess: list[Arc] = []
+            for c in range(m):
+                excess = scores[c] - threshold
+                if c in members:
+                    guess += (Arc(source, c, 0, max(0, excess), 0),
+                              Arc(c, sink, max(0, -excess), n, 0))
+                else:
+                    guess += (Arc(source, c, max(0, excess), n, 0),
+                              Arc(c, sink, 0, max(0, -excess), 0))
+            net = FlowNetwork(sink + 1, move_network + tuple(guess) + return_arc, source, sink, 0)
+            try:
+                cost, flows = min_cost_flow_lb(net)
+            except InfeasibleFlowError:
                 continue
-            cost, moves = solved
             if best is not None and cost > best[0]:
                 continue
+            moves = [(v, c, d) for idx, v, c, d in move_arcs if flows[idx]]
             actions: list[AtomicAction] = []
-            for v in range(n):
-                vote_moves = [mv for mv in moves if mv[0] == v]
-                if not vote_moves:
-                    continue
-                if restricted:
-                    paths = [[(c, d)] for _, c, d in vote_moves]
-                else:
-                    paths = [_expand_path(next_hops[v], c, d) for _, c, d in vote_moves]
+            for v, vote_moves in itertools.groupby(moves, key=lambda move: move[0]):
+                paths = [[(c, d)] if restricted else _expand_path(relays[v][1], c, d)
+                         for _, c, d in vote_moves]
                 actions.extend(_order_vote_swaps(v, masks[v], paths))
             key = (cost, _actions_key(actions))
             if best is None or key < best[:2]:
@@ -336,52 +351,3 @@ def av_priced_swap_exact(instance: BriberyInstance, *,
         return BriberySolution((), None, False)
     cost, _, actions = best
     return BriberySolution(actions, cost, cost <= instance.budget)
-
-
-def _solve_guess(e: Election, masks: list[int], move_prices, members: frozenset[int],
-                 threshold: int, total_units: int, restricted: bool, p: int):
-    """Min-cost swap set for one committee/threshold guess, or None."""
-    n, m = e.n, e.m
-    node_count = 1 + m
-    slot_id: dict[tuple[int, int], int] = {}
-    recv_id: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        for c in range(m):
-            if masks[v] >> c & 1:
-                slot_id[(v, c)] = node_count
-                node_count += 1
-        receivers = [p] if restricted else range(m)
-        for d in receivers:
-            if not masks[v] >> d & 1:
-                recv_id[(v, d)] = node_count
-                node_count += 1
-    sink = node_count
-    node_count += 1
-
-    arcs: list[Arc] = []
-    move_arcs: list[tuple[int, int, int, int]] = []  # arc index, vote, source, dest
-    for (v, c), node in slot_id.items():
-        arcs.append(Arc(0, node, 0, 1, 0))
-        arcs.append(Arc(node, 1 + c, 0, 1, 0))
-        for (v2, d), rnode in recv_id.items():
-            if v2 != v:
-                continue
-            price = move_prices[v][c][d]
-            if price == FORBIDDEN or price == inf:
-                continue
-            move_arcs.append((len(arcs), v, c, d))
-            arcs.append(Arc(node, rnode, 0, 1, int(price)))
-    for (v, d), rnode in recv_id.items():
-        arcs.append(Arc(rnode, 1 + d, 0, 1, 0))
-    for c in range(m):
-        if c in members:
-            arcs.append(Arc(1 + c, sink, threshold, n, 0))
-        else:
-            arcs.append(Arc(1 + c, sink, 0, threshold, 0))
-    net = FlowNetwork(node_count, tuple(arcs), 0, sink, total_units)
-    try:
-        cost, flows = min_cost_flow_lb(net)
-    except InfeasibleFlowError:
-        return None
-    moves = [(v, c, d) for idx, v, c, d in move_arcs if flows[idx] > 0]
-    return cost, moves

@@ -326,7 +326,7 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     n, m = e.n, e.m
     if n > voter_cap:
         raise ResourceGuardError(f"{n} voters exceed the cap of {voter_cap} "
-                                 f"for the type-guessing flow")
+                                 f"for the coverage assignment search")
     if is_cowinner(e, rule, k, p):
         return BriberySolution((), 0, True)
 

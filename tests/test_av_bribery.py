@@ -11,6 +11,7 @@ from abcbribery import (
     Rule,
     apply_actions,
     av_scores,
+    certify,
     is_cowinner,
     make_election,
     solution_cost,
@@ -18,7 +19,13 @@ from abcbribery import (
 from abcbribery import avbribery
 from abcbribery.avbribery import av_add, av_delete, av_priced_swap_exact, av_swap_unit
 from abcbribery.core import _actions_key
-from abcbribery.generators import Stream64, SuiteConfig, suite_instances
+from abcbribery.generators import (
+    Stream64,
+    SuiteConfig,
+    cubic_graphs,
+    gen_is_to_av_swap,
+    suite_instances,
+)
 from abcbribery.oracle import oracle_bribery
 
 from helpers import count_calls, verdict
@@ -178,6 +185,48 @@ def test_priced_swap_guess_guard_at_its_boundary(e0):
     assert av_priced_swap_exact(inst, guess_cap=30).cost == 3
     with pytest.raises(ResourceGuardError, match="exceed 29"):
         av_priced_swap_exact(inst, guess_cap=29)
+
+
+def test_priced_swap_routes_only_the_violations_on_one_move_network(monkeypatch):
+    # Every solved guess on this instance has T = 12: p gains 12 approvals and
+    # each of the four non-members sheds 3.  The move arcs are built once and
+    # carry no lower bound; a guess appends 2m + 1 arcs whose lower bounds are
+    # exactly its shed and gain, and requires no flow of its own.
+    nets = []
+    solve_flow = avbribery.min_cost_flow_lb
+
+    def recorded(net):
+        nets.append(net)
+        return solve_flow(net)
+    monkeypatch.setattr(avbribery, "min_cost_flow_lb", recorded)
+    inst = gen_is_to_av_swap(cubic_graphs(8)[1], 4)
+    assert av_priced_swap_exact(inst, guess_cap=10**7).cost == 24
+    assert len(nets) == 70
+    prefix = nets[0].arcs[:-(2 * inst.election.m + 1)]
+    assert not any(arc.lower for arc in prefix)
+    for net in nets:
+        assert net.required_flow == 0
+        assert all(arc is move for arc, move in zip(net.arcs, prefix))
+        guess = net.arcs[len(prefix):]
+        assert len(guess) == 2 * inst.election.m + 1
+        assert sorted(arc.lower for arc in guess if arc.lower) == [3, 3, 3, 3, 12]
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_priced_swap_with_zero_and_forbidden_prices_matches_oracle(restricted):
+    cfg = SuiteConfig(op=Op.SWAP, count=700, seed=93 + restricted, priced=True,
+                      restricted_to_p=restricted, max_candidates=5, max_voters=4,
+                      price_choices=(0, 1, 3, FORBIDDEN))
+    losing = free = blocked = 0
+    for inst in suite_instances(cfg):
+        if is_cowinner(inst.election, Rule.AV, inst.k, inst.p):
+            continue
+        sol = certify(inst, Rule.AV, av_priced_swap_exact(inst))
+        assert verdict(sol) == verdict(oracle_bribery(inst, Rule.AV)), inst
+        losing += 1
+        free += sol.cost == 0
+        blocked += sol.cost is None
+    assert losing > 100 and free > 50 and blocked > 5
 
 
 # --- the greedies on integer scores against their Election-based form --------

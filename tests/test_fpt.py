@@ -340,7 +340,8 @@ def test_flow_bribery_unanimous_p():
 
 def test_flow_bribery_guard():
     e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(6)])
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match=r"^6 voters exceed the cap of 4 for the coverage assignment search$"):
         ccav_gav_flow_bribery(BriberyInstance(e, 1, 1, 1, Op.ADD), Rule.CCAV)
 
 
