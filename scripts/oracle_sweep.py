@@ -7,9 +7,10 @@ solver, and every answer, the oracle's included, is certified by ``solve``.
 Every such lane keeps drawing from its seeded suite until ``--count``
 instances in which p is not already a co-winner, so each one reaches its
 solver instead of being answered at cost 0.  The ``subset-*`` solver is
-the oracle's restricted-add search behind a voter guard, and the
+the oracle's restricted-add search behind a voter guard, the ``flow-gav*``
+solver is the oracle behind the coverage search's voter guard, and the
 ``pricedswap-*`` solver builds options for that search, so those lanes check
-the guard and the option builder; the brute force over the searched options
+the guards and the option builder; the brute force over the searched options
 in ``tests/test_fpt.py`` checks the search itself.  The ``margins``
 lane checks the oracle against itself on ``--count`` instances per
 operation: the shared sweep ``oracle_margins`` against one ``oracle_margin``
@@ -62,7 +63,7 @@ LANES = {
                                          max_voters=4, price_choices=(1, 2))),
     "flow-ccav-delete": (Rule.CCAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=6,
                                                   max_voters=4)),
-    # Restricted GAV additions route to approx.gav_add_for_p, not the assignment search.
+    # Restricted GAV additions route to approx.gav_add_for_p, not the coverage solver.
     "flow-gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=6,
                                              max_voters=4)),
 }

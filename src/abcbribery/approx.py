@@ -193,7 +193,7 @@ def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fractio
                 if price != FORBIDDEN:
                     items.append((v, price, weights[(masks[v] & committee).bit_count()]))
         # p's gain must beat lower-index rivals and tie higher-index ones;
-        # theta <= 0 means it already does.
+        # the round's own pick is a rival p does not beat yet, so theta > 0.
         rivals = [gains[c] + (c < p) for c in range(e.m) if c != p and not committee >> c & 1]
         theta = max(rivals, default=0) - gains[p]
         solved = _min_cost_cover(items, theta, epsilon)
@@ -211,13 +211,14 @@ def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fractio
 
 def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,
                     epsilon: Fraction) -> tuple[int, list[int]] | None:
-    """Cheapest subset with total integer value >= theta.
+    """Cheapest subset with total integer value >= theta > 0.
 
-    Exact value-indexed knapsack while the value range is small; otherwise a
-    price-scaled sweep that keeps the cost within (1+epsilon) of the optimum.
+    Exact value-indexed knapsack while the value range is small, else exact
+    cost-indexed knapsack while the price range is; otherwise a price-scaled
+    sweep that keeps the cost within (1+epsilon) of the optimum.  ``theta``
+    is positive: ``rav_add_for_p`` asks only about rounds whose pick is not
+    p, and that pick is a rival p does not yet beat.
     """
-    if theta <= 0:
-        return 0, []
     total_value = sum(value for _, _, value in items)
     if theta > total_value:
         return None
@@ -236,6 +237,18 @@ def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,
         cost, voters = min((dp[g] for g in range(theta, total_value + 1) if dp[g] is not None),
                            key=lambda entry: entry[0])
         return cost, list(voters)
+    total_price = sum(price for _, price, _ in items)
+    if total_price <= VALUE_DP_CAP:
+        # Most value at each exact cost; every item together covers theta.
+        dp = [None] * (total_price + 1)
+        dp[0] = (0, ())
+        for v, price, value in items:
+            for c in range(total_price, price - 1, -1):
+                base = dp[c - price]
+                if base is not None and (dp[c] is None or base[0] + value > dp[c][0]):
+                    dp[c] = (base[0] + value, base[1] + (v,))
+        cost = next(c for c, entry in enumerate(dp) if entry is not None and entry[0] >= theta)
+        return cost, list(dp[cost][1])
     # Price-scaled fallback: sweep candidate optima on a (1+epsilon/2) grid.
     # Every item together covers theta: the sweep returns once guess >= the optimum.
     guess = Fraction(min((price for _, price, _ in items if price > 0), default=1))

@@ -154,12 +154,12 @@ def av_swap_unit(instance: BriberyInstance) -> BriberySolution:
                 break
             # p loses, so k < m and ranked[k - 1], the first unprotected
             # opponent, exists; ranks fall in score, so it is fragile
-            # whenever any opponent is.
+            # whenever any opponent is.  Some voter lacking p is always
+            # found: a fragile donor outscores p, and were every voting
+            # voter approving p, p's score would top every other.
             donor = sorted(others, key=lambda c: (-scores[c], c))[k - 1]
             fragile = scores[donor] > max(scores[p], threshold)
             lacking = (columns[donor] if fragile else voting) & ~columns[p]
-            if not lacking:
-                break
             bit = lacking & -lacking
             vote = bit.bit_length() - 1
             if not fragile:

@@ -4,12 +4,12 @@ Four families.  Restricted additions and priced swaps toward the preferred
 candidate p build options for the oracle's cost-level search: each voter
 keeps its ballot or takes one action toward p, swaps drawing their donors
 from per-type-pair cheapest pools.  Unit-price additions and swaps enumerate
-action sets over type-restricted candidate pools.  The coverage rules take
-priced additions and deletions through one branch-and-bound search over
-concrete candidate-to-type assignments.  A GAV leaf asks
-``rules._greedy_wins``, whose screen settles most leaves without a greedy; a
-CCAV leaf tests the set of types present, once per set, and prefixes that
-reach the same set no cheaper are dropped.
+action sets over type-restricted candidate pools.  Priced additions and
+deletions under the coverage rules share one voter cap: GAV then runs the
+oracle, and CCAV a branch-and-bound search over concrete candidate-to-type
+assignments, each candidate's types built by the oracle's add/delete option
+builder.  A CCAV leaf tests the set of types present, once per set, and
+prefixes that reach the same set no cheaper are dropped.
 
 The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
@@ -23,8 +23,8 @@ The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
 score and coverage rules here.  The deterministic lowest-index tie-break of
 GAV and RAV makes membership index-dependent, so for those two the pools are
-not restricted, and the coverage search tests GAV winners on the concrete
-assignment instead of on its type set.
+not restricted, and GAV's coverage bribery searches final elections in the
+oracle instead of type sets.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .core import (
 )
 from .core import apply_actions  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .flows import min_cost_flow_lb  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .oracle import _cheapest, _vote_options, _witness, oracle_bribery
-from .rules import Rule, _greedy_wins, _Tally, _thiele_weights, is_cowinner
+from .oracle import _cellwise_options, _cheapest, _vote_options, _witness, oracle_bribery
+from .rules import Rule, _Tally, is_cowinner
 
 VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
@@ -270,29 +270,7 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     return _cheapest(instance, rule, options, parents, enum_cap)
 
 
-# --- an assignment search for the coverage rules ------------------------------
-
-
-def _reachable_types(instance: BriberyInstance, candidate: int, start: int) -> dict[int, int]:
-    """Type mask -> cheapest conversion cost for one candidate.
-
-    Each voter whose approval may be bought (added or deleted) flips one bit;
-    additions restricted to p leave every other candidate where it starts.
-    """
-    if instance.op is Op.ADD:
-        buyable = 0 if instance.restricted_to_p and candidate != instance.p else ~start
-        movable, price_of = buyable & ((1 << instance.election.n) - 1), instance.prices.add_price
-    else:
-        movable, price_of = start, instance.prices.delete_price
-    out: dict[int, int] = {start: 0}
-    for v in _iter_bits(movable):
-        price = price_of(v, candidate)
-        if price == FORBIDDEN:
-            continue
-        for mask, cost in list(out.items()):
-            new = mask ^ 1 << v
-            out[new] = min(out.get(new, cost + price), cost + price)
-    return out
+# --- an assignment search for CCAV --------------------------------------------
 
 
 def _type_cowinner_ccav(types: tuple[int, ...], k: int) -> int:
@@ -311,12 +289,12 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                           guess_cap: int = 300_000) -> BriberySolution:
     """Exact priced additions/deletions for the coverage rules CCAV and GAV.
 
-    Each candidate's approver set can be bought into the types (approver
-    masks) its conversion reaches, and one branch-and-bound search runs over
-    concrete candidate-to-type assignments for both rules.  No flow is built
-    any more; the name stays for its callers.  ``guess_cap`` bounds the
-    type-set guesses (p's type plus up to m - 1 other reachable types) that
-    the assignments can realize, and is checked before any search.
+    GAV is the oracle behind the voter cap: its lowest-index tie-break makes
+    membership depend on which candidate holds which approver set, so it has
+    no type sets to search.  CCAV searches concrete candidate-to-type
+    assignments.  No flow is built; the name stays because callers ask it
+    for both rules.  ``guess_cap`` bounds CCAV's type-set guesses (p's type
+    plus up to m - 1 other reachable types), checked before any search.
     """
     if rule not in (Rule.CCAV, Rule.GAV):
         raise ValueError("the flow algorithm covers CCAV and GAV only")
@@ -327,17 +305,31 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
     if n > voter_cap:
         raise ResourceGuardError(f"{n} voters exceed the cap of {voter_cap} "
                                  f"for the coverage assignment search")
+    if rule is Rule.GAV:
+        return oracle_bribery(instance, rule)
     if is_cowinner(e, rule, k, p):
         return BriberySolution((), 0, True)
 
-    reach = [_reachable_types(instance, c, column) for c, column in enumerate(approver_masks(e))]
-    universe = set().union(*reach)
+    # A candidate's ladder: every type (approver mask) its approver set can be
+    # bought into, cheapest first.  Each voter whose approval may be bought is
+    # a cell; additions restricted to p leave every other candidate as it is.
+    price_of = instance.prices.add_price if instance.op is Op.ADD else instance.prices.delete_price
+    ladders = []
+    for c, column in enumerate(approver_masks(e)):
+        if instance.op is Op.DELETE:
+            movable = column
+        else:
+            movable = 0 if instance.restricted_to_p and c != p else ~column & ((1 << n) - 1)
+        cells = [(v, price) for v in _iter_bits(movable) if (price := price_of(v, c)) != FORBIDDEN]
+        # At most n cells, so at most 2^n types: the option cap cannot trip.
+        ladders.append(_cellwise_options(c, column, cells, None, 1 << n))
+    universe = {t for ladder in ladders for _, t in ladder}
     # A guess is p's type plus up to m - 1 of the other types.
-    guesses = len(reach[p]) * sum(comb(len(universe) - 1, size)
-                                  for size in range(min(m, len(universe))))
+    guesses = len(ladders[p]) * sum(comb(len(universe) - 1, size)
+                                    for size in range(min(m, len(universe))))
     if guesses > guess_cap:
         raise ResourceGuardError(f"type-set guesses exceed the cap of {guess_cap}")
-    best = _assignment_search(reach, rule, p, k, instance.budget)
+    best = _assignment_search(ladders, p, k, instance.budget)
     if best is None:
         return BriberySolution((), None, False)
     cost, assignment = best
@@ -357,47 +349,39 @@ def _ccav_wins(present: int, p_type: int, k: int, cowinners: dict[int, int]) -> 
     return bool(mask >> (present & ((1 << p_type) - 1)).bit_count() & 1)
 
 
-def _assignment_search(reach: list[dict[int, int]], rule: Rule, p: int, k: int, budget: int):
-    """Cheapest assignment of reachable types that makes p a co-winner.
+def _assignment_search(ladders: list[list[tuple[int, int]]], p: int, k: int, budget: int):
+    """Cheapest assignment of reachable types that makes p a CCAV co-winner.
 
-    Each candidate takes its reachable types cheapest first, and a branch
+    Each candidate takes its ladder's types cheapest first, and a branch
     stops once it costs more than the budget or than the best assignment
-    found less one.  A GAV leaf replays the greedy on the assigned columns.
-    A CCAV leaf depends only on the set of types present and p's type, so a
-    prefix is dropped when one at the same depth with the same types (and
-    the same p type, once p is assigned) was reached at no higher cost: the
-    limit only falls, so that prefix already tried every completion this
-    one could.
+    found less one.  A leaf depends only on the set of types present and p's
+    type, so a prefix is dropped when one at the same depth with the same
+    types (and the same p type, once p is assigned) was reached at no higher
+    cost: the limit only falls, so that prefix already tried every
+    completion this one could.
     """
-    m = len(reach)
-    ladders = [sorted((cost, t, t.bit_count(), 1 << t) for t, cost in r.items()) for r in reach]
-    gav = rule is Rule.GAV
-    weights = _thiele_weights(Rule.GAV, k)
-    w0, w_last = weights[0], weights[-1]
+    m = len(ladders)
     best: tuple[int, list[int]] | None = None
     limit = budget
-    assignment = [0] * m  # the candidates' approver masks: the greedy's columns
-    counts = [0] * m  # and their approval counts
+    assignment = [0] * m  # the candidates' approver masks
     cowinners: dict[int, int] = {}
-    reached: dict[tuple[int, int, int], int] = {}  # CCAV prefix -> cheapest cost
+    reached: dict[tuple[int, int, int], int] = {}  # prefix -> cheapest cost
 
     def dfs(c: int, cost: int, present: int):
         nonlocal best, limit
-        if not gav:
-            key = (c, present, assignment[p] if c > p else -1)
-            if reached.get(key, cost + 1) <= cost:
-                return
-            reached[key] = cost
+        key = (c, present, assignment[p] if c > p else -1)
+        if reached.get(key, cost + 1) <= cost:
+            return
+        reached[key] = cost
         last = c == m - 1  # the leaves are tested in place, not one call deeper
-        for extra, t, count, bit in ladders[c]:
+        for extra, t in ladders[c]:
             total = cost + extra
             if total > limit:  # ladders are cheapest first: no later type fits
                 break
-            assignment[c], counts[c] = t, count
+            assignment[c] = t
             if not last:
-                dfs(c + 1, total, present | bit)
-            elif (_greedy_wins(assignment, counts, Rule.GAV, k, p, w0, w_last) if gav
-                    else _ccav_wins(present | bit, assignment[p], k, cowinners)):
+                dfs(c + 1, total, present | 1 << t)
+            elif _ccav_wins(present | 1 << t, assignment[p], k, cowinners):
                 best = (total, assignment.copy())
                 limit = total - 1  # costs are integers: only a cheaper one replaces it
 

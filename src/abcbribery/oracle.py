@@ -70,7 +70,8 @@ def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]],
     """(cost, ballot) for every subset of independent add/delete cells, cheapest-first.
 
     Each cell's candidate is absent from (add) or present in (delete) the
-    start ballot, so flipping its bit applies the cell either way.
+    start ballot, so flipping its bit applies the cell either way.  ``fpt``
+    builds a candidate's reachable approver sets with it too, voters as cells.
     """
     if cost_cap is None:  # uncapped, the list holds every subset: check before building
         _guard_options(voter, 1 << len(cells), max_configs)

@@ -26,8 +26,7 @@ gain drops by w(t) - w(t+1) per approver it shares with them at level t:
 the coverage rules keep one drop, and no round recomputes the gains.  A
 membership test, ``_greedy_wins``, stops the greedy once its target is
 picked, and first screens: with k candidates sure to be picked before the
-target, it loses without a greedy.  ``_Tally.wins`` and the GAV
-assignment search in ``fpt`` share it.
+target, it loses without a greedy.  ``_Tally.wins`` asks it.
 
 CCAV and PAV keep every size-k committee's value in one packed integer,
 ``_CommitteeValues``: lane j holds the value of the j-th committee of a

@@ -211,15 +211,53 @@ def test_rav_add_for_p_cover_out_of_reach():
 
 
 def test_rav_add_for_p_price_scaled_fallback_finds_a_free_cover(monkeypatch):
-    # With every price 0 the price-scaled sweep's first guess, 1, already
-    # bounds the optimum, 0: the sweep must run it.
+    # v1-v3 approving p cover the round for free; v4's price 5 puts the price
+    # range above the cap too, so the price-scaled sweep runs, and its first
+    # guess, 5, already bounds the optimum, 0.
     monkeypatch.setattr(approx, "VALUE_DP_CAP", 0)
-    e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"]), ("v3", [])])
-    prices = PriceTable(add={(v, 1): 0 for v in range(3)})
+    e = make_election(["a", "p"], [("v1", ["a"]), ("v2", ["a"]), ("v3", []), ("v4", [])])
+    prices = PriceTable(add={(0, 1): 0, (1, 1): 0, (2, 1): 0, (3, 1): 5})
     inst = BriberyInstance(e, 1, 1, 0, Op.ADD, priced=True, restricted_to_p=True, prices=prices)
     sol = rav_add_for_p(inst)
     assert (sol.cost, sol.feasible) == (0, True)
     assert oracle_margin(e, Rule.RAV, 1, 1, Op.ADD, prices, restricted=True) == 0
+
+
+@pytest.mark.parametrize("table", ["value", "cost", "sweep"])
+def test_min_cost_cover_matches_brute_force(monkeypatch, table):
+    # Values 4-9 and prices 0-3, so the price range lies below the value
+    # range.  The default cap fits both, and the value-indexed table answers;
+    # a cap of the price range fits only it, and the cost-indexed table
+    # answers; a cap below both leaves the price-scaled sweep.
+    epsilon = Fraction(1, 10)
+    stream = Stream64(61)
+    covered = 0
+    for _ in range(60):
+        items = [(v, stream.randint(0, 3), stream.randint(4, 9))
+                 for v in range(stream.randint(1, 7))]
+        theta = stream.randint(1, 40)
+        total_price = sum(price for _, price, _ in items)
+        if table != "value":
+            monkeypatch.setattr(approx, "VALUE_DP_CAP",
+                                total_price - (table == "sweep"))
+        opt = None
+        for size in range(len(items) + 1):
+            for chosen in itertools.combinations(items, size):
+                if sum(value for _, _, value in chosen) >= theta:
+                    cost = sum(price for _, price, _ in chosen)
+                    opt = cost if opt is None else min(opt, cost)
+        got = approx._min_cost_cover(items, theta, epsilon)
+        if opt is None:
+            assert got is None
+            continue
+        cost, voters = got
+        chosen = [item for item in items if item[0] in voters]
+        assert len(chosen) == len(voters)
+        assert sum(value for _, _, value in chosen) >= theta
+        assert sum(price for _, price, _ in chosen) == cost
+        assert opt <= cost <= (opt if table != "sweep" else (1 + epsilon) * opt)
+        covered += 1
+    assert covered >= 30
 
 
 def test_add_for_p_solutions_stay_on_p():

@@ -45,6 +45,27 @@ def test_winners_sav_rationals(e0_file, capsys):
     assert "a=29/6" in out and "p=1/3" in out
 
 
+def test_winners_ccav_prints_coverage(e0_file, capsys):
+    code, out, _ = run(capsys, "winners", e0_file, "--rule", "ccav", "--k", "2")
+    assert code == 0
+    assert "coverage: 9\nwinning committees: {a,b} {a,c}\n" in out
+
+
+def test_winners_pav_prints_score(e0_file, capsys):
+    code, out, _ = run(capsys, "winners", e0_file, "--rule", "pav", "--k", "2")
+    assert code == 0
+    assert "score: 21/2\nwinning committees: {a,b}\n" in out
+
+
+def test_winners_without_committee_size(tmp_path, e0_text, capsys):
+    path = tmp_path / "no-k.elect"
+    path.write_text("".join(line for line in e0_text.splitlines(keepends=True)
+                            if not line.startswith("k:")))
+    code, out, err = run(capsys, "winners", str(path), "--rule", "av")
+    assert (code, out) == (2, "")
+    assert "no committee size (use --k or a k: line)" in err
+
+
 def test_bribe_add_feasible(e0_file, capsys):
     code, out, _ = run(capsys, "bribe", e0_file, "--rule", "av", "--op", "add",
                        "--p", "p", "--budget", "4")

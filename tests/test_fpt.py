@@ -20,10 +20,9 @@ from abcbribery import (
 )
 from abcbribery import fpt, oracle, rules
 from abcbribery.avbribery import av_add, av_swap_unit
-from abcbribery.core import _iter_bits, ballot_masks
+from abcbribery.core import _iter_bits, approver_masks, ballot_masks
 from abcbribery.fpt import (
     FLOW_VOTER_CAP,
-    _reachable_types,
     add_for_p_subset_enum,
     ccav_gav_flow_bribery,
     priced_swap_to_p_type_enum,
@@ -392,25 +391,23 @@ def test_flow_matches_oracle_at_voter_cap():
 def test_flow_solve_counts_are_pinned(monkeypatch):
     # Deterministic work: neither rule builds a flow.  CCAV's search reaches
     # 10 leaves here, each with its own set of types, so each set is tested
-    # once.
+    # once.  GAV is one oracle call, whose sweep stops at the optimum's cost
+    # level: levels 0, 1 and 2.
     cfg = SuiteConfig(op=Op.DELETE, count=35, seed=96, priced=True,
                       max_candidates=5, max_voters=4, max_budget=6)
     inst = list(suite_instances(cfg))[34]
     flows = count_calls(monkeypatch, fpt, "min_cost_flow_lb")
     type_sets = count_calls(monkeypatch, fpt, "_type_cowinner_ccav")
     ccav_leaves = count_calls(monkeypatch, fpt, "_ccav_wins")
+    oracles = count_calls(monkeypatch, fpt, "oracle_bribery")
+    levels = count_calls(monkeypatch, oracle._LevelCounts, "level")
     for rule in (Rule.CCAV, Rule.GAV):
         got = ccav_gav_flow_bribery(inst, rule)
         assert (got.feasible, got.cost, flows[0]) == (True, 2, 0), rule
         _assert_certified(inst, rule, got)
     assert (ccav_leaves[0], type_sets[0]) == (10, 10)
-    # GAV's search asks the shared screen at each of its 10 leaves; at k = 1
-    # one candidate sure to be picked before p settles a leaf, which leaves
-    # one greedy to run.
-    leaves = count_calls(monkeypatch, fpt, "_greedy_wins")
-    greedies = count_calls(monkeypatch, rules, "_greedy_picks")
-    assert ccav_gav_flow_bribery(inst, Rule.GAV).cost == 2
-    assert (inst.k, leaves[0], greedies[0]) == (1, 10, 1)
+    # _assert_certified asks the oracle once more for each rule.
+    assert (oracles[0], levels[0]) == (1, 3 + 3 + 3)
 
 
 def test_flow_budget_boundary():
@@ -435,22 +432,37 @@ def test_flow_budget_boundary():
         assert flipped >= 5, rule
 
 
-def test_conversion_costs_are_independent():
-    # every reachable-type entry equals an isolated recomputation
+def test_conversion_costs_are_independent(monkeypatch):
+    # Every ladder the CCAV search is given lists each reachable type once,
+    # cheapest first, at the cost of an isolated recomputation.
+    seen = []
+    search = fpt._assignment_search
+
+    def recording(ladders, p, k, budget):
+        seen.append(ladders)
+        return search(ladders, p, k, budget)
+    monkeypatch.setattr(fpt, "_assignment_search", recording)
     stream = Stream64(81)
+    searched = 0
     for _ in range(40):
         e = random_sized_election(stream, 4, 4)
         op = (Op.ADD, Op.DELETE)[stream.randint(0, 1)]
         table = {(v, c): stream.randint(1, 3) for v in range(e.n) for c in range(e.m)}
         prices = PriceTable(add=table) if op is Op.ADD else PriceTable(delete=table)
         inst = BriberyInstance(e, 0, 1, 3, op, priced=True, prices=prices)
-        from abcbribery.core import approver_masks
+        ccav_gav_flow_bribery(inst, Rule.CCAV)
+        if not seen:  # p already wins: no search
+            continue
         columns = approver_masks(e)
-        for c in range(e.m):
-            reach = _reachable_types(inst, c, columns[c])
+        for c, ladder in enumerate(seen.pop()):
+            assert ladder == sorted(ladder)
+            reach = {t: cost for cost, t in ladder}
+            assert len(reach) == len(ladder), c
             for target in range(1 << e.n):
                 isolated = _isolated_cost(inst, c, columns[c], target)
                 assert reach.get(target) == isolated, (c, target)
+        searched += 1
+    assert searched >= 10
 
 
 def _isolated_cost(inst, c, start, target):
@@ -615,27 +627,45 @@ def test_flow_guess_guard_at_its_boundary():
     assert ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=7).cost == 3
     with pytest.raises(ResourceGuardError, match="cap of 6"):
         ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=6)
-    # GAV makes no guesses but keeps the same count as its guard: with k = 1
+    # GAV searches no type sets, so the cap does not apply to it: with k = 1
     # the lowest-index tie-break keeps p out whatever is deleted.
-    assert verdict(ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=7)) == (False, None) == \
+    assert verdict(ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=0)) == (False, None) == \
         verdict(oracle_bribery(inst, Rule.GAV))
-    with pytest.raises(ResourceGuardError, match="cap of 6"):
-        ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=6)
 
 
 def test_flow_guess_guard_trips_before_any_search(monkeypatch):
     e = make_election(["a", "b", "p"], [("v1", ["a", "b"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 2, 1, 3, Op.DELETE)
     type_sets = count_calls(monkeypatch, fpt, "_type_cowinner_ccav")
-    greedies = count_calls(monkeypatch, fpt, "_greedy_wins")
-    for rule in (Rule.CCAV, Rule.GAV):
-        with pytest.raises(ResourceGuardError, match="cap of 6"):
-            ccav_gav_flow_bribery(inst, rule, guess_cap=6)
-    assert (type_sets[0], greedies[0]) == (0, 0)
-    # The same counters see the searches when the guard lets them run.
-    for rule in (Rule.CCAV, Rule.GAV):
-        ccav_gav_flow_bribery(inst, rule, guess_cap=7)
-    assert type_sets[0] > 0 and greedies[0] > 0
+    oracles = count_calls(monkeypatch, fpt, "oracle_bribery")
+    with pytest.raises(ResourceGuardError, match="cap of 6"):
+        ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=6)
+    assert type_sets[0] == 0
+    # The same counter sees the search when the guard lets it run.
+    ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=7)
+    assert type_sets[0] > 0
+    # GAV guesses no type sets: at the same cap it is one oracle call, and
+    # CCAV never calls the oracle.
+    assert oracles[0] == 0
+    assert not ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=6).feasible
+    assert oracles[0] == 1
+
+
+def test_gav_coverage_bribery_work_stops_at_the_optimum(monkeypatch):
+    # GAV's priced deletions run the oracle's sweep, which stops at the
+    # optimum's cost level whatever the budget: levels 0 to 5 here.  A
+    # depth-first search bounded by the budget grew about 250-fold from
+    # budget 5 to budget 40 on this instance.
+    e = gen_random_election(6, 4, 0.9, 1)
+    stream = Stream64(1)
+    prices = PriceTable(delete={(v, c): stream.randint(1, 3)
+                                for v in range(e.n) for c in range(e.m)})
+    levels = count_calls(monkeypatch, oracle._LevelCounts, "level")
+    for budget in (5, 10, 20, 40):
+        levels[0] = 0
+        inst = BriberyInstance(e, 5, 1, budget, Op.DELETE, priced=True, prices=prices)
+        got, _ = solve(inst, Rule.GAV, "exact")
+        assert (verdict(got), levels[0]) == ((True, 5), 6), budget
 
 
 def test_ccav_search_drops_dominated_prefixes(monkeypatch):

@@ -1,14 +1,17 @@
 """Source hygiene: no unused imports, each private helper defined once, no assert,
 the rule state's internals used in rules only, no Election replay in rules or cli,
-and solve the one certifier."""
+solve the one certifier, and every name the benchmark tracer wraps still there."""
 
 import ast
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import abcbribery
 
 PACKAGE = Path(abcbribery.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # perfbench/tracing.py wraps these module attributes by name, so they stay
 # importable although the module no longer calls them.
@@ -95,3 +98,25 @@ def test_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in MODULES
              for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/tracing.py wraps module attributes by name, so a name the
+    # package drops would break only traced benchmark runs.  Install the
+    # tracer over the modules perfbench/run.py imports, then uninstall it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    mods = SimpleNamespace(**{name: importlib.import_module(f"abcbribery.{name}")
+                              for name in run.MODULES})
+    names = [(getattr(mods, module), attr) for module, attr, *_ in run.tracing.TRACED_NAMES]
+    originals = [getattr(module, attr) for module, attr in names]
+    tracer = run.tracing.Tracer()
+    try:
+        tracer.install(mods)
+        wrapped = [getattr(module, attr).__wrapped__ for module, attr in names]
+    finally:
+        tracer.uninstall()
+    assert wrapped == originals
+    assert [getattr(module, attr) for module, attr in names] == originals
