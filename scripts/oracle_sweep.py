@@ -63,6 +63,10 @@ LANES = {
                                          max_voters=4, price_choices=(1, 2))),
     "flow-ccav-delete": (Rule.CCAV, "exact", dict(op=Op.DELETE, priced=True, max_candidates=6,
                                                   max_voters=4)),
+    # Many candidates and few voters: the shape the coverage search is built for.
+    "flow-ccav-wide": (Rule.CCAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=12,
+                                                max_voters=4, approval_probability=0.3,
+                                                max_budget=6)),
     # Restricted GAV additions route to approx.gav_add_for_p, not the coverage solver.
     "flow-gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=6,
                                              max_voters=4)),

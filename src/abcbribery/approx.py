@@ -62,18 +62,26 @@ def _max_gain_table(e: Election, p: int, prices: PriceTable, max_budget: int) ->
         if p in e.ballots[v].approved:
             continue
         price = prices.add_price(v, p)
-        if price == FORBIDDEN or price > max_budget:
-            continue
-        items.append((v, price, shares[len(e.ballots[v].approved) + 1]))
-    empty = (0, ())
-    dp: list[tuple[int, tuple[int, ...]]] = [empty] * (max_budget + 1)
-    for v, price, gain in items:
-        for t in range(max_budget, price - 1, -1):
-            base_gain, base_set = dp[t - price]
-            cand = (base_gain + gain, base_set + (v,))
-            if cand[0] > dp[t][0]:
-                dp[t] = cand
-    return [frozenset(chosen) for _, chosen in dp]
+        if price != FORBIDDEN:
+            items.append((v, price, shares[len(e.ballots[v].approved) + 1]))
+    return [frozenset(chosen) for _, chosen in _knapsack(items, max_budget)]
+
+
+def _knapsack(items: list[tuple[int, int, int]], capacity: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(value, voters) of the most valuable set within each price 0..capacity.
+
+    ``items`` are (voter, price, value); a slot keeps its set unless an item
+    strictly raises its value.  The first slot whose value reaches a
+    threshold holds a set of exactly that price, the same set a table of
+    exact prices would hold there.
+    """
+    table: list[tuple[int, tuple[int, ...]]] = [(0, ())] * (capacity + 1)
+    for v, price, value in items:
+        for t in range(capacity, price - 1, -1):
+            base_value, base_set = table[t - price]
+            if base_value + value > table[t][0]:
+                table[t] = (base_value + value, base_set + (v,))
+    return table
 
 
 def sav_add_for_p_2approx(instance: BriberyInstance) -> BriberySolution:
@@ -213,9 +221,10 @@ def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,
                     epsilon: Fraction) -> tuple[int, list[int]] | None:
     """Cheapest subset with total integer value >= theta > 0.
 
-    Exact value-indexed knapsack while the value range is small, else exact
-    cost-indexed knapsack while the price range is; otherwise a price-scaled
-    sweep that keeps the cost within (1+epsilon) of the optimum.  ``theta``
+    Exact value-indexed knapsack while the value range is small, else the
+    SAV sweep's budget-indexed ``_knapsack`` while the price range is;
+    otherwise that knapsack on prices scaled down by a (1+epsilon/2) grid of
+    guesses, which keeps the cost within (1+epsilon) of the optimum.  ``theta``
     is positive: ``rav_add_for_p`` asks only about rounds whose pick is not
     p, and that pick is a rival p does not yet beat.
     """
@@ -239,38 +248,20 @@ def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,
         return cost, list(voters)
     total_price = sum(price for _, price, _ in items)
     if total_price <= VALUE_DP_CAP:
-        # Most value at each exact cost; every item together covers theta.
-        dp = [None] * (total_price + 1)
-        dp[0] = (0, ())
-        for v, price, value in items:
-            for c in range(total_price, price - 1, -1):
-                base = dp[c - price]
-                if base is not None and (dp[c] is None or base[0] + value > dp[c][0]):
-                    dp[c] = (base[0] + value, base[1] + (v,))
-        cost = next(c for c, entry in enumerate(dp) if entry is not None and entry[0] >= theta)
-        return cost, list(dp[cost][1])
+        # Every item together covers theta, so some slot reaches it.
+        table = _knapsack(items, total_price)
+        cost = next(c for c, (value, _) in enumerate(table) if value >= theta)
+        return cost, list(table[cost][1])
     # Price-scaled fallback: sweep candidate optima on a (1+epsilon/2) grid.
     # Every item together covers theta: the sweep returns once guess >= the optimum.
     guess = Fraction(min((price for _, price, _ in items if price > 0), default=1))
     while True:
         nu = max(1, int(epsilon * guess / (2 * max(1, len(items)))))
         cap = int(guess / nu) + len(items)
-        dp: list[tuple[int, tuple[int, ...]] | None] = [None] * (cap + 1)
-        dp[0] = (0, ())
-        for v, price, value in items:
-            scaled = price // nu
-            for t in range(cap, scaled - 1, -1):
-                base = dp[t - scaled]
-                if base is None:
-                    continue
-                cand = (base[0] + value, base[1] + (v,))
-                if dp[t] is None or cand[0] > dp[t][0]:
-                    dp[t] = cand
-        for t in range(cap + 1):
-            if dp[t] is not None and dp[t][0] >= theta:
-                voters = list(dp[t][1])
-                cost = sum(price for v2, price, _ in items if v2 in voters)
-                if cost <= guess * (1 + epsilon):
-                    return cost, voters
-                break
+        table = _knapsack([(v, price // nu, value) for v, price, value in items], cap)
+        voters = next((list(chosen) for value, chosen in table if value >= theta), None)
+        if voters is not None:
+            cost = sum(price for v, price, _ in items if v in voters)
+            if cost <= guess * (1 + epsilon):
+                return cost, voters
         guess = guess * (1 + epsilon / 2)

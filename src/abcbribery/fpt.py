@@ -6,10 +6,10 @@ keeps its ballot or takes one action toward p, swaps drawing their donors
 from per-type-pair cheapest pools.  Unit-price additions and swaps enumerate
 action sets over type-restricted candidate pools.  Priced additions and
 deletions under the coverage rules share one voter cap: GAV then runs the
-oracle, and CCAV a branch-and-bound search over concrete candidate-to-type
+oracle, and CCAV a cost-level sweep over partial candidate-to-type
 assignments, each candidate's types built by the oracle's add/delete option
-builder.  A CCAV leaf tests the set of types present, once per set, and
-prefixes that reach the same set no cheaper are dropped.
+builder.  A CCAV state (candidates assigned, types present, p's type) is
+expanded once, at its cheapest cost, and a set of types is scored once.
 
 The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
@@ -286,22 +286,21 @@ def _type_cowinner_ccav(types: tuple[int, ...], k: int) -> int:
 
 def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
                           voter_cap: int = FLOW_VOTER_CAP,
-                          guess_cap: int = 300_000) -> BriberySolution:
+                          state_cap: int = 100_000) -> BriberySolution:
     """Exact priced additions/deletions for the coverage rules CCAV and GAV.
 
     GAV is the oracle behind the voter cap: its lowest-index tie-break makes
     membership depend on which candidate holds which approver set, so it has
-    no type sets to search.  CCAV searches concrete candidate-to-type
-    assignments.  No flow is built; the name stays because callers ask it
-    for both rules.  ``guess_cap`` bounds CCAV's type-set guesses (p's type
-    plus up to m - 1 other reachable types), checked before any search.
+    no type sets to search.  CCAV sweeps cost levels over partial
+    candidate-to-type assignments, expanding at most ``state_cap`` states.
+    No flow is built; the name stays because callers ask it for both rules.
     """
     if rule not in (Rule.CCAV, Rule.GAV):
         raise ValueError("the flow algorithm covers CCAV and GAV only")
     if instance.op not in (Op.ADD, Op.DELETE):
         raise ValueError("the flow algorithm handles additions and deletions only")
     e, p, k = instance.election, instance.p, instance.k
-    n, m = e.n, e.m
+    n = e.n
     if n > voter_cap:
         raise ResourceGuardError(f"{n} voters exceed the cap of {voter_cap} "
                                  f"for the coverage assignment search")
@@ -323,13 +322,7 @@ def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
         cells = [(v, price) for v in _iter_bits(movable) if (price := price_of(v, c)) != FORBIDDEN]
         # At most n cells, so at most 2^n types: the option cap cannot trip.
         ladders.append(_cellwise_options(c, column, cells, None, 1 << n))
-    universe = {t for ladder in ladders for _, t in ladder}
-    # A guess is p's type plus up to m - 1 of the other types.
-    guesses = len(ladders[p]) * sum(comb(len(universe) - 1, size)
-                                    for size in range(min(m, len(universe))))
-    if guesses > guess_cap:
-        raise ResourceGuardError(f"type-set guesses exceed the cap of {guess_cap}")
-    best = _assignment_search(ladders, p, k, instance.budget)
+    best = _assignment_search(ladders, p, k, instance.budget, state_cap)
     if best is None:
         return BriberySolution((), None, False)
     cost, assignment = best
@@ -349,44 +342,49 @@ def _ccav_wins(present: int, p_type: int, k: int, cowinners: dict[int, int]) -> 
     return bool(mask >> (present & ((1 << p_type) - 1)).bit_count() & 1)
 
 
-def _assignment_search(ladders: list[list[tuple[int, int]]], p: int, k: int, budget: int):
+def _assignment_search(ladders: list[list[tuple[int, int]]], p: int, k: int, budget: int,
+                       state_cap: int) -> tuple[int, list[int]] | None:
     """Cheapest assignment of reachable types that makes p a CCAV co-winner.
 
-    Each candidate takes its ladder's types cheapest first, and a branch
-    stops once it costs more than the budget or than the best assignment
-    found less one.  A leaf depends only on the set of types present and p's
-    type, so a prefix is dropped when one at the same depth with the same
-    types (and the same p type, once p is assigned) was reached at no higher
-    cost: the limit only falls, so that prefix already tried every
-    completion this one could.
+    A state ``(c, present, p_type)`` is candidates 0..c-1 assigned, the
+    bitmask of their types and p's type once assigned (-1 before); whether
+    a full assignment wins depends on its state alone.  Cost levels are swept
+    over states as by Dial's bucket queue (CACM 1969), so the first winning
+    final state is the optimum.  A state keeps its cheapest cost and its
+    (previous state, type); an entry read above that cost is stale, and a
+    cost-0 type lists its state on the level being read.  ``state_cap``
+    bounds the states expanded, a count that stops at the optimum's level.
     """
     m = len(ladders)
-    best: tuple[int, list[int]] | None = None
-    limit = budget
-    assignment = [0] * m  # the candidates' approver masks
+    limit = min(budget, sum(ladder[-1][0] for ladder in ladders))  # dearest types come last
+    start = (0, 0, -1)
+    reached: dict[tuple[int, int, int], tuple] = {start: (0, None, 0)}  # cost, previous, type
+    levels = {0: [start]}
     cowinners: dict[int, int] = {}
-    reached: dict[tuple[int, int, int], int] = {}  # prefix -> cheapest cost
-
-    def dfs(c: int, cost: int, present: int):
-        nonlocal best, limit
-        key = (c, present, assignment[p] if c > p else -1)
-        if reached.get(key, cost + 1) <= cost:
-            return
-        reached[key] = cost
-        last = c == m - 1  # the leaves are tested in place, not one call deeper
-        for extra, t in ladders[c]:
-            total = cost + extra
-            if total > limit:  # ladders are cheapest first: no later type fits
-                break
-            assignment[c] = t
-            if not last:
-                dfs(c + 1, total, present | 1 << t)
-            elif _ccav_wins(present | 1 << t, assignment[p], k, cowinners):
-                best = (total, assignment.copy())
-                limit = total - 1  # costs are integers: only a cheaper one replaces it
-
-    try:
-        dfs(0, 0, 0)
-    finally:
-        del dfs  # dfs names itself: a cycle the collector alone would free
-    return best
+    expanded = 0
+    for level in range(limit + 1):
+        for state in levels.get(level, ()):
+            if reached[state][0] < level:
+                continue
+            expanded += 1
+            if expanded > state_cap:
+                raise ResourceGuardError(f"assignment search states exceed the cap of {state_cap}")
+            c, present, p_type = state
+            if c == m:
+                if _ccav_wins(present, p_type, k, cowinners):
+                    assignment = []
+                    while state != start:
+                        _, state, t = reached[state]
+                        assignment.append(t)
+                    return level, assignment[::-1]
+                continue
+            for extra, t in ladders[c]:
+                cost = level + extra
+                if cost > limit:  # ladders are cheapest first: no later type fits
+                    break
+                following = (c + 1, present | 1 << t, t if c == p else p_type)
+                known = reached.get(following)
+                if known is None or cost < known[0]:
+                    reached[following] = (cost, state, t)
+                    levels.setdefault(cost, []).append(following)
+    return None

@@ -362,9 +362,10 @@ def _guarded_file(tmp_path, solver):
         many = [f"c{i}" for i in range(200)]
         candidates, ballots = many + ["p"], [many] * 3
     else:
-        # p may take any of 16 approver sets, each with up to 2^15 type sets
-        # beside it: > 300,000 guesses
-        candidates, ballots = twenty[:16] + ["p"], [twenty[:16]] * 4
+        # 8 candidates approved by all 4 voters, p by none: within a budget of
+        # 31 unit deletions p never wins, and the sweep would expand 113,492
+        # (candidates, types present, p's type) states, > 100,000
+        candidates, ballots = twenty[:8] + ["p"], [twenty[:8]] * 4
     path = tmp_path / f"{solver}.elect"
     path.write_text("candidates: " + " ".join(candidates) + "\n"
                     + "".join(f"voter v{i}: {' '.join(b)}\n" for i, b in enumerate(ballots)))
@@ -372,14 +373,16 @@ def _guarded_file(tmp_path, solver):
 
 
 @pytest.mark.parametrize("solver, flags, message", [
-    ("av-priced-swap", ["--rule", "av", "--op", "swap", "--priced", "--k", "10"],
+    ("av-priced-swap", ["--rule", "av", "--op", "swap", "--priced", "--k", "10", "--budget", "3"],
      "committee/threshold guesses"),
-    ("unit-type-enum", ["--rule", "pav", "--op", "swap", "--k", "1"], "action sets of size 2"),
+    ("unit-type-enum", ["--rule", "pav", "--op", "swap", "--k", "1", "--budget", "3"],
+     "action sets of size 2"),
     ("priced-swap-enum", ["--rule", "gav", "--op", "swap", "--priced", "--restrict-to-p",
-                          "--k", "1"], "swap combinations"),
-    ("flow", ["--rule", "ccav", "--op", "add", "--k", "1"], "type-set guesses"),
+                          "--k", "1", "--budget", "3"], "swap combinations"),
+    ("flow", ["--rule", "ccav", "--op", "delete", "--k", "1", "--budget", "31"],
+     "assignment search states"),
 ])
 def test_solver_guard_exits_3_with_default_caps(tmp_path, capsys, solver, flags, message):
     path = _guarded_file(tmp_path, solver)
-    code, _, err = run(capsys, "bribe", path, "--p", "p", "--budget", "3", *flags)
+    code, _, err = run(capsys, "bribe", path, "--p", "p", *flags)
     assert code == 3 and message in err, err

@@ -389,10 +389,10 @@ def test_flow_matches_oracle_at_voter_cap():
 
 
 def test_flow_solve_counts_are_pinned(monkeypatch):
-    # Deterministic work: neither rule builds a flow.  CCAV's search reaches
-    # 10 leaves here, each with its own set of types, so each set is tested
-    # once.  GAV is one oracle call, whose sweep stops at the optimum's cost
-    # level: levels 0, 1 and 2.
+    # Deterministic work: neither rule builds a flow.  CCAV's sweep tests 9
+    # final states here, each with its own set of types, so each set is
+    # tested once.  GAV is one oracle call, whose sweep stops at the optimum's
+    # cost level: levels 0, 1 and 2.
     cfg = SuiteConfig(op=Op.DELETE, count=35, seed=96, priced=True,
                       max_candidates=5, max_voters=4, max_budget=6)
     inst = list(suite_instances(cfg))[34]
@@ -405,7 +405,7 @@ def test_flow_solve_counts_are_pinned(monkeypatch):
         got = ccav_gav_flow_bribery(inst, rule)
         assert (got.feasible, got.cost, flows[0]) == (True, 2, 0), rule
         _assert_certified(inst, rule, got)
-    assert (ccav_leaves[0], type_sets[0]) == (10, 10)
+    assert (ccav_leaves[0], type_sets[0]) == (9, 9)
     # _assert_certified asks the oracle once more for each rule.
     assert (oracles[0], levels[0]) == (1, 3 + 3 + 3)
 
@@ -438,9 +438,9 @@ def test_conversion_costs_are_independent(monkeypatch):
     seen = []
     search = fpt._assignment_search
 
-    def recording(ladders, p, k, budget):
+    def recording(ladders, p, k, budget, state_cap):
         seen.append(ladders)
-        return search(ladders, p, k, budget)
+        return search(ladders, p, k, budget, state_cap)
     monkeypatch.setattr(fpt, "_assignment_search", recording)
     stream = Stream64(81)
     searched = 0
@@ -618,37 +618,33 @@ def test_shared_search_matches_brute_force(monkeypatch, rule):
     assert outcomes == {None, 0, 1}, rule
 
 
-def test_flow_guess_guard_at_its_boundary():
-    # Deletions reach the four approver sets over (v1, v2); p keeps the empty
-    # one, and with m = 3 a guess adds at most two of the other three types:
-    # 1 + 3 + 3 guesses.
+def test_flow_state_guard_at_its_boundary():
+    # Deletions over (v1, v2): the sweep expands 18 states, the start and the
+    # winning final state included, before it answers 3.
     e = make_election(["a", "b", "p"], [("v1", ["a", "b"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 2, 1, 3, Op.DELETE)
-    assert ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=7).cost == 3
-    with pytest.raises(ResourceGuardError, match="cap of 6"):
-        ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=6)
-    # GAV searches no type sets, so the cap does not apply to it: with k = 1
+    assert ccav_gav_flow_bribery(inst, Rule.CCAV, state_cap=18).cost == 3
+    with pytest.raises(ResourceGuardError,
+                       match="assignment search states exceed the cap of 17"):
+        ccav_gav_flow_bribery(inst, Rule.CCAV, state_cap=17)
+    # GAV searches no states, so the cap does not apply to it: with k = 1
     # the lowest-index tie-break keeps p out whatever is deleted.
-    assert verdict(ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=0)) == (False, None) == \
+    assert verdict(ccav_gav_flow_bribery(inst, Rule.GAV, state_cap=0)) == (False, None) == \
         verdict(oracle_bribery(inst, Rule.GAV))
 
 
-def test_flow_guess_guard_trips_before_any_search(monkeypatch):
+def test_flow_state_guard_leaves_gav_to_the_oracle(monkeypatch):
     e = make_election(["a", "b", "p"], [("v1", ["a", "b"]), ("v2", ["a"])])
     inst = BriberyInstance(e, 2, 1, 3, Op.DELETE)
     type_sets = count_calls(monkeypatch, fpt, "_type_cowinner_ccav")
     oracles = count_calls(monkeypatch, fpt, "oracle_bribery")
-    with pytest.raises(ResourceGuardError, match="cap of 6"):
-        ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=6)
-    assert type_sets[0] == 0
-    # The same counter sees the search when the guard lets it run.
-    ccav_gav_flow_bribery(inst, Rule.CCAV, guess_cap=7)
-    assert type_sets[0] > 0
-    # GAV guesses no type sets: at the same cap it is one oracle call, and
-    # CCAV never calls the oracle.
-    assert oracles[0] == 0
-    assert not ccav_gav_flow_bribery(inst, Rule.GAV, guess_cap=6).feasible
-    assert oracles[0] == 1
+    ccav_gav_flow_bribery(inst, Rule.CCAV)
+    tested = type_sets[0]
+    # CCAV never calls the oracle; GAV tests no type sets: at a cap that
+    # would stop CCAV at its first state it is one oracle call.
+    assert tested > 0 and oracles[0] == 0
+    assert not ccav_gav_flow_bribery(inst, Rule.GAV, state_cap=0).feasible
+    assert (type_sets[0], oracles[0]) == (tested, 1)
 
 
 def test_gav_coverage_bribery_work_stops_at_the_optimum(monkeypatch):
@@ -670,22 +666,120 @@ def test_gav_coverage_bribery_work_stops_at_the_optimum(monkeypatch):
 
 def test_ccav_search_drops_dominated_prefixes(monkeypatch):
     # A dense election: p = c1 has three approvers, c0 and c2-c4 have four.
-    # At one below the optimal deletion cost of 7 the search must exhaust
-    # every assignment within the budget.  A CCAV leaf depends only on the
-    # types present and p's type, so a prefix that reaches a (depth, types,
-    # p type) already reached at no higher cost is dropped: without that,
-    # the two searches reach 614 and 960 leaves.
+    # At one below the optimal deletion cost of 7 the sweep must read every
+    # level within the budget.  A CCAV final state depends only on the types
+    # present and p's type, so an assignment prefix reaching a (candidates,
+    # types, p type) state already reached at no higher cost is not listed
+    # again, and each final state is tested once.  Above the optimum the
+    # budget adds no work.
     e = gen_random_election(6, 4, 0.8, 21)
     stream = Stream64(21)
     prices = PriceTable(delete={(v, c): stream.randint(1, 3)
                                 for v in range(e.n) for c in range(e.m)})
     leaves = count_calls(monkeypatch, fpt, "_ccav_wins")
-    for budget, answer, reached in ((6, (False, None), 142), (7, (True, 7), 248)):
+    for budget, answer, reached in ((6, (False, None), 118), (7, (True, 7), 188),
+                                    (10**9, (True, 7), 188)):
         leaves[0] = 0
         inst = BriberyInstance(e, 1, 1, budget, Op.DELETE, priced=True, prices=prices)
         got = rules.certify(inst, Rule.CCAV, ccav_gav_flow_bribery(inst, Rule.CCAV))
         assert (leaves[0], verdict(got)) == (reached, answer)
         assert verdict(got) == verdict(oracle_bribery(inst, Rule.CCAV))
+
+
+def _priced_adds(seed: int, p: int, budget: int) -> BriberyInstance:
+    """Priced additions on twelve candidates and four voters, k = 1."""
+    e = gen_random_election(12, 4, 0.3, seed)
+    stream = Stream64(seed)
+    prices = PriceTable(add={(v, c): stream.randint(1, 3)
+                             for v in range(e.n) for c in range(e.m)})
+    return BriberyInstance(e, p, 1, budget, Op.ADD, priced=True, prices=prices)
+
+
+def test_ccav_coverage_bribery_work_stops_at_the_optimum(monkeypatch):
+    # The optimum is 2 at every budget, and the sweep tests the same 47
+    # final states at each.  The depth-first search it replaced, bounded by
+    # the budget, tested 80 leaves at budget 2 and 1,463,678 at budget 24.
+    leaves = count_calls(monkeypatch, fpt, "_ccav_wins")
+    for budget in (2, 6, 24):
+        leaves[0] = 0
+        got, _ = solve(_priced_adds(1, 0, budget), Rule.CCAV, "exact")
+        assert (verdict(got), leaves[0]) == ((True, 2), 47), budget
+
+
+def test_ccav_exact_answers_what_the_oracle_answers():
+    # With twelve candidates a guard on type-set guesses refused this instance
+    # before any search; the sweep expands far fewer states than its cap.
+    inst = _priced_adds(3, 1, 6)
+    assert not is_cowinner(inst.election, Rule.CCAV, 1, 1)
+    assert verdict(solve(inst, Rule.CCAV, "exact")[0]) == (True, 3) == \
+        verdict(solve(inst, Rule.CCAV, "oracle")[0])
+
+
+def _states_within(ladders: list[list[tuple[int, int]]], p: int, budget: int) -> int:
+    """The (candidates assigned, types present, p's type) states that some
+    assignment prefix reaches within the budget, counted layer by layer."""
+    layer = {(0, -1): 0}  # (types present, p's type) -> cheapest cost
+    count = 1
+    for c, ladder in enumerate(ladders):
+        following: dict[tuple[int, int], int] = {}
+        for (present, p_type), cost in layer.items():
+            for extra, t in ladder:
+                if cost + extra <= budget:
+                    key = (present | 1 << t, t if c == p else p_type)
+                    following[key] = min(following.get(key, cost + extra), cost + extra)
+        layer = following
+        count += len(layer)
+    return count
+
+
+def test_ccav_sweep_expands_each_state_within_the_budget_once(monkeypatch):
+    # Hand-made ladders over three voters: p = candidate 0 keeps the
+    # one-voter type A and every other type covers two voters, so with k = 1
+    # p never wins and the sweep reads every level up to the budget of 6.
+    # The candidates' cost-0 types list their states on level 0 while it is
+    # read: 4 states expand there.  (3, {A, B, C}) is listed at cost 5 from
+    # (2, {A, B}), then at cost 2 from (2, {A, C}); its stale entry at level
+    # 5 is skipped, so the 9 states within the budget expand once each.
+    a, b, c, d = 0b001, 0b011, 0b110, 0b101
+    ladders = [[(0, a)], [(0, b), (1, c)], [(0, d), (1, b), (5, c)]]
+    assert _states_within(ladders, 0, 6) == 9
+    assert fpt._assignment_search(ladders, 0, 1, 6, 9) is None
+    with pytest.raises(ResourceGuardError, match="cap of 8"):
+        fpt._assignment_search(ladders, 0, 1, 6, 8)
+
+    # The same count on the ladders of seeded solves that find no answer.
+    seen = []
+    search = fpt._assignment_search
+
+    def recording(ladders, p, k, budget, state_cap):
+        seen.append((ladders, p, k, budget))
+        return search(ladders, p, k, budget, state_cap)
+    monkeypatch.setattr(fpt, "_assignment_search", recording)
+    checked = 0
+    for op in (Op.ADD, Op.DELETE):
+        cfg = SuiteConfig(op=op, count=150, seed=97, priced=True, max_candidates=5,
+                          max_voters=4, max_budget=3, price_choices=(1, 2, 3))
+        for inst in suite_instances(cfg):
+            if ccav_gav_flow_bribery(inst, Rule.CCAV).feasible or not seen:
+                seen.clear()
+                continue
+            ladders, p, k, budget = seen.pop()
+            states = _states_within(ladders, p, budget)
+            assert search(ladders, p, k, budget, states) is None
+            with pytest.raises(ResourceGuardError):
+                search(ladders, p, k, budget, states - 1)
+            checked += 1
+    assert checked >= 20
+
+
+def test_ccav_free_action_wins_at_cost_0():
+    # p ties a once v1 approves it, and that addition is free: the winning
+    # final state is listed on level 0 while level 0 is read.
+    e = make_election(["a", "p"], [("v1", ["a"])])
+    inst = BriberyInstance(e, 1, 1, 0, Op.ADD, priced=True,
+                           prices=PriceTable(add={(0, 1): 0}))
+    got = rules.certify(inst, Rule.CCAV, ccav_gav_flow_bribery(inst, Rule.CCAV))
+    assert (got.actions, verdict(got)) == ((AtomicAction(Op.ADD, 0, target=1),), (True, 0))
 
 
 def test_flow_matches_oracle_on_wider_elections():
@@ -713,8 +807,9 @@ def test_searches_leave_no_reference_cycles():
     # that nothing it built waits for the cyclic collector.  The priced swap
     # solver runs the oracle's search through its option builder; the type
     # enumeration's walk recurses through a module function, here to a
-    # winning set of size 3 or 4, to no set at all and into its guard; the
-    # coverage rules share one assignment search.
+    # winning set of size 3 or 4, to no set at all and into its guard; GAV's
+    # coverage bribery is an oracle call, and CCAV's cost-level sweep is a
+    # loop that holds no closure.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     gc.collect()
