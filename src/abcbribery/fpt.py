@@ -15,9 +15,10 @@ The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
 for the set it returns.  No leaf re-derives the election: the solve builds
 one ``rules._Tally`` of the base election, and a depth-first walk over the
-action indices sets each chosen action on it and restores it on return, so a
-set costs one ``wins``.  For CCAV and PAV that is one AND of the best
-committee lanes with p's member lanes.
+action indices moves it from one action straight to the next action of the
+same voter, restoring a voter only when the walk leaves it, so a set costs one
+move and one ``wins``.  For CCAV and PAV that is one AND of the best committee
+lanes with p's member lanes.
 
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
@@ -102,11 +103,11 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
 
     Sets are visited by size, each size in lexicographic order of the action
     indices, after the size's count is checked against ``enum_cap``.  The
-    walk moves one shared tally: it sets an action when chosen and restores
-    it on return, and an action clashing with a chosen swap in the same vote
-    prunes every set extending that prefix.  The first winning set is
-    returned.  Answers are uncertified, the approve-p-everywhere one too;
-    ``solve`` certifies.
+    walk moves one shared tally from an action to the next one of the same
+    voter and restores a voter on leaving it, and an action clashing with a
+    chosen swap in the same vote prunes every set extending that prefix.  The
+    first winning set is returned.  Answers are uncertified, the
+    approve-p-everywhere one too; ``solve`` certifies.
     """
     if instance.priced:
         raise ValueError("unit-price algorithm called on a priced instance")
@@ -130,11 +131,13 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     base = ballot_masks(e)
     sources = sum(1 << c for c in pool)
     targets = 1 << p if instance.restricted_to_p else sources
-    if instance.op is Op.ADD:
-        cells = [(v, None, t) for v in range(n) for t in _iter_bits(targets & ~base[v])]
-    else:
-        cells = [(v, s, t) for v in range(n) for s in _iter_bits(sources & base[v])
-                 for t in _iter_bits(targets & ~base[v])]
+    cells = []
+    for v, mask in enumerate(base):
+        lacking = list(_iter_bits(targets & ~mask))
+        if instance.op is Op.ADD:
+            cells += [(v, None, t) for t in lacking]
+        else:
+            cells += [(v, s, t) for s in _iter_bits(sources & mask) for t in lacking]
     flips = [(v, (0 if s is None else 1 << s) | 1 << t) for v, s, t in cells]
 
     tally = _Tally(base, e.m, rule, k)
@@ -149,7 +152,7 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
                 f"combinations, above the cap of {enum_cap}")
         # The empty set comes first: p already winning costs 0.
         if tally.wins(p) if not size else _first_win(tally, base, flips, p, size, 0, chosen):
-            actions = tuple(AtomicAction(instance.op, *cells[i]) for i in chosen)
+            actions = tuple(AtomicAction(instance.op, *cells[i]) for i in reversed(chosen))
             return BriberySolution(actions, size, True)
 
     if interchangeable and instance.budget >= n:
@@ -161,28 +164,35 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
 def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], p: int,
                size: int, start: int, chosen: list[int]) -> bool:
     """Walk the sets of ``size`` more cells from index ``start`` on, in
-    lexicographic order, on a tally moved by the cells in ``chosen``.
+    lexicographic order, on a tally moved by the cells chosen above.
 
-    A cell is set on the tally when chosen and restored on return, so each
-    set costs one ``wins``.  A cell that clashes with a chosen one is
+    Cells are listed voter by voter, so the tally moves straight from one
+    cell to the next cell of the same voter, and a voter is restored only
+    when the walk moves on to another voter or returns: each set costs one
+    ``set`` and one ``wins``.  A cell that clashes with a chosen one is
     skipped, and with it every set extending that prefix.  On the first set
-    that makes p win its cells are appended to ``chosen``; the tally is
-    always left as it was found.
+    that makes p win its cells are appended to ``chosen``, the last cell
+    first, so no leaf pushes or pops; the tally is always left as it was found.
     """
     ballots = tally.ballots  # moved in place by tally.set
+    # The voter of the last cell visited and its ballot on entry.  The range
+    # is never empty: callers leave at least ``size`` cells from ``start``.
+    v = flips[start][0]
+    entry = ballots[v]
     for i in range(start, len(flips) - size + 1):
-        v, flip = flips[i]
-        mask = ballots[v]
-        if (mask ^ base[v]) & flip:
+        u, flip = flips[i]
+        if u != v:
+            tally.set(v, entry)
+            v, entry = u, ballots[u]
+        if (entry ^ base[v]) & flip:
             continue
-        tally.set(v, mask ^ flip)
-        chosen.append(i)
-        won = tally.wins(p) if size == 1 else _first_win(tally, base, flips, p, size - 1,
-                                                         i + 1, chosen)
-        tally.set(v, mask)
-        if won:
+        tally.set(v, entry ^ flip)
+        if tally.wins(p) if size == 1 else _first_win(tally, base, flips, p, size - 1,
+                                                      i + 1, chosen):
+            tally.set(v, entry)
+            chosen.append(i)
             return True
-        chosen.pop()
+    tally.set(v, entry)
     return False
 
 

@@ -412,7 +412,16 @@ def _score_cutoff(scores: list[int], k: int) -> int:
 
 
 def _score_cowinner(scores: list[int], k: int, p: int) -> bool:
-    return sum(1 for s in scores if s > scores[p]) <= k - 1
+    """Do fewer than k candidates score above p?  k is at least 1."""
+    # A plain loop that stops at the k-th candidate above p: every AV and SAV
+    # leaf asks, and a generator's set-up costs more than its handful of items.
+    ceiling, above = scores[p], k
+    for s in scores:
+        if s > ceiling:
+            above -= 1
+            if not above:
+                return False
+    return True
 
 
 class _Tally:

@@ -258,6 +258,23 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     assert checks[0] == (leaves + 1 if rule in (Rule.CCAV, Rule.PAV) else 0)
 
 
+@pytest.mark.parametrize("budget, moves", [(1, 12), (3, 18)])
+def test_type_enum_moves_once_per_leaf(monkeypatch, budget, moves):
+    # The walk moves the tally straight from one cell to the next cell of the
+    # same voter and restores a voter only on leaving it or returning.  Budget
+    # 1: the 8 single swaps, one move each, and 4 voter exits.  Budget 3:
+    # those 12, then 6 for size 2: it sets v1's a->p; one level down it skips
+    # v1's clashing b->p, leaves v1 (one call, moving nothing), tries v2's a->b
+    # and wins on v2's a->p, restoring v2 and then v1 on the way out.  A set
+    # and a restore per leaf would make 16 and 22.
+    e = make_election(["a", "b", "p"],
+                      [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
+    sets = count_calls(monkeypatch, rules._Tally, "set")
+    solution = unpriced_type_enum(BriberyInstance(e, 2, 1, budget, Op.SWAP), Rule.PAV)
+    assert solution.cost == (None if budget == 1 else 2)
+    assert sets[0] == moves
+
+
 def test_leaf_test_matches_kernel():
     # The enumerations' leaf test, a shared tally set to the leaf's ballots,
     # asked wins and restored in reverse order, against a fresh tally of the

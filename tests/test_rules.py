@@ -181,6 +181,23 @@ def test_is_cowinner_unique_max():
         assert is_cowinner(e, Rule.AV, k, 1)
 
 
+def test_score_cowinner_counts_candidates_above():
+    # The AV/SAV leaf test stops at the k-th candidate above p; it must equal
+    # the full count for every p and every k the instances allow (1..m), on
+    # score vectors drawn from a few values so that most of them hold ties.
+    stream = Stream64(97)
+    tied = 0
+    for _ in range(300):
+        m = stream.randint(1, 8)
+        scores = [stream.randint(0, 3) for _ in range(m)]
+        tied += len(set(scores)) < m
+        for p in range(m):
+            above = sum(s > scores[p] for s in scores)
+            for k in range(1, m + 1):
+                assert rules._score_cowinner(scores, k, p) == (above <= k - 1), (scores, k, p)
+    assert tied > 200, tied
+
+
 def test_is_cowinner_matches_committee_membership():
     stream = Stream64(5)
     for _ in range(60):
