@@ -12,11 +12,15 @@ solver is the oracle behind the coverage search's voter guard, and the
 ``pricedswap-*`` solver builds options for that search, so those lanes check
 the guards and the option builder; the brute force over the searched options
 in ``tests/test_fpt.py`` checks the search itself.  The ``margins``
-lane checks the oracle against itself on ``--count`` instances per
+lane checks the oracle against itself on ``--count`` priced instances per
 operation: the shared sweep ``oracle_margins`` against one ``oracle_margin``
 call per candidate, for every rule and operation, and, for each finite
 margin, ``solve(..., "oracle")`` at a budget of exactly that margin, whose
-certified witness must cost it.  It needs no screening, since it asks about
+certified witness must cost it.  ``margins-unit`` runs the same check on
+unit-price suites, where swaps take the oracle's closed-form options, and
+adds one check of swaps restricted to p: per candidate, the restricted
+margin's oracle witness and the ``exact`` solver, both at a budget of that
+margin, must cost it.  Neither needs screening, since each asks about
 every candidate, losers included.  An answer that fails ``solve``'s certificate
 counts as a mismatch, and the sweep goes on.
 """
@@ -81,16 +85,34 @@ def lane_instances(lane: str, count: int, seed: int):
                              if not is_cowinner(inst.election, rule, inst.k, inst.p)), count)
 
 
-MARGINS = "margins"
+MARGINS = {"margins": True, "margins-unit": False}  # lane -> priced suites
 
 
-def margin_mismatches(count: int, seed: int) -> tuple[int, int]:
+def _budget_answer(instance: BriberyInstance, rule: Rule, algorithm: str, where: str,
+                   margin: int) -> int:
+    """1, printing it, when ``algorithm`` fails to certify an answer costing
+    ``margin`` at that budget; 0 otherwise."""
+    try:
+        answer = solve(instance, rule, algorithm)[0]
+    except CertificationError as exc:
+        print(f"  mismatch in {where}: margin {margin}, uncertified: {exc}")
+        return 1
+    if not answer.feasible or answer.cost != margin:
+        print(f"  mismatch in {where}: margin {margin}, {algorithm} answer {answer}")
+        return 1
+    return 0
+
+
+def margin_mismatches(lane: str, count: int, seed: int) -> tuple[int, int]:
     """Shared-sweep margins against per-candidate margins and against the
     oracle's witness at budget = margin, ``count`` instances per operation;
-    prints each mismatch and returns (instances, mismatches)."""
+    on unit prices also restricted swap margins against their oracle witness
+    and the ``exact`` solver; prints each mismatch and returns (instances,
+    mismatches)."""
+    priced = MARGINS[lane]
     bad = 0
     for op in Op:
-        cfg = SuiteConfig(op=op, count=count, seed=seed, priced=True, max_candidates=5,
+        cfg = SuiteConfig(op=op, count=count, seed=seed, priced=priced, max_candidates=5,
                           max_voters=5)
         for index, instance in enumerate(suite_instances(cfg)):
             e, k, prices = instance.election, instance.k, instance.prices
@@ -99,22 +121,24 @@ def margin_mismatches(count: int, seed: int) -> tuple[int, int]:
                 want = [oracle_margin(e, rule, k, p, op, prices) for p in range(e.m)]
                 if got != want:
                     bad += 1
-                    print(f"  mismatch in {MARGINS} ({op.value} #{index}, {rule.value}): "
+                    print(f"  mismatch in {lane} ({op.value} #{index}, {rule.value}): "
                           f"got {got}, per candidate {want}")
                 for p, margin in enumerate(got):
+                    if margin != math.inf:
+                        bad += _budget_answer(
+                            BriberyInstance(e, p, k, margin, op, priced=priced, prices=prices),
+                            rule, "oracle", f"{lane} ({op.value} #{index}, {rule.value}, p={p})",
+                            margin)
+                if op is not Op.SWAP or priced:
+                    continue
+                for p in range(e.m):
+                    margin = oracle_margin(e, rule, k, p, op, restricted=True)
                     if margin == math.inf:
                         continue
-                    where = f"{MARGINS} ({op.value} #{index}, {rule.value}, p={p})"
-                    try:
-                        witness = solve(BriberyInstance(e, p, k, margin, op, priced=True,
-                                                        prices=prices), rule, "oracle")[0]
-                    except CertificationError as exc:
-                        bad += 1
-                        print(f"  mismatch in {where}: margin {margin}, uncertified: {exc}")
-                        continue
-                    if not witness.feasible or witness.cost != margin:
-                        bad += 1
-                        print(f"  mismatch in {where}: margin {margin}, witness {witness}")
+                    inst = BriberyInstance(e, p, k, margin, op, restricted_to_p=True)
+                    where = f"{lane} (swap to p #{index}, {rule.value}, p={p})"
+                    for algorithm in ("oracle", "exact"):
+                        bad += _budget_answer(inst, rule, algorithm, where, margin)
     return count * len(Op), bad
 
 
@@ -122,15 +146,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
-    lanes = sorted(LANES) + [MARGINS]
+    lanes = sorted(LANES) + list(MARGINS)
     parser.add_argument("--lanes", nargs="*", default=lanes, choices=lanes)
     args = parser.parse_args()
     grand_total = 0
     grand_bad = 0
     for lane in args.lanes:
-        if lane == MARGINS:
+        if lane in MARGINS:
             start = time.time()
-            total, bad = margin_mismatches(args.count, args.seed)
+            total, bad = margin_mismatches(lane, args.count, args.seed)
             grand_total += total
             grand_bad += bad
             print(f"{lane}: {total} instances, {bad} mismatches, {time.time() - start:.1f}s")

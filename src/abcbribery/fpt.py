@@ -123,37 +123,42 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
         pool = set(range(e.m))
         cap = instance.budget
 
-    # A cell is one atomic action as (voter, source, target), flipped on the
-    # ballot masks as a bit pair (swaps) or a single bit (additions, whose
-    # source is None).  A swap's source was approved and its target was not,
-    # so two swaps in one vote clash exactly when their flips overlap;
+    # A cell is one atomic action as (voter, flip): the bits it flips on the
+    # voter's ballot mask, source and target for a swap, the target alone for
+    # an addition.  A swap's source was approved and its target was not, so
+    # two swaps in one vote clash exactly when their flips overlap;
     # additions never clash.
     base = ballot_masks(e)
     sources = sum(1 << c for c in pool)
     targets = 1 << p if instance.restricted_to_p else sources
-    cells = []
+    flips = []
     for v, mask in enumerate(base):
-        lacking = list(_iter_bits(targets & ~mask))
+        lacking = [1 << t for t in _iter_bits(targets & ~mask)]
         if instance.op is Op.ADD:
-            cells += [(v, None, t) for t in lacking]
+            flips += [(v, t) for t in lacking]
         else:
-            cells += [(v, s, t) for s in _iter_bits(sources & mask) for t in lacking]
-    flips = [(v, (0 if s is None else 1 << s) | 1 << t) for v, s, t in cells]
+            flips += [(v, 1 << s | t) for s in _iter_bits(sources & mask) for t in lacking]
 
     tally = _Tally(base, e.m, rule, k)
-    cap = min(cap, len(cells))
+    cap = min(cap, len(flips))
     explored = 0
     chosen: list[int] = []
     for size in range(cap + 1):
-        explored += comb(len(cells), size)
+        explored += comb(len(flips), size)
         if explored > enum_cap:
             raise ResourceGuardError(
                 f"enumerating action sets of size {size} needs {explored} "
                 f"combinations, above the cap of {enum_cap}")
         # The empty set comes first: p already winning costs 0.
         if tally.wins(p) if not size else _first_win(tally, base, flips, p, size, 0, chosen):
-            actions = tuple(AtomicAction(instance.op, *cells[i]) for i in reversed(chosen))
-            return BriberySolution(actions, size, True)
+            actions = []
+            for i in reversed(chosen):
+                v, flip = flips[i]
+                source = flip & base[v]  # 0 for an addition
+                actions.append(AtomicAction(instance.op, v,
+                                            source.bit_length() - 1 if source else None,
+                                            (flip ^ source).bit_length() - 1))
+            return BriberySolution(tuple(actions), size, True)
 
     if interchangeable and instance.budget >= n:
         actions = _approve_p_everywhere(e, p, instance.op)
@@ -273,11 +278,13 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     if space > enum_cap:
         raise ResourceGuardError(f"swap combinations exceed the cap of {enum_cap}")
     # At most m ballots per voter, `space` configurations kept: no search cap trips.
-    options, parents = _vote_options(e, instance.prices, Op.SWAP, True, p, instance.budget, e.m)
+    masks = ballot_masks(e)
+    options, parents = _vote_options(e, masks, instance.prices, Op.SWAP, True, p,
+                                     instance.budget, e.m)
     outside = sum(1 << c for c in range(e.m) if c not in pool)
     options = [[(cost, mask) for cost, mask in opts if not start & ~mask & outside]
-               for start, opts in zip(ballot_masks(e), options)]
-    return _cheapest(instance, rule, options, parents, enum_cap)
+               for start, opts in zip(masks, options)]
+    return _cheapest(instance, masks, rule, options, parents, enum_cap)
 
 
 # --- an assignment search for CCAV --------------------------------------------

@@ -1,34 +1,37 @@
 """Exhaustive bribery solver used as ground truth for every other algorithm.
 
 The search enumerates, per vote, every ballot reachable under the operation
-kind as a bare (cost, ballot) pair at its cheapest cost (Dijkstra over
-ballot states for swaps, where relaying an approval through intermediate
-candidates can be cheaper than a direct move).  Each voter's swap Dijkstra
-reads a move table built once from the price table: per source, the (target,
-target bit, price) triples with a finite price; without swap prices one
-table serves every voter.  Final elections are then enumerated by iterative
-deepening over total cost, so the first hit is the optimum.  The resource
-guard needs the number of configurations at each cost; ``_LevelCounts``
-computes that count for a level only when the sweep reaches it, and a level
-no configuration reaches is skipped.  The depth-first search tests the last
-voter's options in that voter's own frame, one leaf per option, instead of
-one call deeper.
+kind as a bare (cost, ballot) pair at its cheapest cost.  Without swap
+prices a swap moves one approval at cost 1, so a ballot costs the number of
+start approvals it drops and the options are listed in closed form.  Priced
+swaps run a Dijkstra over ballot states, where relaying an approval through
+intermediate candidates can be cheaper than a direct move; each voter's
+Dijkstra reads a move table built from the price table: per source, the
+(target, target bit, price) triples with a finite price.  Final elections
+are then enumerated by iterative deepening over total cost, so the first hit
+is the optimum.  The resource guard needs the number of configurations at
+each cost; ``_LevelCounts`` computes that count for a level only when the
+sweep reaches it, and a level no configuration reaches is skipped.  The
+depth-first search branches only on voters with more than one option, tests
+the last such voter's options in that voter's own frame, one leaf per
+option, and never restores a voter: each leaf sets every voter on its path.
 
 One sweep can serve several target candidates at once: the options and the
 per-cost configuration counts do not depend on the target unless the
 bribery is restricted to p, so ``oracle_margins`` searches once for every
 candidate.  The search keeps one ``rules._Tally`` of the election, moves it
-at each step for the one voter it changes, and reads every pending
+for a voter only when the voter's ballot changes, and reads every pending
 candidate's answer off it at each leaf: the co-winner mask while several
 are pending, ``wins`` once one is left.  Each target keeps the final
 ballots of the first winning configuration the depth-first order reaches at
 its cheapest cost -- the same configuration a single-target search finds.
 Only ``_cheapest`` turns them into actions, through ``_witness``: the changed
-cells of each voter for additions and deletions, a walk back through the
-voter's Dijkstra parents for swaps.  Its options come from ``oracle_bribery``
-or from an fpt option builder.  Its answers are uncertified; ``solve``
-certifies.  Purely exponential; guarded by a configuration-count estimate and
-by the length of each voter's option list.
+cells of each voter for additions, deletions and unit-price swaps, a walk
+back through the voter's Dijkstra parents for priced swaps.  Its options
+come from ``oracle_bribery`` or from an fpt option builder; the start
+ballot masks are built once per solve and passed through.  Its answers are
+uncertified; ``solve`` certifies.  Purely exponential; guarded by a
+configuration-count estimate and by the length of each voter's option list.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from itertools import combinations
 
 from .core import (
     FORBIDDEN,
@@ -146,50 +150,88 @@ def _swap_options(voter: int, start: int, moves: list[list[tuple[int, int, int]]
     return sorted((d, mask) for mask, d in dist.items()), parent
 
 
-def _vote_options(e: Election, prices: PriceTable, op: Op, restricted: bool, p: int,
-                  cost_cap: int | None, max_configs: int
-                  ) -> tuple[list[list[tuple[int, int]]], list[dict[int, tuple[int, int, int]]]]:
-    """Each voter's (cost, ballot) options, and for swaps each voter's parent
-    map (empty for additions and deletions)."""
-    masks = ballot_masks(e)
+def _unit_swap_options(voter: int, start: int, targets: int, cost_cap: int | None,
+                       max_configs: int) -> list[tuple[int, int]]:
+    """Cheapest reachable ballots under unit-price swaps, cheapest-first.
+
+    A swap moves one approval to a candidate in ``targets`` the ballot
+    lacks, so a ballot reached by dropping d start approvals and adding d
+    targets costs d.  Each level lists every such pair of d-subsets, sorted
+    by mask: the list the swap Dijkstra returns, counted for the guard
+    before any ballot is built.  A voter with no swap keeps its one ballot
+    whatever the cap, as in the Dijkstra.
+    """
+    held = [1 << c for c in _iter_bits(start)]
+    free = [1 << c for c in _iter_bits(targets & ~start)]
+    top = min(len(held), len(free), len(held) if cost_cap is None else cost_cap)
+    if top > 0:
+        _guard_options(voter, sum(math.comb(len(held), d) * math.comb(len(free), d)
+                                  for d in range(top + 1)), max_configs)
+    options = [(0, start)]
+    for d in range(1, top + 1):
+        kept = [start - sum(dropped) for dropped in combinations(held, d)]
+        added = [sum(new) for new in combinations(free, d)]
+        options += [(d, mask) for mask in sorted(rest + new for rest in kept for new in added)]
+    return options
+
+
+def _vote_options(e: Election, masks: list[int], prices: PriceTable, op: Op, restricted: bool,
+                  p: int, cost_cap: int | None, max_configs: int
+                  ) -> tuple[list[list[tuple[int, int]]],
+                             list[dict[int, tuple[int, int, int]] | None]]:
+    """Each voter's (cost, ballot) options from its start ballot in ``masks``,
+    and each voter's parent map: a priced swap's Dijkstra parents, None for
+    unit-price swaps, additions and deletions, whose witness needs none."""
     options, parents = [], []
-    # Without swap prices every voter has the same move table.
-    unit_moves = (_move_table(0, e.m, prices, restricted, p)
-                  if op is Op.SWAP and not prices.swap else None)
     for v in range(e.n):
         start = masks[v]
+        parent = None
         if op is Op.SWAP:
-            moves = unit_moves or _move_table(v, e.m, prices, restricted, p)
-            opts, parent = _swap_options(v, start, moves, cost_cap, max_configs)
-            options.append(opts)
-            parents.append(parent)
-            continue
-        if op is Op.ADD:
-            cands = [c for c in range(e.m) if not start >> c & 1]
-            if restricted:
-                cands = [c for c in cands if c == p]
-            cells = [(c, prices.add_price(v, c)) for c in cands]
+            if prices.swap:
+                moves = _move_table(v, e.m, prices, restricted, p)
+                opts, parent = _swap_options(v, start, moves, cost_cap, max_configs)
+            else:
+                targets = 1 << p if restricted else (1 << e.m) - 1
+                opts = _unit_swap_options(v, start, targets, cost_cap, max_configs)
         else:
-            cells = [(c, prices.delete_price(v, c)) for c in _iter_bits(start)]
-        cells = [(c, pr) for c, pr in cells if pr != FORBIDDEN]
-        options.append(_cellwise_options(v, start, cells, cost_cap, max_configs))
-        parents.append({})
+            if op is Op.ADD:
+                cands = [c for c in range(e.m) if not start >> c & 1]
+                if restricted:
+                    cands = [c for c in cands if c == p]
+                cells = [(c, prices.add_price(v, c)) for c in cands]
+            else:
+                cells = [(c, prices.delete_price(v, c)) for c in _iter_bits(start)]
+            cells = [(c, pr) for c, pr in cells if pr != FORBIDDEN]
+            opts = _cellwise_options(v, start, cells, cost_cap, max_configs)
+        options.append(opts)
+        parents.append(parent)
     return options, parents
 
 
 def _witness(op: Op, starts: list[int], finals: list[int],
-             parents: list[dict[int, tuple[int, int, int]]]) -> tuple[AtomicAction, ...]:
+             parents: list[dict[int, tuple[int, int, int]] | None]) -> tuple[AtomicAction, ...]:
     """The actions taking each voter from its start ballot to its final one.
 
     Additions and deletions come lowest candidate first, the order the cells
-    are applied in; swaps walk back through the voter's parent map.
+    are applied in.  A priced swap walks back through the voter's parent
+    map.  A unit-price swap (parent map None) pairs the dropped approvals,
+    highest first, with the new ones, lowest first: the Dijkstra's parent of
+    a ballot moves its highest new approval back to its lowest dropped one,
+    so this is the walk back through that parent map, action for action.
     """
     actions = []
     for v, (start, final) in enumerate(zip(starts, finals)):
         if op is Op.SWAP:
+            parent = parents[v]
+            if parent is None:
+                dropped = list(_iter_bits(start & ~final))
+                actions += [AtomicAction(Op.SWAP, v, source=source, target=target)
+                            for source, target in zip(reversed(dropped),
+                                                      _iter_bits(final & ~start))]
+                continue
             moves = []
             while final != start:
-                final, source, target = parents[v][final]
+                final, source, target = parent[final]
                 moves.append(AtomicAction(Op.SWAP, v, source=source, target=target))
             actions += reversed(moves)
         elif op is Op.ADD:
@@ -237,31 +279,41 @@ class _LevelCounts:
         return rows[-1][t]
 
 
-def _search(e: Election, rule: Rule, k: int, targets: list[int],
+def _search(e: Election, masks: list[int], rule: Rule, k: int, targets: list[int],
             options: list[list[tuple[int, int]]], budget: int | None,
             max_configs: int) -> dict[int, tuple[int, list[int]]]:
     """Cheapest cost and first winning final ballots per target; targets
-    without one are absent."""
-    n = len(options)
+    without one are absent.
+
+    ``masks`` are the start ballots; each voter's options hold its start
+    ballot at cost 0, so a voter with one option keeps it at no cost.  Such
+    voters count in ``_LevelCounts`` but get no frame in the walk.  The walk
+    moves the tally only when a voter's ballot changes and never restores
+    one: every leaf sets each branching voter on its path, and the tally is
+    the search's own.
+    """
     # Options are sorted by cost, so each voter's dearest one comes last.
     limit = sum(opts[-1][0] for opts in options)
     if budget is not None:
         limit = min(limit, budget)
     counts = _LevelCounts(options)
+    walk = [(v, opts) for v, opts in enumerate(options) if len(opts) > 1]
+    n = len(walk)
     suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + options[i][-1][0]
+        suffix_max[i] = suffix_max[i + 1] + walk[i][1][-1][0]
 
     found: dict[int, tuple[int, list[int]]] = {}
     pending = 0  # bitmask of the targets without a winning configuration yet
     for p in targets:
         pending |= 1 << p
-    tally = _Tally(ballot_masks(e), e.m, rule, k)
+    tally = _Tally(masks, e.m, rule, k)
+    ballots = tally.ballots  # moved in place by tally.set
 
     def record(won: int) -> bool:
         """Keep the current ballots for the targets in `won`; True once none is pending."""
         nonlocal pending
-        finals = tally.ballots.copy()
+        finals = ballots.copy()
         for p in _iter_bits(won):
             found[p] = (t, finals)  # t: the cost level being swept
         pending ^= won
@@ -271,33 +323,34 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
 
     def dfs(i: int, remaining: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
-        old = tally.ballots[i]
+        v, opts = walk[i]
         if i == last:
             # The leaves: the last voter must spend exactly what remains.
             # They are tested here, not one call deeper each.
-            for cost, mask in options[i]:
+            for cost, mask in opts:
                 if cost < remaining:
                     continue
                 if cost > remaining:
                     break
-                tally.set(i, mask)
+                if mask != ballots[v]:
+                    tally.set(v, mask)
                 if pending & (pending - 1):  # several targets: one mask for all
                     won = tally.cowinners() & pending
                 else:  # one target: wins may settle it without a greedy
                     won = pending if tally.wins(pending.bit_length() - 1) else 0
                 if won and record(won):
-                    return True  # the search is over: the tally is not read again
+                    return True
         else:
             lower = remaining - suffix_max[i + 1]
-            for cost, mask in options[i]:
+            for cost, mask in opts:
                 if cost > remaining:
                     break
                 if cost < lower:
                     continue
-                tally.set(i, mask)
+                if mask != ballots[v]:
+                    tally.set(v, mask)
                 if dfs(i + 1, remaining - cost):
                     return True
-        tally.set(i, old)
         return False
 
     explored = 0
@@ -311,7 +364,7 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
                     f"configurations, above the cap of {max_configs}")
             if not count:  # no configuration costs exactly t
                 continue
-            # Without voters the start election is the one configuration.
+            # Without a branching voter the start election is the one configuration.
             if dfs(0, t) if n else record(tally.cowinners() & pending):
                 break
     finally:
@@ -319,25 +372,29 @@ def _search(e: Election, rule: Rule, k: int, targets: list[int],
     return found
 
 
-def _cheapest(instance: BriberyInstance, rule: Rule, options: list[list[tuple[int, int]]],
-              parents: list[dict[int, tuple[int, int, int]]], max_configs: int) -> BriberySolution:
-    """The options' cheapest winning configuration in budget; uncertified, ``solve`` certifies."""
+def _cheapest(instance: BriberyInstance, masks: list[int], rule: Rule,
+              options: list[list[tuple[int, int]]],
+              parents: list[dict[int, tuple[int, int, int]] | None],
+              max_configs: int) -> BriberySolution:
+    """The options' cheapest winning configuration in budget from the start
+    ballots ``masks``; uncertified, ``solve`` certifies."""
     e, p = instance.election, instance.p
-    found = _search(e, rule, instance.k, [p], options, instance.budget, max_configs)
+    found = _search(e, masks, rule, instance.k, [p], options, instance.budget, max_configs)
     if p not in found:
         return BriberySolution((), None, False)
     cost, finals = found[p]
-    actions = _witness(instance.op, ballot_masks(e), finals, parents)
+    actions = _witness(instance.op, masks, finals, parents)
     return BriberySolution(actions, cost, cost <= instance.budget)
 
 
 def oracle_bribery(instance: BriberyInstance, rule: Rule, *,
                    max_configs: int = DEFAULT_MAX_CONFIGS) -> BriberySolution:
     """Minimum-cost solution within the budget by enumeration; uncertified, ``solve`` certifies."""
-    options, parents = _vote_options(instance.election, instance.prices, instance.op,
+    masks = ballot_masks(instance.election)
+    options, parents = _vote_options(instance.election, masks, instance.prices, instance.op,
                                      instance.restricted_to_p, instance.p, instance.budget,
                                      max_configs)
-    return _cheapest(instance, rule, options, parents, max_configs)
+    return _cheapest(instance, masks, rule, options, parents, max_configs)
 
 
 def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,
@@ -347,8 +404,10 @@ def oracle_margin(e: Election, rule: Rule, k: int, p: int, op: Op,
     _check_k(e, k)
     if restricted and op is Op.DELETE:
         raise ElectionError("restricted-to-p is meaningless for deletions")
-    options, _ = _vote_options(e, prices or PriceTable(), op, restricted, p, None, max_configs)
-    found = _search(e, rule, k, [p], options, None, max_configs)
+    masks = ballot_masks(e)
+    options, _ = _vote_options(e, masks, prices or PriceTable(), op, restricted, p, None,
+                               max_configs)
+    found = _search(e, masks, rule, k, [p], options, None, max_configs)
     return found[p][0] if p in found else math.inf
 
 
@@ -361,6 +420,7 @@ def oracle_margins(e: Election, rule: Rule, k: int, op: Op,
     and raises ``ResourceGuardError`` exactly when one of those calls would.
     """
     _check_k(e, k)
-    options, _ = _vote_options(e, prices or PriceTable(), op, False, 0, None, max_configs)
-    found = _search(e, rule, k, list(range(e.m)), options, None, max_configs)
+    masks = ballot_masks(e)
+    options, _ = _vote_options(e, masks, prices or PriceTable(), op, False, 0, None, max_configs)
+    found = _search(e, masks, rule, k, list(range(e.m)), options, None, max_configs)
     return [found[p][0] if p in found else math.inf for p in range(e.m)]

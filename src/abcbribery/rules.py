@@ -15,8 +15,9 @@ Every co-winner question goes through one object on ballot bitmasks,
 ``_Tally``: built once from an election, it moves its state one voter's
 ballot at a time (``set``) and answers for one target (``wins``) or for
 every candidate at once as a bitmask (``cowinners``).  A solver's search
-changes a few voters and restores them; a from-scratch question is a fresh
-tally.  AV and SAV keep the scores, and ``_score_delta`` moves them.  GAV
+changes a few voters per step, and the type enumeration restores them; a
+from-scratch question is a fresh tally.  AV and SAV keep the scores, and
+``_score_delta`` moves them.  GAV
 and RAV keep the candidate columns (approver bitmasks) and their approval
 counts, flipping one voter's bit and moving one count per changed
 candidate, and run one greedy on them.  The first pick is read off the

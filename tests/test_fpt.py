@@ -588,9 +588,9 @@ def _record_options(monkeypatch):
     seen = []
     search = oracle._cheapest
 
-    def recording(instance, rule, options, parents, max_configs):
+    def recording(instance, masks, rule, options, parents, max_configs):
         seen.append(options)
-        return search(instance, rule, options, parents, max_configs)
+        return search(instance, masks, rule, options, parents, max_configs)
     monkeypatch.setattr(fpt, "_cheapest", recording)
     monkeypatch.setattr(oracle, "_cheapest", recording)
     return seen

@@ -19,7 +19,7 @@ from abcbribery import (
     solve,
 )
 from abcbribery import oracle, rules
-from abcbribery.core import _iter_bits
+from abcbribery.core import _iter_bits, ballot_masks
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
@@ -229,7 +229,7 @@ def test_one_cowinner_mask_per_leaf(monkeypatch, rule):
     e = make_election(["c0", "c1", "c2"],
                       [("v1", ["c0", "c1"]), ("v2", ["c0"]), ("v3", ["c1"])])
     prices = PriceTable(delete={(0, 0): math.inf})
-    options, _ = oracle._vote_options(e, prices, Op.DELETE, False, 0, None,
+    options, _ = oracle._vote_options(e, ballot_masks(e), prices, Op.DELETE, False, 0, None,
                                       oracle.DEFAULT_MAX_CONFIGS)
     leaves = math.prod(map(len, options))
     tallies = count_calls(monkeypatch, oracle, "_Tally")
@@ -452,6 +452,68 @@ def test_swap_move_table_matches_the_relaxing_dijkstra():
                         relayed += not isinstance(want, str) and any(
                             prev != start for prev, _, _ in want[1].values())
     assert relayed > 50 and guarded > 50
+
+
+def _walk_back(start, final, parent):
+    """The (source, target) moves from start to final along a parent map."""
+    moves = []
+    while final != start:
+        final, source, target = parent[final]
+        moves.append((source, target))
+    return moves[::-1]
+
+
+def test_unit_swap_closed_form_matches_the_dijkstra():
+    # Every start ballot over up to 7 candidates, free and restricted to each
+    # p, capped and uncapped, with caps on the option count that trip and do
+    # not: the same options, the same witness per option, the same trips.
+    guarded = built = 0
+    for m in range(1, 8):
+        everyone = (1 << m) - 1
+        for start in range(1 << m):
+            for restricted, p, targets in [(False, 0, everyone)] + [
+                    (True, p, 1 << p) for p in range(m)]:
+                for cost_cap in (None, 0, 1, 2):
+                    for max_configs in (0, 1, 4, 12, oracle.DEFAULT_MAX_CONFIGS):
+                        want = _options_or_guard(_relaxing_swap_options, 0, start, m,
+                                                 PriceTable(), restricted, p, cost_cap,
+                                                 max_configs)
+                        got = _options_or_guard(oracle._unit_swap_options, 0, start,
+                                                targets, cost_cap, max_configs)
+                        if isinstance(want, str):
+                            assert isinstance(got, str), (m, start, p, cost_cap, max_configs)
+                            guarded += 1
+                            continue
+                        options, parent = want
+                        assert got == options
+                        built += 1
+                        for _, final in options:
+                            actions = oracle._witness(Op.SWAP, [start], [final], [None])
+                            assert [(a.source, a.target) for a in actions] == \
+                                _walk_back(start, final, parent)
+    assert guarded > 7000 and built > 28000
+
+
+def test_unit_swap_guard_reports_the_full_count():
+    # 3 approvals and 4 free targets: 1 + 3*4 + 3*6 + 1*4 = 35 ballots,
+    # counted before any is built; capped at cost 1 the count is 13.
+    with pytest.raises(ResourceGuardError, match="voter 2 has 35 reachable ballots"):
+        oracle._unit_swap_options(2, 0b0000111, 0b1111111, None, 34)
+    assert len(oracle._unit_swap_options(2, 0b0000111, 0b1111111, None, 35)) == 35
+    with pytest.raises(ResourceGuardError, match="has 13 reachable ballots"):
+        oracle._unit_swap_options(2, 0b0000111, 0b1111111, 1, 12)
+
+
+def test_search_moves_only_changed_branching_voters(monkeypatch):
+    # v2 approves nobody, so its one option keeps its empty ballot and it
+    # gets no frame in the walk.  The walk sets a voter only when its ballot
+    # changes and never restores one: 38 moves for the whole sweep, where a
+    # walk setting every option and restoring every frame made 111.
+    e = make_election(["a", "b", "c", "d"], [("v1", ["a", "b"]), ("v2", []),
+                                             ("v3", ["b", "c", "d"]), ("v4", ["c"])])
+    moves = count_calls(monkeypatch, rules._Tally, "set")
+    assert oracle_margins(e, Rule.RAV, 2, Op.DELETE) == [1, 0, 0, 3]
+    assert moves[0] == 38
 
 
 @pytest.mark.parametrize("rule", list(Rule))
