@@ -11,7 +11,9 @@ the oracle's restricted-add search behind a voter guard, the ``flow-gav*``
 solver is the oracle behind the coverage search's voter guard, and the
 ``pricedswap-*`` solver builds options for that search, so those lanes check
 the guards and the option builder; the brute force over the searched options
-in ``tests/test_fpt.py`` checks the search itself.  The ``margins``
+in ``tests/test_fpt.py`` checks the search itself.  The ``typeenum-*`` lanes
+run the unit-price type enumeration on swaps, the ``typeenum-add-*`` lanes
+on additions.  The ``margins``
 lane checks the oracle against itself on ``--count`` priced instances per
 operation: the shared sweep ``oracle_margins`` against one ``oracle_margin``
 call per candidate, for every rule and operation, and, for each finite
@@ -57,6 +59,9 @@ LANES = {
     # GAV and RAV enumerate over every candidate, not a per-type pool.
     "typeenum-gav": (Rule.GAV, "exact", dict(op=Op.SWAP, max_voters=4)),
     "typeenum-rav": (Rule.RAV, "exact", dict(op=Op.SWAP, max_voters=4)),
+    # Unit additions: "fpt-n" sends unrestricted ones to the enumeration for every rule.
+    **{f"typeenum-add-{rule.value}": (rule, "fpt-n", dict(op=Op.ADD, max_voters=4))
+       for rule in (Rule.AV, Rule.SAV, Rule.CCAV, Rule.PAV, Rule.GAV, Rule.RAV)},
     "pricedswap-sav": (Rule.SAV, "exact", dict(op=Op.SWAP, priced=True, restricted_to_p=True,
                                                 max_candidates=5, max_voters=4)),
     "pricedswap-rav": (Rule.RAV, "exact", dict(op=Op.SWAP, priced=True, restricted_to_p=True,

@@ -20,6 +20,15 @@ same voter, restoring a voter only when the walk leaves it, so a set costs one
 move and one ``wins``.  For CCAV and PAV that is one AND of the best committee
 lanes with p's member lanes.
 
+Under AV, SAV, CCAV and PAV the walk tests only canonical sets: those in
+which every changed vote lacking p gains p.  In a final ballot B lacking p,
+replacing an approved t by p lowers no committee holding p and raises no
+other committee, so a co-winner p stays one.  Rewritten so, a
+winning set becomes a canonical winning set of the same size, and the
+optimum is unchanged; only the witness returned can differ.  GAV's and
+RAV's greedy tie-breaks void the lemma (a trade for p can push p out of the
+greedy committee), so their walk tests every set.
+
 The classic pool restrictions (n representatives per type) are sound for
 rules that treat same-type candidates interchangeably, which holds for the
 score and coverage rules here.  The deterministic lowest-index tie-break of
@@ -84,10 +93,10 @@ def _type_pool(e: Election, p: int) -> set[int]:
     """The n lowest-index candidates of each type, plus p."""
     groups: dict[int, list[int]] = {}
     for c, approvals in enumerate(approver_masks(e)):
-        groups.setdefault(approvals, []).append(c)
+        groups.setdefault(approvals, []).append(c)  # members in ascending order
     pool = {p}
     for members in groups.values():
-        pool.update(sorted(members)[: e.n])
+        pool.update(members[: e.n])
     return pool
 
 
@@ -105,9 +114,13 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     indices, after the size's count is checked against ``enum_cap``.  The
     walk moves one shared tally from an action to the next one of the same
     voter and restores a voter on leaving it, and an action clashing with a
-    chosen swap in the same vote prunes every set extending that prefix.  The
-    first winning set is returned.  Answers are uncertified, the
-    approve-p-everywhere one too; ``solve`` certifies.
+    chosen swap in the same vote prunes every set extending that prefix.  For
+    the interchangeable rules a vote lacking p lists its actions targeting p
+    first, and the walk prunes an action of such a vote that leaves it
+    without p (see the module docstring): the count checked against
+    ``enum_cap`` is still that of every set.  The first winning set is
+    returned.  Answers are uncertified, the approve-p-everywhere one too;
+    ``solve`` certifies.
     """
     if instance.priced:
         raise ValueError("unit-price algorithm called on a priced instance")
@@ -127,17 +140,21 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     # voter's ballot mask, source and target for a swap, the target alone for
     # an addition.  A swap's source was approved and its target was not, so
     # two swaps in one vote clash exactly when their flips overlap;
-    # additions never clash.
+    # additions never clash.  For interchangeable rules a vote lacking p is
+    # marked in ``needs_p`` and lists its cells targeting p first.
     base = ballot_masks(e)
     sources = sum(1 << c for c in pool)
     targets = 1 << p if instance.restricted_to_p else sources
     flips = []
+    needs_p = 0
     for v, mask in enumerate(base):
         lacking = [1 << t for t in _iter_bits(targets & ~mask)]
-        if instance.op is Op.ADD:
-            flips += [(v, t) for t in lacking]
-        else:
-            flips += [(v, 1 << s | t) for s in _iter_bits(sources & mask) for t in lacking]
+        donors = [1 << s for s in _iter_bits(sources & mask)] if instance.op is Op.SWAP else [0]
+        if interchangeable and not mask >> p & 1:
+            needs_p |= 1 << v
+            lacking.remove(1 << p)
+            flips += [(v, s | 1 << p) for s in donors]
+        flips += [(v, s | t) for s in donors for t in lacking]
 
     tally = _Tally(base, e.m, rule, k)
     cap = min(cap, len(flips))
@@ -150,7 +167,8 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
                 f"enumerating action sets of size {size} needs {explored} "
                 f"combinations, above the cap of {enum_cap}")
         # The empty set comes first: p already winning costs 0.
-        if tally.wins(p) if not size else _first_win(tally, base, flips, p, size, 0, chosen):
+        if tally.wins(p) if not size else _first_win(tally, base, flips, needs_p, p, size,
+                                                     0, chosen):
             actions = []
             for i in reversed(chosen):
                 v, flip = flips[i]
@@ -166,8 +184,8 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     return BriberySolution((), None, False)
 
 
-def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], p: int,
-               size: int, start: int, chosen: list[int]) -> bool:
+def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], needs_p: int,
+               p: int, size: int, start: int, chosen: list[int]) -> bool:
     """Walk the sets of ``size`` more cells from index ``start`` on, in
     lexicographic order, on a tally moved by the cells chosen above.
 
@@ -175,24 +193,31 @@ def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], p: 
     cell to the next cell of the same voter, and a voter is restored only
     when the walk moves on to another voter or returns: each set costs one
     ``set`` and one ``wins``.  A cell that clashes with a chosen one is
-    skipped, and with it every set extending that prefix.  On the first set
-    that makes p win its cells are appended to ``chosen``, the last cell
+    skipped, and with it every set extending that prefix.  So is a cell not
+    targeting p of a voter in ``needs_p`` whose ballot still lacks p: that
+    voter's cells targeting p come first, so only canonical sets are walked,
+    those in which every changed vote of ``needs_p`` gains p.  On the first
+    set that makes p win its cells are appended to ``chosen``, the last cell
     first, so no leaf pushes or pops; the tally is always left as it was found.
     """
     ballots = tally.ballots  # moved in place by tally.set
-    # The voter of the last cell visited and its ballot on entry.  The range
-    # is never empty: callers leave at least ``size`` cells from ``start``.
+    # The voter of the last cell visited, its ballot on entry, the bits the
+    # cells chosen in it above have flipped, and p's bit if its next cells
+    # must target p, else 0.  The range is never empty: callers leave at least ``size``
+    # cells from ``start``.
     v = flips[start][0]
     entry = ballots[v]
+    moved, gate = entry ^ base[v], (needs_p >> v & ~entry >> p & 1) << p
     for i in range(start, len(flips) - size + 1):
         u, flip = flips[i]
         if u != v:
             tally.set(v, entry)
             v, entry = u, ballots[u]
-        if (entry ^ base[v]) & flip:
+            moved, gate = entry ^ base[v], (needs_p >> v & ~entry >> p & 1) << p
+        if moved & flip or gate & ~flip:
             continue
         tally.set(v, entry ^ flip)
-        if tally.wins(p) if size == 1 else _first_win(tally, base, flips, p, size - 1,
+        if tally.wins(p) if size == 1 else _first_win(tally, base, flips, needs_p, p, size - 1,
                                                       i + 1, chosen):
             tally.set(v, entry)
             chosen.append(i)

@@ -101,11 +101,16 @@ def reference_winners(e, rule, k):
     return {w for w in committees if value(w) == best}
 
 
-def reference_type_enum(instance, rule):
+def reference_type_enum(instance, rule, *, canonical=False):
     """``fpt.unpriced_type_enum`` as a plain loop, with no guard: every action
     set by size, each size in ``itertools.combinations`` order, tested on a
     tally moved to the set's ballots and back; the first winning set is the
-    answer.  A set holding two swaps that clash in one vote is skipped."""
+    answer.  A set holding two swaps that clash in one vote is skipped.
+
+    With ``canonical`` the loop takes the walk's restriction: under the rules
+    of ``fpt._INTERCHANGEABLE`` each vote lacking p lists its actions
+    targeting p first, and a set that changes such a vote without giving it
+    p is skipped."""
     e, p, n = instance.election, instance.p, instance.election.n
     interchangeable = rule in fpt._INTERCHANGEABLE
     if interchangeable:
@@ -117,11 +122,17 @@ def reference_type_enum(instance, rule):
     base = ballot_masks(e)
     sources = sum(1 << c for c in pool)
     targets = 1 << p if instance.restricted_to_p else sources
-    if instance.op is Op.ADD:
-        cells = [(v, None, t) for v in range(n) for t in _iter_bits(targets & ~base[v])]
-    else:
-        cells = [(v, s, t) for v in range(n) for s in _iter_bits(sources & base[v])
-                 for t in _iter_bits(targets & ~base[v])]
+    needs_p = {v for v in range(n) if canonical and interchangeable and not base[v] >> p & 1}
+    cells = []
+    for v in range(n):
+        if instance.op is Op.ADD:
+            vote = [(v, None, t) for t in _iter_bits(targets & ~base[v])]
+        else:
+            vote = [(v, s, t) for s in _iter_bits(sources & base[v])
+                    for t in _iter_bits(targets & ~base[v])]
+        if v in needs_p:
+            vote.sort(key=lambda cell: cell[2] != p)  # stable: p's cells move up
+        cells += vote
     flips = [(v, (0 if s is None else 1 << s) | 1 << t) for v, s, t in cells]
     tally = _Tally(base, e.m, rule, instance.k)
     for size in range(min(cap, len(cells)) + 1):
@@ -134,6 +145,8 @@ def reference_type_enum(instance, rule):
                     break
                 changed[v] = mask ^ flip
             else:
+                if any(v in needs_p and not mask >> p & 1 for v, mask in changed.items()):
+                    continue
                 for v, mask in changed.items():
                     tally.set(v, mask)
                 won = tally.wins(p)

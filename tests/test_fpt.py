@@ -172,13 +172,16 @@ def test_unpriced_type_enum_clone_invariance():
 
 
 def test_type_enum_walk_matches_combinations_loop():
-    # The walk returns the same (cost, feasible, actions) as the combinations
-    # loop it replaced, for every rule, both operations and budgets 0-3.  p
-    # loses at the start, so most answers need the walk past size 0, and the
-    # swap witnesses include votes holding two swaps, whose other pairs in
-    # that vote clash.
+    # The walk returns the (cost, feasible) of the exhaustive combinations loop
+    # in the old cell order, for every rule, both operations and budgets 0-3,
+    # and the actions of that loop restricted to canonical sets in the walk's
+    # p-first cell order.  p loses at the start, so most answers need the walk
+    # past size 0, and the swap witnesses include votes holding two swaps,
+    # whose other pairs in that vote clash.  Some answers of the old loop
+    # must change a vote lacking p without giving it p: winning sets that the
+    # restriction skips, without which the action check would be the old one.
     stream = Stream64(91)
-    costs, two_in_one_vote = set(), 0
+    costs, two_in_one_vote, skipped = set(), 0, 0
     for _ in range(40):
         e = random_sized_election(stream, 5, 6)
         k = stream.randint(1, e.m)
@@ -191,17 +194,27 @@ def test_type_enum_walk_matches_combinations_loop():
                 for budget in range(4):
                     inst = BriberyInstance(e, p, k, budget, op)
                     got, want = unpriced_type_enum(inst, rule), reference_type_enum(inst, rule)
+                    assert (got.cost, got.feasible) == (want.cost, want.feasible), (rule, inst)
+                    walked = reference_type_enum(inst, rule, canonical=True)
                     assert (got.cost, got.feasible, got.actions) == \
-                        (want.cost, want.feasible, want.actions), (rule, inst)
+                        (walked.cost, walked.feasible, walked.actions), (rule, inst)
                     costs.add(got.cost)
                     voters = [a.voter for a in got.actions]
                     two_in_one_vote += op is Op.SWAP and len(set(voters)) < len(voters)
+                    finals = ballot_masks(apply_actions(e, want.actions))
+                    skipped += rule in fpt._INTERCHANGEABLE and any(
+                        final != start and not (start | final) >> p & 1
+                        for start, final in zip(ballot_masks(e), finals))
     assert costs == {None, 1, 2, 3} and two_in_one_vote > 0, (costs, two_in_one_vote)
+    assert skipped > 0
 
 
 def test_enumerations_test_masks_not_elections(monkeypatch):
     # Below the approve-p-everywhere budget no Election is built: every action
     # set is tested on flipped ballot masks, and p never wins with one move.
+    # Every vote lacks p, so of the 8 single swaps the walk tests the 5 to p:
+    # v1's a->p and b->p, and one each of v2-v4; v2's a->b, v3's b->a and v4's
+    # a->b leave their vote without p and are skipped.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     applied = count_calls(monkeypatch, fpt, "apply_actions")
@@ -209,14 +222,14 @@ def test_enumerations_test_masks_not_elections(monkeypatch):
     checks = count_calls(monkeypatch, rules._CommitteeValues, "best")
     swap = BriberyInstance(e, 2, 1, 1, Op.SWAP)
     assert not unpriced_type_enum(swap, Rule.PAV).feasible
-    assert checks[0] == 1 + 8  # the empty set and each of the 8 single swaps
+    assert checks[0] == 1 + 5  # the empty set and the 5 single swaps to p
     add = BriberyInstance(e, 2, 1, 1, Op.ADD, restricted_to_p=True)
     assert not add_for_p_subset_enum(add, Rule.PAV).feasible
     priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
     assert not priced_swap_to_p_type_enum(priced, Rule.PAV).feasible
     # The empty set and the 4 single additions; the priced solve's start
     # check, then the empty set and the 5 swaps toward p.
-    assert checks[0] == (1 + 8) + (1 + 4) + (1 + 1 + 5)
+    assert checks[0] == (1 + 5) + (1 + 4) + (1 + 1 + 5)
     # The one from-scratch check is the priced solve's is_cowinner start check.
     assert applied[0] == 0 and rescans[0] == 1
 
@@ -226,8 +239,10 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     # Every solve builds one tally of the base election and moves it per
     # changed voter: no leaf reruns the whole kernel, GAV/RAV transpose once
     # per solve, AV/SAV score once per solve, and every leaf asks wins once.
-    # Leaves: the empty set and 8 single swaps; the empty set and 4 single
-    # additions; the empty set and the 5 swaps toward p within budget 1.  The
+    # Leaves: the empty set and the single swaps, 8 for GAV/RAV and for the
+    # other rules the 5 that give a vote lacking p its p (the walk skips v2's
+    # a->b, v3's b->a and v4's a->b); the empty set and 4 single additions;
+    # the empty set and the 5 swaps toward p within budget 1.  The
     # last two solves run the oracle's search, whose tallies are built in
     # oracle.  The priced solve first asks is_cowinner whether p wins already:
     # one more fresh tally, one more transpose or scoring, one more co-winner read.
@@ -246,10 +261,10 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
         BriberyInstance(e, 2, 1, 1, Op.ADD, restricted_to_p=True), rule).feasible
     assert not priced_swap_to_p_type_enum(
         BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True), rule).feasible
-    leaves = (1 + 8) + (1 + 4) + (1 + 5)
-    assert rescans[0] == 1 and (tallies[0], oracle_tallies[0]) == (1, 2)
-    assert asks[0] == leaves + 1
     greedy = rule in (Rule.GAV, Rule.RAV)
+    leaves = (1 + (8 if greedy else 5)) + (1 + 4) + (1 + 5)
+    assert rescans[0] == 1 and (tallies[0], oracle_tallies[0]) == (1, 2)
+    assert asks[0] == leaves + 1  # 21 for GAV/RAV, 18 for the others
     assert transposes[0] == (3 + 1 if greedy else 0)
     # GAV/RAV at k = 1: the screen settles all leaves + 1 asks, since p is
     # approved by at most one voter and a by at least two, so no greedy runs.
@@ -258,15 +273,17 @@ def test_enumeration_leaves_update_the_base_election(monkeypatch, rule):
     assert checks[0] == (leaves + 1 if rule in (Rule.CCAV, Rule.PAV) else 0)
 
 
-@pytest.mark.parametrize("budget, moves", [(1, 12), (3, 18)])
+@pytest.mark.parametrize("budget, moves", [(1, 9), (3, 14)])
 def test_type_enum_moves_once_per_leaf(monkeypatch, budget, moves):
     # The walk moves the tally straight from one cell to the next cell of the
-    # same voter and restores a voter only on leaving it or returning.  Budget
-    # 1: the 8 single swaps, one move each, and 4 voter exits.  Budget 3:
-    # those 12, then 6 for size 2: it sets v1's a->p; one level down it skips
-    # v1's clashing b->p, leaves v1 (one call, moving nothing), tries v2's a->b
-    # and wins on v2's a->p, restoring v2 and then v1 on the way out.  A set
-    # and a restore per leaf would make 16 and 22.
+    # same voter and restores a voter only on leaving it or returning.  Every
+    # vote lacks p and lists its swaps to p first: v1 a->p, b->p; v2 a->p,
+    # a->b; v3 b->p, b->a; v4 a->p, a->b.  Budget 1: the 5 single swaps to p,
+    # one move each, and 4 voter exits; the other 3 leave their vote without
+    # p and are skipped unmoved.  Budget 3: those 9, then 5 for size 2: it
+    # sets v1's a->p; one level down it skips v1's clashing b->p, leaves v1
+    # (one call, moving nothing) and wins on v2's a->p, restoring v2 and then
+    # v1 on the way out.
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
     sets = count_calls(monkeypatch, rules._Tally, "set")

@@ -23,7 +23,7 @@ from abcbribery import (
     winning_committees,
 )
 from abcbribery import rules
-from abcbribery.core import approver_masks, ballot_masks
+from abcbribery.core import _iter_bits, approver_masks, ballot_masks
 from abcbribery.fpt import _type_cowinner_ccav
 from abcbribery.generators import Stream64
 
@@ -603,3 +603,48 @@ def test_sav_point_conservation(seed):
     e = random_sized_election(stream, 6, 6)
     nonempty = sum(1 for b in e.ballots if b.approved)
     assert sum(sav_scores(e), Fraction(0)) == nonempty
+
+
+def test_trading_an_approval_for_p_keeps_p_winning():
+    # The type enumeration's dominance rule: in a vote lacking p, replacing an
+    # approved t by p raises the value of every committee holding p and lowers
+    # that of every other, so a co-winner p stays one under AV, SAV, CCAV and
+    # PAV.  A fresh tally of the traded ballots must agree with the moved one.
+    stream = Stream64(97)
+    trades = 0
+    for _ in range(150):
+        e = random_sized_election(stream, 6, 5)
+        base = ballot_masks(e)
+        for rule in (Rule.AV, Rule.SAV, Rule.CCAV, Rule.PAV):
+            k = stream.randint(1, e.m)
+            tally = rules._Tally(base, e.m, rule, k)
+            for p in range(e.m):
+                if not tally.wins(p):
+                    continue
+                for v, mask in enumerate(base):
+                    if mask >> p & 1:
+                        continue
+                    for t in _iter_bits(mask):
+                        traded = mask ^ (1 << t | 1 << p)
+                        tally.set(v, traded)
+                        assert tally.wins(p), (rule, base, k, p, v, t)
+                        ballots = base[:v] + [traded] + base[v + 1:]
+                        assert rules._Tally(ballots, e.m, rule, k).wins(p)
+                        tally.set(v, mask)
+                        trades += 1
+    assert trades > 1000, trades
+
+
+def test_trading_an_approval_for_p_can_cost_gav_its_winner():
+    # Why GAV and RAV keep their plain walk: the greedy's lowest-index
+    # tie-break.  Ballots {c1}, {c1, c3}, {c0, c3}, k = 3, p = c2: GAV picks
+    # c1 (tied with c3 at two approvals), then c0 for voter 2, and with no gain
+    # left the lowest free index, p.  Once voter 1 trades c1 for p, c3 goes
+    # first and covers voters 1 and 2, c1 covers voter 0, and the free pick
+    # is c0: p is out.
+    base = [0b00010, 0b01010, 0b01001]
+    tally = rules._Tally(base, 5, Rule.GAV, 3)
+    assert tally.wins(2)
+    tally.set(1, 0b01100)
+    assert not tally.wins(2)
+    assert not rules._Tally([0b00010, 0b01100, 0b01001], 5, Rule.GAV, 3).wins(2)
