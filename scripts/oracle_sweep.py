@@ -11,7 +11,9 @@ the oracle's restricted-add search behind a voter guard, the ``flow-gav*``
 solver is the oracle behind the coverage search's voter guard, and the
 ``pricedswap-*`` solver builds options for that search, so those lanes check
 the guards and the option builder; the brute force over the searched options
-in ``tests/test_fpt.py`` checks the search itself.  The ``typeenum-*`` lanes
+in ``tests/test_fpt.py`` checks the search itself.  The ``flow-*-scaled``
+lanes price deletions in the millions, so their searches finish only if they
+read the reachable cost levels alone.  The ``typeenum-*`` lanes
 run the unit-price type enumeration on swaps, the ``typeenum-add-*`` lanes
 on additions.  The ``margins``
 lane checks the oracle against itself on ``--count`` priced instances per
@@ -79,6 +81,11 @@ LANES = {
     # Restricted GAV additions route to approx.gav_add_for_p, not the coverage solver.
     "flow-gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=6,
                                              max_voters=4)),
+    # Prices in the millions (gcd 1): both cost-level sweeps must read only reachable levels.
+    **{f"flow-{rule.value}-scaled": (rule, "exact", dict(
+        op=Op.DELETE, priced=True, max_candidates=6, max_voters=4, max_budget=6 * 10**6,
+        price_choices=(10**6, 2 * 10**6, 3 * 10**6 + 1)))
+       for rule in (Rule.CCAV, Rule.GAV)},
 }
 
 

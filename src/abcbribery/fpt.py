@@ -39,6 +39,7 @@ oracle instead of type sets.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from math import comb
 
@@ -227,16 +228,18 @@ def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], nee
 
 
 def _approve_p_everywhere(e: Election, p: int, op: Op) -> tuple[AtomicAction, ...]:
-    actions = []
-    for v in range(e.n):
-        approved = e.ballots[v].approved
-        if p in approved:
-            continue
-        if op is Op.ADD:
-            actions.append(AtomicAction(Op.ADD, v, target=p))
-        elif approved:
-            actions.append(AtomicAction(Op.SWAP, v, source=min(approved), target=p))
-    return tuple(actions)
+    """One action per vote giving it p, for the enumeration's fallback.
+
+    The fallback runs only when no set of at most n - 1 actions wins.  A vote
+    approving p, or an empty one, would leave giving p to every nonempty vote
+    to at most n - 1 actions, which the enumeration tests, and under AV, SAV,
+    CCAV and PAV p wins once every nonempty vote approves it.  So every vote
+    here lacks p and approves someone.
+    """
+    if op is Op.ADD:
+        return tuple(AtomicAction(Op.ADD, v, target=p) for v in range(e.n))
+    return tuple(AtomicAction(Op.SWAP, v, source=min(ballot.approved), target=p)
+                 for v, ballot in enumerate(e.ballots))
 
 
 def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
@@ -392,20 +395,24 @@ def _assignment_search(ladders: list[list[tuple[int, int]]], p: int, k: int, bud
     bitmask of their types and p's type once assigned (-1 before); whether
     a full assignment wins depends on its state alone.  Cost levels are swept
     over states as by Dial's bucket queue (CACM 1969), so the first winning
-    final state is the optimum.  A state keeps its cheapest cost and its
-    (previous state, type); an entry read above that cost is stale, and a
-    cost-0 type lists its state on the level being read.  ``state_cap``
-    bounds the states expanded, a count that stops at the optimum's level.
+    final state is the optimum, but a heap holds the costs that have a
+    bucket, so only those levels are read, whatever the price scale.  A
+    state keeps its cheapest cost and its (previous state, type); an entry
+    read above that cost is stale, and a cost-0 type lists its state on the
+    level being read.  ``state_cap`` bounds the states expanded, a count
+    that stops at the optimum's level.
     """
     m = len(ladders)
     limit = min(budget, sum(ladder[-1][0] for ladder in ladders))  # dearest types come last
     start = (0, 0, -1)
     reached: dict[tuple[int, int, int], tuple] = {start: (0, None, 0)}  # cost, previous, type
     levels = {0: [start]}
+    costs = [0]  # a heap of the keys of levels not read yet
     cowinners: dict[int, int] = {}
     expanded = 0
-    for level in range(limit + 1):
-        for state in levels.get(level, ()):
+    while costs:
+        level = heapq.heappop(costs)
+        for state in levels[level]:
             if reached[state][0] < level:
                 continue
             expanded += 1
@@ -428,5 +435,8 @@ def _assignment_search(ladders: list[list[tuple[int, int]]], p: int, k: int, bud
                 known = reached.get(following)
                 if known is None or cost < known[0]:
                     reached[following] = (cost, state, t)
-                    levels.setdefault(cost, []).append(following)
+                    if cost not in levels:
+                        levels[cost] = []
+                        heapq.heappush(costs, cost)
+                    levels[cost].append(following)
     return None

@@ -162,25 +162,18 @@ def cubic_graphs(n_vertices: int) -> list[Graph]:
     edges: list[tuple[int, int]] = []
 
     def place(i: int):
-        if i == n_vertices:
-            if all(d == 3 for d in deg):
-                g = Graph(n_vertices, tuple(sorted(edges)))
-                if not any(_isomorphic(g, other) for other in found):
-                    found.append(g)
+        if i == n_vertices:  # each vertex took 3 - deg neighbors: all have degree 3
+            g = Graph(n_vertices, tuple(sorted(edges)))
+            if not any(_isomorphic(g, other) for other in found):
+                found.append(g)
             return
+        # A vertex gains degree only as a chosen candidate, below 3, so need >= 0.
         need = 3 - deg[i]
-        if need < 0:
-            return
         candidates = [j for j in range(i + 1, n_vertices) if deg[j] < 3]
         if need > len(candidates):
             return
-        if i == 0:
-            pools = [(1, 2, 3)] if n_vertices >= 4 else []
-        else:
-            pools = itertools.combinations(candidates, need)
+        pools = [(1, 2, 3)] if i == 0 else itertools.combinations(candidates, need)
         for chosen in pools:
-            if any(deg[j] >= 3 for j in chosen):
-                continue
             for j in chosen:
                 deg[j] += 1
                 edges.append((i, j))

@@ -9,20 +9,20 @@ intermediate candidates can be cheaper than a direct move; each voter's
 Dijkstra reads a move table built from the price table: per source, the
 (target, target bit, price) triples with a finite price.  Final elections
 are then enumerated by iterative deepening over total cost, so the first hit
-is the optimum.  The resource guard needs the number of configurations at
-each cost; ``_LevelCounts`` computes that count for a level only when the
-sweep reaches it, and a level no configuration reaches is skipped.  The
+is the optimum.  Each level's walk yields the next level, the cheapest total
+it pruned, so no level without a configuration is walked, whatever the
+price scale, and the resource guard counts the configurations visited.  The
 depth-first search branches only on voters with more than one option, tests
 the last such voter's options in that voter's own frame, one leaf per
 option, and never restores a voter: each leaf sets every voter on its path.
 
-One sweep can serve several target candidates at once: the options and the
-per-cost configuration counts do not depend on the target unless the
-bribery is restricted to p, so ``oracle_margins`` searches once for every
-candidate.  The search keeps one ``rules._Tally`` of the election, moves it
-for a voter only when the voter's ballot changes, and reads every pending
-candidate's answer off it at each leaf: the co-winner mask while several
-are pending, ``wins`` once one is left.  Each target keeps the final
+One sweep can serve several target candidates at once: the options do not
+depend on the target unless the bribery is restricted to p, so
+``oracle_margins`` searches once for every candidate.  The search keeps one
+``rules._Tally`` of the election, moves it for a voter only when the voter's
+ballot changes, and reads every pending candidate's answer off it at each
+leaf: the co-winner mask while several are pending, ``wins`` once one is
+left.  Each target keeps the final
 ballots of the first winning configuration the depth-first order reaches at
 its cheapest cost -- the same configuration a single-target search finds.
 Only ``_cheapest`` turns them into actions, through ``_witness``: the changed
@@ -30,15 +30,15 @@ cells of each voter for additions, deletions and unit-price swaps, a walk
 back through the voter's Dijkstra parents for priced swaps.  Its options
 come from ``oracle_bribery`` or from an fpt option builder; the start
 ballot masks are built once per solve and passed through.  Its answers are
-uncertified; ``solve`` certifies.  Purely exponential; guarded by a
-configuration-count estimate and by the length of each voter's option list.
+uncertified; ``solve`` certifies.  Purely exponential; guarded by the
+number of configurations visited and by the length of each voter's option
+list.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from itertools import combinations
 
 from .core import (
@@ -241,44 +241,6 @@ def _witness(op: Op, starts: list[int], finals: list[int],
     return tuple(actions)
 
 
-class _LevelCounts:
-    """Number of final elections at each exact total cost, one level at a time.
-
-    Level t is the coefficient of x^t in the product of the voters' cost
-    histograms.  ``rows[j]`` holds the levels computed so far for the first
-    j voters, so level t takes one pass over each histogram and reads only
-    the levels below it.  Each histogram grows by the options costing
-    exactly t as level t is reached: the work follows the levels the sweep
-    reaches, not the largest total cost.
-    """
-
-    __slots__ = ("options", "counted", "hists", "rows")
-
-    def __init__(self, options: list[list[tuple[int, int]]]):
-        self.options = options
-        self.counted = [0] * len(options)  # per voter, the options in its histogram
-        self.hists: list[list[tuple[int, int]]] = [[] for _ in options]  # (cost, ways)
-        self.rows: list[list[int]] = [[] for _ in range(len(options) + 1)]
-
-    def level(self, t: int) -> int:
-        """The count at cost t; levels are asked for in order 0, 1, 2, ..."""
-        counted, rows = self.counted, self.rows
-        rows[0].append(0 if t else 1)  # no voter: the empty configuration
-        for v, (opts, hist, below, row) in enumerate(zip(self.options, self.hists, rows,
-                                                         rows[1:])):
-            # Options are cheapest-first and costs are integers, so the
-            # options costing t follow those counted at the levels below.
-            start = counted[v]
-            end = counted[v] = bisect_left(opts, (t + 1,), start)
-            if end > start:
-                hist.append((t, end - start))
-            count = 0
-            for cost, ways in hist:
-                count += ways * below[t - cost]
-            row.append(count)
-        return rows[-1][t]
-
-
 def _search(e: Election, masks: list[int], rule: Rule, k: int, targets: list[int],
             options: list[list[tuple[int, int]]], budget: int | None,
             max_configs: int) -> dict[int, tuple[int, list[int]]]:
@@ -286,17 +248,25 @@ def _search(e: Election, masks: list[int], rule: Rule, k: int, targets: list[int
     without one are absent.
 
     ``masks`` are the start ballots; each voter's options hold its start
-    ballot at cost 0, so a voter with one option keeps it at no cost.  Such
-    voters count in ``_LevelCounts`` but get no frame in the walk.  The walk
-    moves the tally only when a voter's ballot changes and never restores
-    one: every leaf sets each branching voter on its path, and the tally is
-    the search's own.
+    ballot at cost 0, so a voter with one option keeps it at no cost and
+    gets no frame in the walk.  The walk of level t visits the
+    configurations costing exactly t.  Where it breaks on an option dearer
+    than what remains, the rest of the voters can still keep their start
+    ballots, so that prefix reaches a total above t; the cheapest such total
+    is the next level swept (Korf's iterative-deepening threshold, 1985),
+    and no level without a configuration is walked.  ``max_configs`` caps
+    the configurations visited, checked at each leaf before its test: a
+    single-target walk stops at its first winning leaf, and a multi-target
+    walk reaches each target's first winning leaf after the same leaves, so
+    a shared search trips exactly when one of its single-target searches
+    would.  The walk moves the tally only when a voter's ballot changes and
+    never restores one: every leaf sets each branching voter on its path,
+    and the tally is the search's own.
     """
     # Options are sorted by cost, so each voter's dearest one comes last.
     limit = sum(opts[-1][0] for opts in options)
     if budget is not None:
         limit = min(limit, budget)
-    counts = _LevelCounts(options)
     walk = [(v, opts) for v, opts in enumerate(options) if len(opts) > 1]
     n = len(walk)
     suffix_max = [0] * (n + 1)
@@ -309,13 +279,27 @@ def _search(e: Election, masks: list[int], rule: Rule, k: int, targets: list[int
         pending |= 1 << p
     tally = _Tally(masks, e.m, rule, k)
     ballots = tally.ballots  # moved in place by tally.set
+    t = 0  # the cost level being swept
+    over = math.inf  # the least amount by which the walk of t overshot it
+    visited = 0  # configurations tested so far
 
-    def record(won: int) -> bool:
-        """Keep the current ballots for the targets in `won`; True once none is pending."""
-        nonlocal pending
+    def leaf() -> bool:
+        """Count and test the current configuration; True once none is pending."""
+        nonlocal pending, visited
+        visited += 1
+        if visited > max_configs:
+            raise ResourceGuardError(
+                f"enumerating final elections up to cost {t} visits more than "
+                f"the cap of {max_configs} configurations")
+        if pending & (pending - 1):  # several targets: one mask for all
+            won = tally.cowinners() & pending
+        else:  # one target: wins may settle it without a greedy
+            won = pending if tally.wins(pending.bit_length() - 1) else 0
+        if not won:
+            return False
         finals = ballots.copy()
         for p in _iter_bits(won):
-            found[p] = (t, finals)  # t: the cost level being swept
+            found[p] = (t, finals)
         pending ^= won
         return not pending
 
@@ -323,50 +307,28 @@ def _search(e: Election, masks: list[int], rule: Rule, k: int, targets: list[int
 
     def dfs(i: int, remaining: int) -> bool:
         """Visit the configurations of cost exactly `remaining`; True once none is pending."""
+        nonlocal over
         v, opts = walk[i]
-        if i == last:
-            # The leaves: the last voter must spend exactly what remains.
-            # They are tested here, not one call deeper each.
-            for cost, mask in opts:
-                if cost < remaining:
-                    continue
-                if cost > remaining:
-                    break
-                if mask != ballots[v]:
-                    tally.set(v, mask)
-                if pending & (pending - 1):  # several targets: one mask for all
-                    won = tally.cowinners() & pending
-                else:  # one target: wins may settle it without a greedy
-                    won = pending if tally.wins(pending.bit_length() - 1) else 0
-                if won and record(won):
-                    return True
-        else:
-            lower = remaining - suffix_max[i + 1]
-            for cost, mask in opts:
-                if cost > remaining:
-                    break
-                if cost < lower:
-                    continue
-                if mask != ballots[v]:
-                    tally.set(v, mask)
-                if dfs(i + 1, remaining - cost):
-                    return True
+        # The last voter must spend exactly what remains (its suffix_max is
+        # 0): its options are the leaves, tested here, not one call deeper each.
+        lower = remaining - suffix_max[i + 1]
+        for cost, mask in opts:
+            if cost > remaining:
+                if cost - remaining < over:
+                    over = cost - remaining
+                break
+            if cost < lower:
+                continue
+            if mask != ballots[v]:
+                tally.set(v, mask)
+            if leaf() if i == last else dfs(i + 1, remaining - cost):
+                return True
         return False
 
-    explored = 0
     try:
-        for t in range(limit + 1):
-            count = counts.level(t)
-            explored += count
-            if explored > max_configs:
-                raise ResourceGuardError(
-                    f"enumerating final elections up to cost {t} needs {explored} "
-                    f"configurations, above the cap of {max_configs}")
-            if not count:  # no configuration costs exactly t
-                continue
-            # Without a branching voter the start election is the one configuration.
-            if dfs(0, t) if n else record(tally.cowinners() & pending):
-                break
+        # Without a branching voter the start election is the one configuration.
+        while not (dfs(0, t) if n else leaf()) and t + over <= limit:
+            t, over = t + over, math.inf
     finally:
         del dfs  # dfs names itself: a cycle the collector alone would free
     return found
@@ -417,7 +379,9 @@ def oracle_margins(e: Election, rule: Rule, k: int, op: Op,
     """Every candidate's unrestricted margin, in index order, from one search.
 
     Equals ``[oracle_margin(e, rule, k, p, op, prices) for p in range(e.m)]``,
-    and raises ``ResourceGuardError`` exactly when one of those calls would.
+    and raises ``ResourceGuardError`` exactly when one of those calls would:
+    the guard is checked at every leaf, and the shared walk reaches each
+    candidate's first winning leaf after the leaves its own walk visits.
     """
     _check_k(e, k)
     masks = ballot_masks(e)

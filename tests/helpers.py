@@ -6,7 +6,8 @@ import sys
 from fractions import Fraction
 
 from abcbribery import (AtomicAction, BriberySolution, CertificationError, ElectionError, Op, Rule,
-                        apply_actions, certify, fpt, is_cowinner, make_election, solution_cost)
+                        apply_actions, certify, fpt, is_cowinner, make_election, oracle,
+                        solution_cost)
 from abcbribery.core import _iter_bits, ballot_masks
 from abcbribery.generators import Stream64
 from abcbribery.rules import _Tally
@@ -45,6 +46,26 @@ def count_calls(monkeypatch, module, name):
         calls[0] += 1
         return original(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_leaves(monkeypatch):
+    """Count the configurations the oracle's searches test: each leaf asks
+    the search's own tally ``wins`` or ``cowinners`` once, and tallies built
+    outside ``oracle`` are not counted.  Returns the one-element count list."""
+    calls = [0]
+
+    class CountedTally(_Tally):
+        __slots__ = ()
+
+        def wins(self, p):
+            calls[0] += 1
+            return super().wins(p)
+
+        def cowinners(self):
+            calls[0] += 1
+            return super().cowinners()
+    monkeypatch.setattr(oracle, "_Tally", CountedTally)
     return calls
 
 

@@ -34,6 +34,7 @@ from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 from helpers import (
     count_calls,
     count_certify,
+    count_leaves,
     random_sized_election,
     reference_type_enum,
     reference_winners,
@@ -426,7 +427,11 @@ def test_flow_solve_counts_are_pinned(monkeypatch):
     # Deterministic work: neither rule builds a flow.  CCAV's sweep tests 9
     # final states here, each with its own set of types, so each set is
     # tested once.  GAV is one oracle call, whose sweep stops at the optimum's
-    # cost level: levels 0, 1 and 2.
+    # cost of 2.  Its voters have 12, 6, 7 and 7 options: the start
+    # configuration costs 0, 4 configurations cost 1 (two of v0's options,
+    # one each of v2's and v3's), and in depth-first order the third
+    # configuration costing 2 (v2 dropping c3) is the first winning one:
+    # 1 + 4 + 3 = 8 leaves, for GAV and, in the certificate, CCAV alike.
     cfg = SuiteConfig(op=Op.DELETE, count=35, seed=96, priced=True,
                       max_candidates=5, max_voters=4, max_budget=6)
     inst = list(suite_instances(cfg))[34]
@@ -434,14 +439,14 @@ def test_flow_solve_counts_are_pinned(monkeypatch):
     type_sets = count_calls(monkeypatch, fpt, "_type_cowinner_ccav")
     ccav_leaves = count_calls(monkeypatch, fpt, "_ccav_wins")
     oracles = count_calls(monkeypatch, fpt, "oracle_bribery")
-    levels = count_calls(monkeypatch, oracle._LevelCounts, "level")
+    leaves = count_leaves(monkeypatch)
     for rule in (Rule.CCAV, Rule.GAV):
         got = ccav_gav_flow_bribery(inst, rule)
         assert (got.feasible, got.cost, flows[0]) == (True, 2, 0), rule
         _assert_certified(inst, rule, got)
     assert (ccav_leaves[0], type_sets[0]) == (9, 9)
     # _assert_certified asks the oracle once more for each rule.
-    assert (oracles[0], levels[0]) == (1, 3 + 3 + 3)
+    assert (oracles[0], leaves[0]) == (1, 8 + 8 + 8)
 
 
 def test_flow_budget_boundary():
@@ -683,19 +688,42 @@ def test_flow_state_guard_leaves_gav_to_the_oracle(monkeypatch):
 
 def test_gav_coverage_bribery_work_stops_at_the_optimum(monkeypatch):
     # GAV's priced deletions run the oracle's sweep, which stops at the
-    # optimum's cost level whatever the budget: levels 0 to 5 here.  A
-    # depth-first search bounded by the budget grew about 250-fold from
-    # budget 5 to budget 40 on this instance.
+    # optimum's cost level whatever the budget.  Here 1, 14, 92, 387 and
+    # 1,218 configurations cost 0 to 4, and the first winning one is the
+    # 426th of the 3,194 costing 5: 1,712 + 426 = 2,138 leaves at every
+    # budget.  A depth-first search bounded by the budget grew about
+    # 250-fold from budget 5 to budget 40 on this instance.
     e = gen_random_election(6, 4, 0.9, 1)
     stream = Stream64(1)
     prices = PriceTable(delete={(v, c): stream.randint(1, 3)
                                 for v in range(e.n) for c in range(e.m)})
-    levels = count_calls(monkeypatch, oracle._LevelCounts, "level")
+    leaves = count_leaves(monkeypatch)
     for budget in (5, 10, 20, 40):
-        levels[0] = 0
+        leaves[0] = 0
         inst = BriberyInstance(e, 5, 1, budget, Op.DELETE, priced=True, prices=prices)
         got, _ = solve(inst, Rule.GAV, "exact")
-        assert (verdict(got), levels[0]) == ((True, 5), 6), budget
+        assert (verdict(got), leaves[0]) == ((True, 5), 2138), budget
+
+
+@pytest.mark.parametrize("scale", [1, 10**9])
+def test_cost_sweeps_read_only_reachable_levels(monkeypatch, scale):
+    # Every price is a multiple of the scale, so both searches must do the
+    # same work at any scale: each reads only the cost levels some
+    # configuration or state reaches, never the empty ones between.  The
+    # oracle tests the start election, then at cost `scale` v3 dropping c0
+    # (c0 still loses) and v2 dropping c4, which wins: 3 leaves.  CCAV tests
+    # 2 final states and expands 11.
+    e = gen_random_election(5, 4, 0.5, 2)
+    prices = PriceTable(delete={(v, c): scale * (1 + (v + c) % 3)
+                                for v in range(e.n) for c in range(e.m)})
+    inst = BriberyInstance(e, 0, 1, 10 * scale, Op.DELETE, priced=True, prices=prices)
+    leaves = count_leaves(monkeypatch)
+    final_states = count_calls(monkeypatch, fpt, "_ccav_wins")
+    assert (verdict(oracle_bribery(inst, Rule.CCAV)), leaves[0]) == ((True, scale), 3)
+    got = ccav_gav_flow_bribery(inst, Rule.CCAV, state_cap=11)
+    assert (verdict(got), final_states[0]) == ((True, scale), 2)
+    with pytest.raises(ResourceGuardError, match="assignment search states"):
+        ccav_gav_flow_bribery(inst, Rule.CCAV, state_cap=10)
 
 
 def test_ccav_search_drops_dominated_prefixes(monkeypatch):

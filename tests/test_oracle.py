@@ -23,7 +23,7 @@ from abcbribery.core import _iter_bits, ballot_masks
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_bribery, oracle_margin, oracle_margins
 
-from helpers import count_calls, count_certify, verdict
+from helpers import count_calls, count_certify, count_leaves, verdict
 
 
 def test_e0_paper_margins(e0):
@@ -346,41 +346,7 @@ def test_bribery_builds_only_the_witness_actions(monkeypatch, e0, op, rule):
     assert sol.actions and built[0] == len(sol.actions)
 
 
-# --- sweep set-up against the full table and the per-relaxation Dijkstra ------
-
-
-def _full_counts(options, limit):
-    """Every level's count at once, each voter's histogram multiplied out to limit."""
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    for opts in options:
-        hist = [0] * (limit + 1)
-        for cost, _ in opts:
-            if cost <= limit:
-                hist[cost] += 1
-        new = [0] * (limit + 1)
-        for a, ca in enumerate(counts):
-            if not ca:
-                continue
-            for b in range(limit + 1 - a):
-                if hist[b]:
-                    new[a + b] += ca * hist[b]
-        counts = new
-    return counts
-
-
-def test_level_counts_equal_the_full_table():
-    stream = Stream64(97)
-    for _ in range(300):
-        n = stream.randint(0, 6)
-        # Each voter keeps its ballot at cost 0; the other options may cost 0
-        # too, and costs repeat.
-        options = [sorted([(0, 0)] + [(stream.randint(0, 7), mask)
-                                      for mask in range(1, stream.randint(1, 9))])
-                   for _ in range(n)]
-        limit = stream.randint(0, 20)
-        counts = oracle._LevelCounts(options)
-        assert [counts.level(t) for t in range(limit + 1)] == _full_counts(options, limit)
+# --- sweep set-up against the per-relaxation Dijkstra --------------------------
 
 
 def _relaxing_swap_options(voter, start, m, prices, restricted, p, cost_cap, max_configs):
@@ -519,10 +485,33 @@ def test_search_moves_only_changed_branching_voters(monkeypatch):
 @pytest.mark.parametrize("rule", list(Rule))
 def test_sweep_won_at_cost_zero_counts_one_level(monkeypatch, rule):
     # Deletions at 10^5 each put the dearest configuration at 8 * 10^5, but
-    # c0 already wins, so the sweep stops at level 0 and counts nothing above.
+    # c0 already wins: the start election is the one configuration at cost 0,
+    # so the sweep tests that one leaf and reads no level above.
     e = make_election(["c0", "c1", "c2"], [("v1", ["c0", "c1"]), ("v2", ["c0"]),
                                            ("v3", ["c0", "c2"]), ("v4", ["c1", "c2"])])
     prices = PriceTable(delete={(v, c): 10**5 for v in range(4) for c in range(3)})
-    levels = count_calls(monkeypatch, oracle._LevelCounts, "level")
+    leaves = count_leaves(monkeypatch)
     assert oracle_margin(e, rule, 1, 0, Op.DELETE, prices) == 0
-    assert levels[0] == 1
+    assert leaves[0] == 1
+
+
+def test_search_guard_counts_configurations_visited():
+    # Unit deletions; each voter keeps its ballot or drops its one approval,
+    # so the 8 configurations cost 0 (1), 1 (3), 2 (3) and 3 (1).  c1 loses
+    # at cost 0; at cost 1 the walk tests v3 dropping c1 (c1 still loses),
+    # then v2 dropping c0, a 1-1 tie that seats c1: N = 1 + 2 = 3 leaves.
+    e = make_election(["c0", "c1", "c2"], [("v1", ["c0"]), ("v2", ["c0"]), ("v3", ["c1"])])
+    inst = BriberyInstance(e, 1, 1, 3, Op.DELETE)
+    assert verdict(oracle_bribery(inst, Rule.AV, max_configs=3)) == (True, 1)
+    with pytest.raises(ResourceGuardError, match="up to cost 1 visits more than the cap of 2"):
+        oracle_bribery(inst, Rule.AV, max_configs=2)
+    # c2 is approved by nobody, so it ties only once every approval is gone:
+    # the one configuration at cost 3, the last of all 8 leaves.  c0 wins at
+    # the first leaf and c1 at the third, as above, so the shared search
+    # needs N = 8, as oracle_margin for c2 alone does.
+    assert oracle_margins(e, Rule.AV, 1, Op.DELETE, max_configs=8) == [0, 1, 3]
+    assert oracle_margin(e, Rule.AV, 1, 2, Op.DELETE, max_configs=8) == 3
+    for margins in (lambda: oracle_margins(e, Rule.AV, 1, Op.DELETE, max_configs=7),
+                    lambda: oracle_margin(e, Rule.AV, 1, 2, Op.DELETE, max_configs=7)):
+        with pytest.raises(ResourceGuardError, match="up to cost 3 visits more than the cap"):
+            margins()
