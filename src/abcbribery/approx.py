@@ -45,17 +45,10 @@ def _require_add(instance: BriberyInstance, restricted_only: bool):
         raise ValueError("this algorithm handles adding approvals for p only")
 
 
-def sav_max_gain(e: Election, p: int, budget: int, prices: PriceTable) -> frozenset[int]:
-    """Voters to give p an approval, maximizing p's SAV score gain within budget.
-
-    A voter with t current approvals yields a gain of 1/(t+1).  Exact dynamic
-    program over budget units.
-    """
-    return _max_gain_table(e, p, prices, budget)[budget]
-
-
 def _max_gain_table(e: Election, p: int, prices: PriceTable, max_budget: int) -> list[frozenset[int]]:
-    """Best voter set per budget 0..max_budget (exact knapsack on SAV shares)."""
+    """Voters to give p an approval, maximizing p's SAV score gain, per budget
+    0..max_budget: an exact knapsack in which a voter with t approvals gains
+    p 1/(t+1)."""
     shares = _score_shares(Rule.SAV, e.m)
     items = []
     for v in range(e.n):

@@ -1,15 +1,19 @@
 """Bribery solvers whose running time is governed by the number of voters.
 
-Four families.  Restricted additions and priced swaps toward the preferred
-candidate p build options for the oracle's cost-level search: each voter
-keeps its ballot or takes one action toward p, swaps drawing their donors
-from per-type-pair cheapest pools.  Unit-price additions and swaps enumerate
-action sets over type-restricted candidate pools.  Priced additions and
-deletions under the coverage rules share one voter cap: GAV then runs the
-oracle, and CCAV a cost-level sweep over partial candidate-to-type
+Four families.  Restricted additions run the oracle's cost-level search,
+each voter keeping its ballot or gaining p.  Priced swaps toward the
+preferred candidate p build options for that search: each voter keeps its
+ballot or swaps one donor to p, the donors drawn from per-type-pair cheapest
+pools.  Unit-price additions and swaps enumerate action sets over
+type-restricted candidate pools.  Priced additions and deletions under the
+coverage rules run the oracle for GAV, and for CCAV past four voters; CCAV
+with at most four voters sweeps cost levels over partial candidate-to-type
 assignments, each candidate's types built by the oracle's add/delete option
 builder.  A CCAV state (candidates assigned, types present, p's type) is
 expanded once, at its cheapest cost, and a set of types is scored once.
+Each search refuses only on the work it does: the configurations the
+oracle's walk visits, the action sets of each size enumerated, the CCAV
+states expanded.
 
 The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
@@ -61,33 +65,25 @@ from .flows import min_cost_flow_lb  # noqa: F401  (wrapped by name in perfbench
 from .oracle import _cellwise_options, _cheapest, _vote_options, _witness, oracle_bribery
 from .rules import Rule, _Tally, is_cowinner
 
-VOTER_SUBSET_CAP = 20
 ENUM_CAP = 2_000_000
-FLOW_VOTER_CAP = 4
+SWEEP_VOTER_CAP = 4
 
 _INTERCHANGEABLE = frozenset({Rule.AV, Rule.SAV, Rule.CCAV, Rule.PAV})
 
 
-def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule, *,
-                          voter_cap: int = VOTER_SUBSET_CAP) -> BriberySolution:
+def add_for_p_subset_enum(instance: BriberyInstance, rule: Rule) -> BriberySolution:
     """Exact optimum for adding approvals for p: try every voter subset.
 
     This is the oracle's restricted-add search: each eligible voter keeps its
-    ballot or gains p, and the subsets are visited cheapest first.  Its cap
-    is the number of subsets, which it cannot exceed: ``voter_cap`` is the
-    one guard.  The answer is uncertified; ``solve`` certifies.
+    ballot or gains p, and the subsets are visited cheapest first, under the
+    oracle's guard on the configurations visited.  The answer is
+    uncertified; ``solve`` certifies.
     """
     if instance.op is not Op.ADD:
         raise ValueError("subset enumeration handles additions only")
     if not instance.restricted_to_p:
         raise ValueError("subset enumeration handles adding approvals for p only")
-    e, p = instance.election, instance.p
-    eligible = sum(p not in e.ballots[v].approved and instance.prices.add_price(v, p) != FORBIDDEN
-                   for v in range(e.n))
-    if eligible > voter_cap:
-        raise ResourceGuardError(
-            f"{eligible} eligible voters exceed the subset cap of {voter_cap}")
-    return oracle_bribery(instance, rule, max_configs=1 << eligible)
+    return oracle_bribery(instance, rule)
 
 
 def _type_pool(e: Election, p: int) -> set[int]:
@@ -253,7 +249,7 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     subset of its approvers, a count checked against ``enum_cap`` first.
     GAV and RAV again use every candidate.  Each voter keeps its ballot or
     swaps one pool donor to p, and the oracle's cost-level search runs over
-    those options.
+    those options, ``enum_cap`` capping the configurations it visits.
     """
     if instance.op is not Op.SWAP or not instance.restricted_to_p:
         raise ValueError("this algorithm handles swaps toward p only")
@@ -297,15 +293,7 @@ def priced_swap_to_p_type_enum(instance: BriberyInstance, rule: Rule, *,
     else:
         pool = set(range(e.m))
 
-    # The guard counts every finite-price donor in the pool, within the budget or not.
-    space = 1
-    for v in range(e.n):
-        if p not in e.ballots[v].approved:
-            space *= 1 + sum(instance.prices.swap_price(v, c, p) != FORBIDDEN
-                             for c in e.ballots[v].approved & pool)
-    if space > enum_cap:
-        raise ResourceGuardError(f"swap combinations exceed the cap of {enum_cap}")
-    # At most m ballots per voter, `space` configurations kept: no search cap trips.
+    # At most m ballots per voter: the option cap cannot trip.
     masks = ballot_masks(e)
     options, parents = _vote_options(e, masks, instance.prices, Op.SWAP, True, p,
                                      instance.budget, e.m)
@@ -330,29 +318,25 @@ def _type_cowinner_ccav(types: tuple[int, ...], k: int) -> int:
 
 
 def ccav_gav_flow_bribery(instance: BriberyInstance, rule: Rule, *,
-                          voter_cap: int = FLOW_VOTER_CAP,
                           state_cap: int = 100_000) -> BriberySolution:
     """Exact priced additions/deletions for the coverage rules CCAV and GAV.
 
-    GAV is the oracle behind the voter cap: its lowest-index tie-break makes
-    membership depend on which candidate holds which approver set, so it has
-    no type sets to search.  CCAV sweeps cost levels over partial
-    candidate-to-type assignments, expanding at most ``state_cap`` states.
-    No flow is built; the name stays because callers ask it for both rules.
+    GAV runs the oracle: its lowest-index tie-break makes membership depend
+    on which candidate holds which approver set, so it has no type sets to
+    search.  CCAV with at most ``SWEEP_VOTER_CAP`` voters sweeps cost levels
+    over partial candidate-to-type assignments, expanding at most
+    ``state_cap`` states; its states index all 2^n types, so with more
+    voters CCAV runs the oracle too.  No flow is built; the name stays
+    because callers ask it for both rules.
     """
     if rule not in (Rule.CCAV, Rule.GAV):
-        raise ValueError("the flow algorithm covers CCAV and GAV only")
+        raise ValueError("the coverage search covers CCAV and GAV only")
     if instance.op not in (Op.ADD, Op.DELETE):
-        raise ValueError("the flow algorithm handles additions and deletions only")
+        raise ValueError("the coverage search handles additions and deletions only")
     e, p, k = instance.election, instance.p, instance.k
     n = e.n
-    if n > voter_cap:
-        raise ResourceGuardError(f"{n} voters exceed the cap of {voter_cap} "
-                                 f"for the coverage assignment search")
-    if rule is Rule.GAV:
+    if rule is Rule.GAV or n > SWEEP_VOTER_CAP:
         return oracle_bribery(instance, rule)
-    if is_cowinner(e, rule, k, p):
-        return BriberySolution((), 0, True)
 
     # A candidate's ladder: every type (approver mask) its approver set can be
     # bought into, cheapest first.  Each voter whose approval may be bought is

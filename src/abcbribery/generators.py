@@ -122,10 +122,8 @@ def independent_set_exists(g: Graph, h: int) -> bool:
 
 
 def _isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n_vertices != g2.n_vertices or len(g1.edges) != len(g2.edges):
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
+    """Whether two cubic graphs of one order are isomorphic; ``cubic_graphs``
+    compares no others, so vertex, edge and degree counts already agree."""
     n = g1.n_vertices
     a1, a2 = g1.adjacency_masks(), g2.adjacency_masks()
     perm = [-1] * n

@@ -26,7 +26,6 @@ from abcbribery.approx import (
     gav_add_for_p,
     rav_add_for_p,
     sav_add_for_p_2approx,
-    sav_max_gain,
 )
 from abcbribery.core import ballot_masks
 from abcbribery.generators import Stream64, SuiteConfig, suite_instances
@@ -36,19 +35,19 @@ from helpers import count_calls, count_certify, random_sized_election, verdict
 
 
 def test_sav_max_gain_zero_budget(e0):
-    assert sav_max_gain(e0, 3, 0, PriceTable()) == frozenset()
+    assert approx._max_gain_table(e0, 3, PriceTable(), 0)[0] == frozenset()
 
 
 def test_sav_max_gain_prefers_small_ballots():
     e = make_election(["a", "b", "c", "p"],
                       [("v1", []), ("v2", ["a", "b", "c"])])
-    assert sav_max_gain(e, 3, 1, PriceTable()) == frozenset({0})
+    assert approx._max_gain_table(e, 3, PriceTable(), 1)[1] == frozenset({0})
 
 
 def test_sav_max_gain_e0(e0):
     # Singleton-ballot voters v3, v8, v9 each yield 1/2; two of them beat any
     # pairing with a two-approval ballot (1/2 + 1/3).
-    chosen = sav_max_gain(e0, 3, 2, PriceTable())
+    chosen = approx._max_gain_table(e0, 3, PriceTable(), 2)[2]
     gain = sum(Fraction(1, len(e0.ballots[v].approved) + 1) for v in chosen)
     assert gain == 1
     assert chosen <= {2, 7, 8}
@@ -62,7 +61,7 @@ def test_sav_max_gain_matches_enumeration():
         budget = stream.randint(0, 5)
         prices = PriceTable(add={(v, c): stream.randint(1, 3)
                                  for v in range(e.n) for c in range(e.m)})
-        chosen = sav_max_gain(e, p, budget, prices)
+        chosen = approx._max_gain_table(e, p, prices, budget)[budget]
         eligible = [v for v in range(e.n) if p not in e.ballots[v].approved]
 
         def gain_of(subset):
@@ -346,3 +345,12 @@ def test_mask_routes_match_election_loops(monkeypatch, solver, reference, priced
         bought += bool(actions)
     assert elections[0] == 0
     assert bought > 50
+
+
+@pytest.mark.parametrize("op, message", [
+    (Op.SWAP, "^instance operation is swap, expected add$"),
+    (Op.ADD, "^this algorithm handles adding approvals for p only$"),
+], ids=["operation", "restricted"])
+def test_solver_checks_its_instance(e0, op, message):
+    with pytest.raises(ValueError, match=message):
+        approx.gav_add_for_p(BriberyInstance(e0, 3, 2, 3, op))

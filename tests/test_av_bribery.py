@@ -326,3 +326,11 @@ def test_integer_greedies_build_no_election(monkeypatch, solver, op):
     assert steps > 10
     apply_actions(instances[0].election, ())
     assert elections[0] == 1  # the counter sees an election being built
+
+
+@pytest.mark.parametrize("solver, op", [(av_add, Op.DELETE), (av_delete, Op.SWAP),
+                                        (av_swap_unit, Op.ADD)],
+                         ids=["add", "delete", "swap"])
+def test_solver_checks_its_operation(e0, solver, op):
+    with pytest.raises(ValueError, match="^instance operation is .*, expected "):
+        solver(BriberyInstance(e0, 3, 2, 3, op))

@@ -215,6 +215,15 @@ def test_gen_is_reduction(tmp_path, capsys):
     assert election.m == 5 and election.n == 9 and k == 4
 
 
+def test_gen_is_reduction_skips_empty_edge_parts(tmp_path, capsys):
+    out_path = tmp_path / "is.elect"
+    code, _, _ = run(capsys, "gen", "--kind", "is-reduction", "--vertices", "4",
+                     "--edges", " 0-1,,0-2, 0-3,1-2,1-3,2-3,", "--h", "1", "--out", str(out_path))
+    assert code == 0
+    election, _, _ = parse_election(out_path.read_text())
+    assert election.m == 5 and election.n == 9
+
+
 def test_gen_x3c_reduction(tmp_path, capsys):
     out_path = tmp_path / "x3c.elect"
     code, out, _ = run(capsys, "gen", "--kind", "x3c-reduction",
@@ -358,9 +367,11 @@ def _guarded_file(tmp_path, solver):
         candidates = [name for name, _ in types] + ["p"]
         ballots = [[name for name, t in types if t >> v & 1] for v in range(4)]
     elif solver == "priced-swap-enum":
-        # 201 options in each of 3 votes > 2,000,000 combinations
-        many = [f"c{i}" for i in range(200)]
-        candidates, ballots = many + ["p"], [many] * 3
+        # 21 voters approve one type of 22 candidates, more members than
+        # voters: the donor pool would rank them over its 2^21 > 2,000,000
+        # approver subsets
+        many = [f"c{i}" for i in range(22)]
+        candidates, ballots = many + ["p"], [many] * 21
     else:
         # 8 candidates approved by all 4 voters, p by none: within a budget of
         # 31 unit deletions p never wins, and the sweep would expand 113,492
@@ -377,8 +388,8 @@ def _guarded_file(tmp_path, solver):
      "committee/threshold guesses"),
     ("unit-type-enum", ["--rule", "pav", "--op", "swap", "--k", "1", "--budget", "3"],
      "action sets of size 2"),
-    ("priced-swap-enum", ["--rule", "gav", "--op", "swap", "--priced", "--restrict-to-p",
-                          "--k", "1", "--budget", "3"], "swap combinations"),
+    ("priced-swap-enum", ["--rule", "pav", "--op", "swap", "--priced", "--restrict-to-p",
+                          "--k", "1", "--budget", "3"], "approver subsets of a candidate type"),
     ("flow", ["--rule", "ccav", "--op", "delete", "--k", "1", "--budget", "31"],
      "assignment search states"),
 ])
@@ -386,3 +397,27 @@ def test_solver_guard_exits_3_with_default_caps(tmp_path, capsys, solver, flags,
     path = _guarded_file(tmp_path, solver)
     code, _, err = run(capsys, "bribe", path, "--p", "p", *flags)
     assert code == 3 and message in err, err
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.GAV])
+def test_coverage_bribe_past_four_voters(tmp_path, capsys, rule):
+    # Six voters, priced deletions: the coverage search answers with the
+    # oracle's cost, feasible or not.
+    cfg = SuiteConfig(op=Op.DELETE, count=60, seed=33, priced=True, max_candidates=5,
+                      max_voters=6, max_budget=3)
+    checked = set()
+    for inst in suite_instances(cfg):
+        if inst.election.n != 6:
+            continue
+        path = tmp_path / "six.elect"
+        path.write_text(serialize_election(inst.election, inst.prices, k=inst.k))
+        want = oracle.oracle_bribery(inst, rule)
+        code, out, err = run(capsys, "bribe", str(path), "--rule", rule.value, "--op", "delete",
+                             "--priced", "--p", inst.election.candidates[inst.p].name,
+                             "--budget", str(inst.budget))
+        assert code == (0 if want.feasible else 1), err
+        assert ("cost: " in out) == (want.cost is not None)
+        if want.cost is not None:
+            assert f"cost: {want.cost}\n" in out
+        checked.add(want.feasible)
+    assert checked == {False, True}

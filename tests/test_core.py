@@ -308,3 +308,32 @@ def test_solution_contract():
                                     ((), -1, False), ((), True, True), ((), 1.0, True)]:
         with pytest.raises(ElectionError):
             BriberySolution(actions, cost, feasible)
+
+
+# Each check a constructor or lookup makes on its input.
+_ONE = (core.Candidate(0, "a"),)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: core.ApprovalBallot("v 1", frozenset()), "voter name must be a plain token: 'v 1'"),
+    (lambda: core.Election((core.Candidate(0, "a"), core.Candidate(1, "a")), ()),
+     "duplicate candidate names"),
+    (lambda: core.Election((core.Candidate(1, "a"),), ()), "candidate a has index 1, expected 0"),
+    (lambda: core.Election(_ONE, (core.ApprovalBallot("v", frozenset()),) * 2),
+     "duplicate voter names"),
+    (lambda: core.Election(_ONE, (core.ApprovalBallot("v", frozenset({1})),)),
+     "ballot v approves unknown candidate index 1"),
+    (lambda: make_election(["a"], [("v", [])]).voter_index("w"), "unknown voter: w"),
+    (lambda: make_election(["a"], [("v", ["b"])]), "ballot v approves unknown candidate 'b'"),
+    (lambda: AtomicAction(Op.ADD, 0, source=0, target=1), "Add action needs a target and no source"),
+    (lambda: AtomicAction(Op.DELETE, 0, target=1), "Delete action needs a source and no target"),
+    (lambda: AtomicAction(Op.SWAP, 0, source=1, target=1),
+     "Swap action needs distinct source and target"),
+    (lambda: BriberyInstance(make_election(["a"], []), 1, 1, 0, Op.ADD),
+     "preferred candidate index 1 out of range"),
+], ids=["ballot-name", "duplicate-candidates", "candidate-index", "duplicate-voters",
+        "unknown-index", "unknown-voter", "unknown-candidate", "add-shape", "delete-shape",
+        "swap-shape", "p-range"])
+def test_input_checks(build, message):
+    with pytest.raises(ElectionError, match=f"^{re.escape(message)}$"):
+        build()

@@ -147,3 +147,12 @@ def test_matches_networkx_on_random_networks():
 def test_negative_cost_rejected():
     with pytest.raises(ValueError):
         Arc(0, 1, 0, 1, -1)
+
+
+@pytest.mark.parametrize("arcs, required, message", [
+    ((Arc(0, 2, 0, 1, 0),), 0, "arc endpoints out of range"),
+    ((Arc(0, 1, 0, 1, 0),), -1, "required flow must be nonnegative"),
+], ids=["endpoints", "required-flow"])
+def test_network_input_checks(arcs, required, message):
+    with pytest.raises(ValueError, match=message):
+        FlowNetwork(2, arcs, 0, 1, required)

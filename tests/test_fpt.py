@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 
@@ -22,7 +23,7 @@ from abcbribery import fpt, oracle, rules
 from abcbribery.avbribery import av_add, av_swap_unit
 from abcbribery.core import _iter_bits, approver_masks, ballot_masks
 from abcbribery.fpt import (
-    FLOW_VOTER_CAP,
+    SWEEP_VOTER_CAP,
     add_for_p_subset_enum,
     ccav_gav_flow_bribery,
     priced_swap_to_p_type_enum,
@@ -53,33 +54,55 @@ def test_subset_enum_already_winning(e0):
     assert add_for_p_subset_enum(inst, Rule.AV).cost == 0
 
 
-def test_subset_enum_guard(e0):
+def test_subset_enum_guard(e0, monkeypatch):
+    # The solver is the oracle's search under the oracle's own guard on the
+    # configurations visited, at its default cap (test_oracle pins that
+    # guard's boundary): it passes no cap of its own.
+    calls = []
+
+    def recording(instance, rule, **caps):
+        calls.append(caps)
+        return oracle_bribery(instance, rule, **caps)
+    monkeypatch.setattr(fpt, "oracle_bribery", recording)
     inst = BriberyInstance(e0, 3, 2, 1, Op.ADD, restricted_to_p=True)
-    with pytest.raises(ResourceGuardError):
-        add_for_p_subset_enum(inst, Rule.AV, voter_cap=2)
+    assert verdict(add_for_p_subset_enum(inst, Rule.AV)) == (False, None)
+    assert calls == [{}]
 
 
-def test_subset_enum_guard_at_its_boundary(e0):
-    # Every voter but v7 lacks p: 8 eligible voters.
+def test_subset_enum_guard_at_its_boundary(e0, monkeypatch):
+    # Every voter but v7 lacks p: 8 eligible voters.  The search visits 94
+    # of their 256 subsets, the first winning one at cost 4 included, so its
+    # guard answers at a cap of 94 configurations and trips at 93.
     inst = BriberyInstance(e0, 3, 2, 9, Op.ADD, restricted_to_p=True)
-    assert add_for_p_subset_enum(inst, Rule.AV, voter_cap=8).cost == 4
+    leaves = count_leaves(monkeypatch)
+    assert (add_for_p_subset_enum(inst, Rule.AV).cost, leaves[0]) == (4, 94)
+    monkeypatch.setattr(fpt, "oracle_bribery", functools.partial(oracle_bribery, max_configs=94))
+    assert add_for_p_subset_enum(inst, Rule.AV).cost == 4
+    monkeypatch.setattr(fpt, "oracle_bribery", functools.partial(oracle_bribery, max_configs=93))
     with pytest.raises(ResourceGuardError,
-                       match="8 eligible voters exceed the subset cap of 7"):
-        add_for_p_subset_enum(inst, Rule.AV, voter_cap=7)
+                       match="^enumerating final elections up to cost 4 visits more than "
+                             "the cap of 93 configurations$"):
+        add_for_p_subset_enum(inst, Rule.AV)
 
 
-def test_subset_enum_voter_cap_is_the_only_guard():
-    # 22 eligible voters within voter_cap=22 raise no guard; budget 1 keeps
-    # the search to cost levels 0 and 1.
+def test_subset_enum_answers_past_twenty_eligible_voters():
+    # 22 eligible voters, budget 1: the search reads cost levels 0 and 1.
     e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(22)])
     inst = BriberyInstance(e, 1, 1, 1, Op.ADD, restricted_to_p=True)
-    assert verdict(add_for_p_subset_enum(inst, Rule.AV, voter_cap=22)) == (False, None)
+    assert verdict(add_for_p_subset_enum(inst, Rule.AV)) == (False, None)
     # A search that must count every voter subset: p ties a only once all 14
     # voters approve it, so the cost levels up to 14 hold exactly 2^14
-    # configurations.  A search cap below the number of subsets would trip.
+    # configurations, within the default cap.
     e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(14)])
     inst = BriberyInstance(e, 1, 1, 14, Op.ADD, restricted_to_p=True)
-    assert verdict(add_for_p_subset_enum(inst, Rule.AV, voter_cap=14)) == (True, 14)
+    assert verdict(add_for_p_subset_enum(inst, Rule.AV)) == (True, 14)
+    # 40 eligible voters, 3 of them approving a: p ties a after 3 additions,
+    # found among the 10,701 subsets of at most 3 voters.
+    e = make_election(["a", "p"], [(f"v{i}", ["a"] if i < 3 else []) for i in range(40)])
+    inst = BriberyInstance(e, 1, 1, 3, Op.ADD, restricted_to_p=True)
+    got = add_for_p_subset_enum(inst, Rule.AV)
+    assert verdict(got) == verdict(oracle_bribery(inst, Rule.AV)) == (True, 3)
+    assert verdict(solve(inst, Rule.AV, "fpt-n")[0]) == (True, 3)
 
 
 def test_subset_enum_matches_oracle_ccav():
@@ -372,11 +395,18 @@ def test_flow_bribery_unanimous_p():
         assert sol.feasible and sol.cost == 0
 
 
-def test_flow_bribery_guard():
-    e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(6)])
-    with pytest.raises(ResourceGuardError,
-                       match=r"^6 voters exceed the cap of 4 for the coverage assignment search$"):
-        ccav_gav_flow_bribery(BriberyInstance(e, 1, 1, 1, Op.ADD), Rule.CCAV)
+def test_flow_bribery_guard(monkeypatch):
+    # Past four voters both rules are one oracle call, under the oracle's
+    # guard on the configurations visited: 6 voters approve a, and p ties it
+    # only once all 6 approve p, which GAV's tie-break then seats.
+    e = make_election(["p", "a"], [(f"v{i}", ["a"]) for i in range(6)])
+    oracles = count_calls(monkeypatch, fpt, "oracle_bribery")
+    for rule in (Rule.CCAV, Rule.GAV):
+        for budget, answer in ((1, (False, None)), (6, (True, 6))):
+            inst = BriberyInstance(e, 0, 1, budget, Op.ADD)
+            got = ccav_gav_flow_bribery(inst, rule)
+            assert verdict(got) == verdict(oracle_bribery(inst, rule)) == answer, (rule, budget)
+    assert oracles[0] == 4
 
 
 def test_flow_bribery_rejects_swaps(e0):
@@ -406,21 +436,23 @@ def test_flow_bribery_matches_oracle():
 
 
 def test_flow_matches_oracle_at_voter_cap():
-    # Exactly FLOW_VOTER_CAP voters, p not yet a co-winner.
+    # Exactly SWEEP_VOTER_CAP voters, p not yet a co-winner; then 5 and 6
+    # voters, where CCAV runs the oracle as GAV does.
     seed = 90
-    for rule in (Rule.CCAV, Rule.GAV):
-        for op in (Op.ADD, Op.DELETE):
-            for priced in (False, True):
-                seed += 1
-                cfg = SuiteConfig(op=op, count=400, seed=seed, priced=priced,
-                                  max_candidates=5, max_voters=FLOW_VOTER_CAP,
-                                  max_budget=6, price_choices=(1, 2, 3))
-                chosen = [inst for inst in suite_instances(cfg)
-                          if inst.election.n == FLOW_VOTER_CAP
-                          and not is_cowinner(inst.election, rule, inst.k, inst.p)]
-                assert len(chosen) >= 10
-                for inst in chosen[:15]:
-                    _assert_certified(inst, rule, ccav_gav_flow_bribery(inst, rule))
+    for voters, least, checked in ((SWEEP_VOTER_CAP, 10, 15), (5, 6, 6), (6, 6, 6)):
+        for rule in (Rule.CCAV, Rule.GAV):
+            for op in (Op.ADD, Op.DELETE):
+                for priced in (False, True):
+                    seed += 1
+                    cfg = SuiteConfig(op=op, count=400, seed=seed, priced=priced,
+                                      max_candidates=5, max_voters=voters,
+                                      max_budget=6, price_choices=(1, 2, 3))
+                    chosen = [inst for inst in suite_instances(cfg)
+                              if inst.election.n == voters
+                              and not is_cowinner(inst.election, rule, inst.k, inst.p)]
+                    assert len(chosen) >= least
+                    for inst in chosen[:checked]:
+                        _assert_certified(inst, rule, ccav_gav_flow_bribery(inst, rule))
 
 
 def test_flow_solve_counts_are_pinned(monkeypatch):
@@ -539,42 +571,49 @@ def test_enumeration_guards_at_their_boundary():
     with pytest.raises(ResourceGuardError, match="needs 9 combinations"):
         unpriced_type_enum(unit, Rule.PAV, enum_cap=8)
     # v1 keeps its ballot or moves a or b to p, the others keep it or move
-    # their one approval: 3 * 2 * 2 * 2 swap combinations.
+    # their one approval: within budget 1 the search visits the start and
+    # the 5 single swaps, 6 configurations.
     priced = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
-    assert priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=24).cost is None
-    with pytest.raises(ResourceGuardError, match="cap of 23"):
-        priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=23)
+    assert priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=6).cost is None
+    with pytest.raises(ResourceGuardError, match="up to cost 1 visits more than the cap of 5 "):
+        priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=5)
 
 
 @pytest.mark.parametrize("rule", [Rule.GAV, Rule.RAV, Rule.PAV])
 def test_priced_swap_answers_p_winning_already_before_the_guard(rule):
-    # 21 voters could each swap a to p, 2^21 combinations above the cap, but
-    # p already wins: the solve costs nothing and no guard runs.
+    # 21 voters could each swap a to p, more configurations than the cap,
+    # but p already wins: the solve costs nothing and no guard runs.
     e = make_election(["a", "p"], [(f"a{i}", ["a"]) for i in range(21)]
                       + [(f"p{i}", ["p"]) for i in range(22)])
     inst = BriberyInstance(e, 1, 1, 5, Op.SWAP, priced=True, restricted_to_p=True)
     assert verdict(priced_swap_to_p_type_enum(inst, rule, enum_cap=1)) == (True, 0)
 
 
-def test_priced_swap_guard_counts_pool_donors_only():
-    # a and b share v1's type, so PAV's pool keeps one of them: the guard
-    # counts 2 options for v1, although v1 reaches 3 ballots.  With 2
-    # members to n = 1 the type is ranked over the 2 subsets of {v1}, so at
-    # a cap of 1 the pool's own guard trips first.
+def test_priced_swap_guard_counts_pool_donors_only(monkeypatch):
+    # a and b share v1's type, so PAV's pool keeps one of them: the search
+    # gets 2 options for v1, although v1 reaches 3 ballots.  With 2 members
+    # to n = 1 the type is ranked over the 2 subsets of {v1}, so at a cap of
+    # 1 the pool's own guard trips first.
     e = make_election(["a", "b", "p"], [("v1", ["a", "b"])])
     inst = BriberyInstance(e, 2, 1, 1, Op.SWAP, priced=True, restricted_to_p=True)
+    seen = _record_options(monkeypatch)
     assert priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=2).cost == 1
-    with pytest.raises(ResourceGuardError, match="cap of 1"):
+    assert [len(options) for options in seen.pop()] == [2]
+    with pytest.raises(ResourceGuardError, match="^2 approver subsets .* cap of 1$"):
         priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=1)
 
 
 def test_priced_swap_pool_takes_small_types_whole():
     # 24 voters approve only a and one approves p and a: a's type has one
     # member, so it enters the pool whole, without a walk over the 2^25
-    # subsets of its approvers, and the swap guard counts the 2^24 choices.
+    # subsets of its approvers.  p ties a only after 12 swaps, so within
+    # budget 3 the search visits the 2,325 voter subsets of at most 3 swaps
+    # and answers, and a cap of 100 configurations trips in cost level 2.
     e = make_election(["a", "p"], [(f"v{i}", ["a"]) for i in range(24)] + [("w", ["p", "a"])])
     inst = BriberyInstance(e, 1, 1, 3, Op.SWAP, priced=True, restricted_to_p=True)
-    with pytest.raises(ResourceGuardError, match="^swap combinations exceed the cap of 100$"):
+    assert verdict(priced_swap_to_p_type_enum(inst, Rule.PAV)) == (False, None)
+    with pytest.raises(ResourceGuardError, match="^enumerating final elections up to cost 2 "
+                                                 "visits more than the cap of 100 configurations$"):
         priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=100)
 
 
@@ -589,16 +628,16 @@ def test_priced_swap_pool_guard_before_its_walk():
                                                  "type exceed the cap of 100$"):
         priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=100)
     # At its boundary: 3 voters approve a0..a3, a type of 4 members, whose
-    # 2^3 subsets rank a0, a1, a2 into the pool; the swap guard then counts
-    # 4 options per voter, 64 in all.
+    # 2^3 subsets rank a0, a1, a2 into the pool; the search then visits 38
+    # configurations, the first winning one at cost 3 included.
     names = names[:4]
     e = make_election(names + ["p"], [(f"v{i}", names) for i in range(3)])
     inst = BriberyInstance(e, 4, 1, 3, Op.SWAP, priced=True, restricted_to_p=True)
-    with pytest.raises(ResourceGuardError, match="^swap combinations exceed the cap of 8$"):
-        priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=8)
     with pytest.raises(ResourceGuardError, match="^8 approver subsets .* cap of 7$"):
         priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=7)
-    assert verdict(priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=64)) == \
+    with pytest.raises(ResourceGuardError, match="visits more than the cap of 37 configurations$"):
+        priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=37)
+    assert verdict(priced_swap_to_p_type_enum(inst, Rule.PAV, enum_cap=38)) == \
         verdict(oracle_bribery(inst, Rule.PAV)) == (True, 3)
 
 
@@ -898,3 +937,18 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("solver, instance, rule, message", [
+    (add_for_p_subset_enum, dict(op=Op.SWAP, restricted_to_p=True), Rule.AV, "additions only"),
+    (add_for_p_subset_enum, dict(op=Op.ADD), Rule.AV, "adding approvals for p only"),
+    (unpriced_type_enum, dict(op=Op.ADD, priced=True), Rule.AV, "called on a priced instance"),
+    (unpriced_type_enum, dict(op=Op.DELETE), Rule.AV, "additions and swaps only"),
+    (priced_swap_to_p_type_enum, dict(op=Op.SWAP, priced=True), Rule.AV, "swaps toward p only"),
+    (ccav_gav_flow_bribery, dict(op=Op.ADD), Rule.PAV,
+     "^the coverage search covers CCAV and GAV only$"),
+], ids=["subset-op", "subset-restricted", "enum-priced", "enum-delete", "swap-to-p",
+        "coverage-rule"])
+def test_solver_checks_its_instance(e0, solver, instance, rule, message):
+    with pytest.raises(ValueError, match=message):
+        solver(BriberyInstance(e0, 3, 2, 3, **instance), rule)

@@ -224,3 +224,19 @@ def test_gen_emits_parseable_files():
     assert parsed == inst.election
     assert k == inst.k
     assert prices.swap == inst.prices.swap
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_random_election(2, -1, 0.5, 1), "voter count must be nonnegative"),
+    (lambda: Graph(3, ((1, 1),)), r"bad edge \(1, 1\)"),
+    (lambda: Graph(3, ((0, 1), (0, 1))), r"duplicate edge \(0, 1\)"),
+    (lambda: X3CInstance(1, (frozenset({0, 1}),) * 3), "every set must have exactly three elements"),
+    (lambda: X3CInstance(2, (frozenset({0, 1, 2}),) * 3 + (frozenset({3, 4, 5}),) * 2
+                         + (frozenset({0, 4, 5}),)),
+     "every element must belong to exactly three sets"),
+    (lambda: gen_x3c_to_sav_swap(X3CInstance(1, (frozenset({0, 1, 2}),) * 3), 0),
+     "alpha must be a positive integer"),
+], ids=["voters", "bad-edge", "duplicate-edge", "set-size", "element-count", "alpha"])
+def test_input_checks(build, message):
+    with pytest.raises(ElectionError, match=f"^{message}$"):
+        build()

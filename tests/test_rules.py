@@ -648,3 +648,9 @@ def test_trading_an_approval_for_p_can_cost_gav_its_winner():
     tally.set(1, 0b01100)
     assert not tally.wins(2)
     assert not rules._Tally([0b00010, 0b01100, 0b01001], 5, Rule.GAV, 3).wins(2)
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV, Rule.GAV, Rule.RAV])
+def test_committee_streaming_takes_score_rules_only(e0, rule):
+    with pytest.raises(ValueError, match="^lazy committee streaming applies to the score rules only$"):
+        next(rules.iter_winning_committees(e0, rule, 2))
