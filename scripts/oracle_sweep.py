@@ -4,6 +4,11 @@ A lighter, configurable version of the acceptance suite; useful when hunting
 for counterexamples with bigger counts or different size mixes.  Each lane is
 a rule, a ``solve`` algorithm and a suite shape; the routing table picks the
 solver, and every answer, the oracle's included, is certified by ``solve``.
+Every row of the routing table is reached by some lane.  Each answer is
+checked against its row's guarantee: an exact row matches the oracle's
+verdict and cost, a k-approximation row (``sav-add*``, ``rav-add-priced``)
+costs between the optimum and k times it, and is infeasible only when k
+times the optimum is above the budget.
 Every such lane keeps drawing from its seeded suite until ``--count``
 instances in which p is not already a co-winner, so each one reaches its
 solver instead of being answered at cost 0.  The ``subset-*`` solver is
@@ -13,7 +18,8 @@ solver is the oracle behind the coverage search's voter guard, and the
 the guards and the option builder; the brute force over the searched options
 in ``tests/test_fpt.py`` checks the search itself.  The ``flow-*-scaled``
 lanes price deletions in the millions, so their searches finish only if they
-read the reachable cost levels alone.  The ``typeenum-*`` lanes
+read the reachable cost levels alone.  The ``fptn-ccav-delete`` lane reaches
+the coverage search through ``fpt-n``'s own row.  The ``typeenum-*`` lanes
 run the unit-price type enumeration on swaps, the ``typeenum-add-*`` lanes
 on additions.  The ``margins``
 lane checks the oracle against itself on ``--count`` priced instances per
@@ -34,10 +40,16 @@ import itertools
 import math
 import sys
 import time
+from fractions import Fraction
 
-from abcbribery import BriberyInstance, CertificationError, Op, Rule, is_cowinner, solve
+from abcbribery import (BriberyInstance, BriberySolution, CertificationError, Op, Rule, is_cowinner,
+                        solve)
 from abcbribery.generators import SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_margin, oracle_margins
+from abcbribery.solve import APPROX2, APPROX_EPS, EXACT, route
+
+# Each guarantee's factor over the optimum, at solve's default epsilon of 1/10.
+FACTORS = {EXACT: 1, APPROX2: 2, APPROX_EPS: 1 + Fraction(1, 10)}
 
 LANES = {
     "av-add": (Rule.AV, "exact", dict(op=Op.ADD, priced=True)),
@@ -47,6 +59,10 @@ LANES = {
     "av-swap-priced-p": (Rule.AV, "exact", dict(op=Op.SWAP, priced=True, restricted_to_p=True)),
     "gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, restricted_to_p=True)),
     "rav-add": (Rule.RAV, "auto", dict(op=Op.ADD, restricted_to_p=True)),
+    "rav-add-priced": (Rule.RAV, "auto", dict(op=Op.ADD, priced=True, restricted_to_p=True)),
+    # SAV's 2-approximation has two rows: unpriced additions, and priced ones for p.
+    "sav-add": (Rule.SAV, "auto", dict(op=Op.ADD)),
+    "sav-add-p": (Rule.SAV, "auto", dict(op=Op.ADD, priced=True, restricted_to_p=True)),
     "subset-ccav": (Rule.CCAV, "fpt-n",
                     dict(op=Op.ADD, priced=True, restricted_to_p=True, max_voters=5)),
     "subset-gav": (Rule.GAV, "fpt-n",
@@ -78,9 +94,11 @@ LANES = {
     "flow-ccav-wide": (Rule.CCAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=12,
                                                 max_voters=4, approval_probability=0.3,
                                                 max_budget=6)),
-    # Restricted GAV additions route to approx.gav_add_for_p, not the coverage solver.
+    # Unrestricted: GAV additions for p route to approx's round cover (the gav-add lane).
     "flow-gav-add": (Rule.GAV, "exact", dict(op=Op.ADD, priced=True, max_candidates=6,
                                              max_voters=4)),
+    "fptn-ccav-delete": (Rule.CCAV, "fpt-n", dict(op=Op.DELETE, priced=True, max_candidates=6,
+                                                  max_voters=4)),
     # Prices in the millions (gcd 1): both cost-level sweeps must read only reachable levels.
     **{f"flow-{rule.value}-scaled": (rule, "exact", dict(
         op=Op.DELETE, priced=True, max_candidates=6, max_voters=4, max_budget=6 * 10**6,
@@ -95,6 +113,19 @@ def lane_instances(lane: str, count: int, seed: int):
     draws = suite_instances(SuiteConfig(count=sys.maxsize, seed=seed, **shape))
     return itertools.islice((inst for inst in draws
                              if not is_cowinner(inst.election, rule, inst.k, inst.p)), count)
+
+
+def _within_guarantee(instance: BriberyInstance, rule: Rule, algorithm: str,
+                      mine: BriberySolution, truth: BriberySolution) -> bool:
+    """Whether the answer keeps its row's guarantee against the oracle's optimum.
+
+    Within the budget, a factor-k answer costs between the optimum and k
+    times it; above the budget, k times the optimum must be too.
+    """
+    factor = FACTORS[route(instance, rule, algorithm).guarantee]
+    if mine.feasible:
+        return truth.feasible and truth.cost <= mine.cost <= factor * truth.cost
+    return not truth.feasible or factor * truth.cost > instance.budget
 
 
 MARGINS = {"margins": True, "margins-unit": False}  # lane -> priced suites
@@ -182,10 +213,10 @@ def main():
                 bad += 1
                 print(f"  mismatch in {lane}: uncertified: {exc}")
                 continue
-            got = (mine.feasible, mine.cost if mine.feasible else None)
-            want = (truth.feasible, truth.cost if truth.feasible else None)
-            if got != want:
+            if not _within_guarantee(instance, rule, algorithm, mine, truth):
                 bad += 1
+                got = (mine.feasible, mine.cost if mine.feasible else None)
+                want = (truth.feasible, truth.cost if truth.feasible else None)
                 print(f"  mismatch in {lane}: got {got}, oracle {want}")
         elapsed = time.time() - start
         grand_total += args.count

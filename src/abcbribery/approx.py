@@ -3,11 +3,11 @@ and RAV.
 
 SAV gets a 2-approximation: sweep the budget upward, each step planting the
 gain-maximizing approval set found by an exact knapsack over budget units.
-GAV and RAV guess the greedy round in which the preferred candidate is meant
-to be picked; GAV then buys the cheapest uncovered voters one by one (exact,
-priced or not), while RAV buys a voter set whose marginal gains clear the
-round's selection threshold via a knapsack over lcm-scaled gains (exact for
-unit prices, within 1+epsilon for priced ones).
+GAV and RAV share one round cover: guess the greedy round in which the
+preferred candidate is meant to be picked, then buy the cheapest voter set
+whose marginal gains clear that round's selection threshold, a covering
+knapsack over lcm-scaled gains.  It is exact for GAV, priced or not, and for
+RAV at unit prices, and within 1+epsilon for priced RAV.
 """
 
 from __future__ import annotations
@@ -119,73 +119,52 @@ def sav_add_for_p_2approx(instance: BriberyInstance) -> BriberySolution:
 def gav_add_for_p(instance: BriberyInstance) -> BriberySolution:
     """Exact optimum for GAV when only approvals for p may be added.
 
-    Guess the round in which p is to be picked, then repeatedly buy an
-    approval from the cheapest voter not covered by the rounds before it.
-    GAV's weights do not depend on k, so the greedy's first round - 1 picks
-    are the rounds before it; each step runs one greedy on the ballot masks.
+    The round cover of ``rav_add_for_p`` under GAV's weights: a voter that no
+    earlier round covers is worth 1, any other 0, so the cover's total value
+    is at most n.  The exact value-indexed knapsack therefore answers for
+    every n up to ``VALUE_DP_CAP``, and the epsilon passed is never read.
+    The answer is uncertified; ``solve`` certifies.
     """
-    _require_add(instance, restricted_only=True)
-    e, p, k = instance.election, instance.p, instance.k
-    start = ballot_masks(e)
-    if p in _thiele_greedy(start, e.m, Rule.GAV, k):
-        return BriberySolution((), 0, True)
-    bit = 1 << p
-    prices = [instance.prices.add_price(v, p) for v in range(e.n)]
-    # Additions all go to p, so voter lists order like their action lists.
-    best: tuple[int, tuple[int, ...]] | None = None
-    for target_round in range(1, k + 1):
-        masks = list(start)
-        bought: list[int] = []
-        cost = 0
-        while True:
-            picks = _thiele_greedy(masks, e.m, Rule.GAV, k)
-            if p in picks:
-                if best is None or (cost, tuple(bought)) < best:
-                    best = (cost, tuple(bought))
-                break
-            blocked = bit  # voters approving p or covered by an earlier round
-            for c in picks[:target_round - 1]:
-                blocked |= 1 << c
-            eligible = [(prices[v], v) for v, mask in enumerate(masks)
-                        if not mask & blocked and prices[v] != FORBIDDEN]
-            if not eligible:
-                break
-            price, v = min(eligible)
-            masks[v] |= bit
-            bought.append(v)
-            cost += price
-    if best is None:
-        return BriberySolution((), None, False)
-    cost, voters = best
-    actions = tuple(AtomicAction(Op.ADD, v, target=p) for v in voters)
-    return BriberySolution(actions, cost, cost <= instance.budget)
+    return _round_cover(instance, Rule.GAV, Fraction(1, 10))
 
 
 def rav_add_for_p(instance: BriberyInstance, epsilon: Fraction | float = Fraction(1, 10)) -> BriberySolution:
     """Add approvals for p so that some greedy round must pick it.
 
-    Per guessed round, the set of voters to buy is a covering knapsack: each
-    voter's marginal gain for p is 1/t for some t up to the round number, so
-    gains scale to integers by the lcm of 1..round.  The knapsack is solved
-    exactly while the scaled value range stays small, which makes unit-price
-    instances exact; very large ranges fall back to a price-scaled dynamic
-    program whose cost stays within (1+epsilon) of the optimum.  The answer
-    is uncertified; ``solve`` certifies.
+    Each voter's marginal gain for p is 1/t for some t up to the round
+    number, so the round cover's values scale to integers by the lcm of
+    1..round.  Its knapsack is exact while the scaled value range stays
+    small, which makes unit-price instances exact; very large ranges fall
+    back to a price-scaled dynamic program whose cost stays within
+    (1+epsilon) of the optimum.  The answer is uncertified; ``solve``
+    certifies.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    return _round_cover(instance, Rule.RAV, Fraction(epsilon))
+
+
+def _round_cover(instance: BriberyInstance, rule: Rule, epsilon: Fraction) -> BriberySolution:
+    """Cheapest approvals for p that make some greedy round of ``rule`` pick it.
+
+    Approvals for p change p's gains alone, so the rounds before the guessed
+    one keep their picks unless p is picked sooner.  Each voter lacking p is
+    then worth its marginal gain for p in the guessed round, and the voters
+    bought must lift p's gain past that round's rivals: a covering knapsack.
+    Each round's voters are listed lowest first; the cheapest round wins,
+    ties broken by the action lists' sort key.
+    """
     _require_add(instance, restricted_only=True)
     e, p, k = instance.election, instance.p, instance.k
     masks = ballot_masks(e)
-    picks = _thiele_greedy(masks, e.m, Rule.RAV, k)
+    picks = _thiele_greedy(masks, e.m, rule, k)
     if p in picks:
         return BriberySolution((), 0, True)
-    epsilon = Fraction(epsilon)
     best: tuple[int, tuple[AtomicAction, ...]] | None = None
     for target_round in range(1, k + 1):
         # The greedy's first target_round - 1 picks do not depend on k.
         committee = sum(1 << c for c in picks[:target_round - 1])
-        weights = _thiele_weights(Rule.RAV, target_round)
+        weights = _thiele_weights(rule, target_round)
         gains = _thiele_gains(masks, e.m, committee, weights)
         items: list[tuple[int, int, int]] = []  # voter, price, scaled gain
         for v in range(e.n):
@@ -218,7 +197,7 @@ def _min_cost_cover(items: list[tuple[int, int, int]], theta: int,
     SAV sweep's budget-indexed ``_knapsack`` while the price range is;
     otherwise that knapsack on prices scaled down by a (1+epsilon/2) grid of
     guesses, which keeps the cost within (1+epsilon) of the optimum.  ``theta``
-    is positive: ``rav_add_for_p`` asks only about rounds whose pick is not
+    is positive: ``_round_cover`` asks only about rounds whose pick is not
     p, and that pick is a rival p does not yet beat.
     """
     total_value = sum(value for _, _, value in items)

@@ -277,8 +277,10 @@ class BriberySolution:
     nonnegative integer, replaying ``actions`` makes the preferred candidate
     a co-winner at exactly that price, and ``feasible`` is cost <= budget; a
     solver may return such a witness above the budget (README "result
-    contract" says which do, and why both shapes stay).  ``solve`` checks
-    the part that needs the instance, through ``rules.certify``.
+    contract" says which do, and why both shapes stay).  Where p already
+    wins, every solver answers ``((), 0, True)``, with no action even when
+    some are free.  ``solve`` checks the part that needs the instance,
+    through ``rules.certify``.
     """
 
     actions: tuple[AtomicAction, ...]

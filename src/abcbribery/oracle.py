@@ -71,7 +71,8 @@ def _guard_options(voter: int, count: int, max_configs: int) -> None:
 
 def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]],
                       cost_cap: int | None, max_configs: int) -> list[tuple[int, int]]:
-    """(cost, ballot) for every subset of independent add/delete cells, cheapest-first.
+    """(cost, ballot) for every subset of independent add/delete cells,
+    cheapest-first, the start ballot first among the free ones.
 
     Each cell's candidate is absent from (add) or present in (delete) the
     start ballot, so flipping its bit applies the cell either way.  ``fpt``
@@ -86,7 +87,10 @@ def _cellwise_options(voter: int, start: int, cells: list[tuple[int, int]],
                  if cost_cap is None or cost + price <= cost_cap]
         _guard_options(voter, len(options) + len(grown), max_configs)
         options.extend(grown)
-    options.sort()
+    # A free cell's ballot may sort below the start ballot; keeping the start
+    # first makes a walk's first cost-0 leaf the start election, so a
+    # winning start needs no action.
+    options[1:] = sorted(options[1:])
     return options
 
 
@@ -115,9 +119,10 @@ def _swap_options(voter: int, start: int, moves: list[list[tuple[int, int, int]]
     """Cheapest reachable ballots under swaps, via Dijkstra over ballot states.
 
     ``moves`` is the voter's move table; relaxations read it instead of the
-    price table.  Returns the (cost, ballot) options, cheapest-first, and the
-    parent map ``ballot -> (previous ballot, source, target)`` of the
-    cheapest paths.
+    price table.  Returns the (cost, ballot) options, cheapest-first with the
+    start ballot first among the free ones, as ``_cellwise_options`` lists
+    them, and the parent map ``ballot -> (previous ballot, source, target)``
+    of the cheapest paths.
     """
     dist: dict[int, int] = {start: 0}
     parent: dict[int, tuple[int, int, int]] = {}
@@ -147,7 +152,8 @@ def _swap_options(voter: int, start: int, moves: list[list[tuple[int, int, int]]
                 dist[new] = nd
                 parent[new] = (mask, source, target)
                 heapq.heappush(heap, (nd, new))
-    return sorted((d, mask) for mask, d in dist.items()), parent
+    del dist[start]
+    return [(0, start)] + sorted((d, mask) for mask, d in dist.items()), parent
 
 
 def _unit_swap_options(voter: int, start: int, targets: int, cost_cap: int | None,

@@ -351,7 +351,8 @@ def test_bribery_builds_only_the_witness_actions(monkeypatch, e0, op, rule):
 
 def _relaxing_swap_options(voter, start, m, prices, restricted, p, cost_cap, max_configs):
     """Dijkstra asking the price table at every relaxation and rebuilding the
-    target list per popped ballot."""
+    target list per popped ballot; options by (cost, ballot), the start
+    ballot first."""
     dist = {start: 0}
     parent = {}
     heap = [(0, start)]
@@ -381,7 +382,7 @@ def _relaxing_swap_options(voter, start, m, prices, restricted, p, cost_cap, max
                 dist[new] = nd
                 parent[new] = (mask, source, target)
                 heapq.heappush(heap, (nd, new))
-    return sorted((d, mask) for mask, d in dist.items()), parent
+    return [(0, start)] + sorted((d, mask) for mask, d in dist.items() if mask != start), parent
 
 
 def _options_or_guard(build, *args):

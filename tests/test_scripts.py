@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from abcbribery import CertificationError
+from abcbribery.solve import ROUTES, route
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,13 +25,29 @@ def test_oracle_sweep_finds_no_mismatch():
     assert re.fullmatch(r"total: \d+ instances, 0 mismatches", run.stdout.splitlines()[-1])
 
 
-def test_oracle_sweep_counts_every_uncertified_answer(monkeypatch, capsys):
-    # A solver whose answers fail certification on every instance with p = 0:
-    # the sweep reports each one as a mismatch and goes on, then exits 1.
+def _sweep_module():
     spec = importlib.util.spec_from_file_location("oracle_sweep",
                                                   ROOT / "scripts" / "oracle_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_oracle_sweep_reaches_every_route():
+    # A lane's shape fixes its cell, so its first instance shows the row it
+    # sweeps; every lane also asks the oracle row for the optimum.
+    sweep = _sweep_module()
+    reached = set()
+    for lane, (rule, algorithm, _) in sweep.LANES.items():
+        instance = next(sweep.lane_instances(lane, 1, 1))
+        reached |= {ROUTES.index(route(instance, rule, name)) for name in (algorithm, "oracle")}
+    assert sorted(reached) == list(range(len(ROUTES)))
+
+
+def test_oracle_sweep_counts_every_uncertified_answer(monkeypatch, capsys):
+    # A solver whose answers fail certification on every instance with p = 0:
+    # the sweep reports each one as a mismatch and goes on, then exits 1.
+    sweep = _sweep_module()
     failed = []
     real = sweep.solve
 

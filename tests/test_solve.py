@@ -25,14 +25,15 @@ from abcbribery import (
     Rule,
     UnsupportedCombination,
     certify,
+    is_cowinner,
     solution_cost,
     solve,
 )
 from abcbribery import approx, avbribery, fpt, oracle
 from abcbribery.cli import main
-from abcbribery.generators import Stream64
+from abcbribery.generators import Stream64, SuiteConfig, suite_instances
 from abcbribery.oracle import oracle_margin
-from abcbribery.solve import ALGORITHMS, route
+from abcbribery.solve import ALGORITHMS, ROUTES, route
 
 from helpers import election_certify, random_election, verdict
 
@@ -130,6 +131,23 @@ def test_every_route_certified_and_within_its_guarantee(case):
             assert best <= got.cost <= factor * best, where
         else:
             assert best == math.inf or factor * best > budget, where
+
+
+def test_every_route_answers_a_winning_p_with_no_action():
+    # Free prices let a search reach a winning election through needless
+    # free actions; where p already wins, every row answers the start
+    # election itself.
+    answered = Counter()
+    for cell, algorithm in SUPPORTED:
+        rule, op, priced, restricted = cell
+        cfg = SuiteConfig(op=op, count=20, seed=21, priced=priced, restricted_to_p=restricted,
+                          price_choices=(0, 1, 2), max_candidates=5, max_voters=5)
+        for inst in suite_instances(cfg):
+            if is_cowinner(inst.election, rule, inst.k, inst.p):
+                got = solve(inst, rule, algorithm)[0]
+                assert got == BriberySolution((), 0, True), (cell, algorithm, inst)
+                answered[ROUTES.index(ROWS[cell, algorithm])] += 1
+    assert sorted(answered) == list(range(len(ROUTES))), answered
 
 
 def test_every_empty_cell_exits_4(tmp_path, capsys, e0_text):
