@@ -12,8 +12,8 @@ assignments, each candidate's types built by the oracle's add/delete option
 builder.  A CCAV state (candidates assigned, types present, p's type) is
 expanded once, at its cheapest cost, and a set of types is scored once.
 Each search refuses only on the work it does: the configurations the
-oracle's walk visits, the action sets of each size enumerated, the CCAV
-states expanded.
+oracle's walk visits, the cells the type enumeration's walk examines, the
+CCAV states expanded.
 
 The type enumeration tests each candidate action set by flipping bits of the
 ballot bitmasks; no ``Election`` is built per set, and actions are built only
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import comb
 
 from .core import (
     FORBIDDEN,
@@ -108,15 +107,14 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
     most n candidates per type.  GAV and RAV drop both shortcuts.
 
     Sets are visited by size, each size in lexicographic order of the action
-    indices, after the size's count is checked against ``enum_cap``.  The
-    walk moves one shared tally from an action to the next one of the same
-    voter and restores a voter on leaving it, and an action clashing with a
-    chosen swap in the same vote prunes every set extending that prefix.  For
-    the interchangeable rules a vote lacking p lists its actions targeting p
-    first, and the walk prunes an action of such a vote that leaves it
-    without p (see the module docstring): the count checked against
-    ``enum_cap`` is still that of every set.  The first winning set is
-    returned.  Answers are uncertified, the approve-p-everywhere one too;
+    indices.  The walk moves one shared tally from an action to the next one
+    of the same voter and restores a voter on leaving it, and an action
+    clashing with a chosen swap in the same vote prunes every set extending
+    that prefix.  For the interchangeable rules a vote lacking p lists its
+    actions targeting p first, and the walk prunes an action of such a vote
+    that leaves it without p (see the module docstring).  ``enum_cap`` caps
+    the cells examined, the empty set counting one.  The first winning set
+    is returned.  Answers are uncertified, the approve-p-everywhere one too;
     ``solve`` certifies.
     """
     if instance.priced:
@@ -155,17 +153,17 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
 
     tally = _Tally(base, e.m, rule, k)
     cap = min(cap, len(flips))
-    explored = 0
+    left = [enum_cap - 1]  # cells the walk may still examine; the empty set took one
     chosen: list[int] = []
     for size in range(cap + 1):
-        explored += comb(len(flips), size)
-        if explored > enum_cap:
+        try:  # the empty set comes first: p already winning costs 0
+            won = tally.wins(p) if not size else _first_win(tally, base, flips, needs_p, p,
+                                                            size, 0, chosen, left)
+        except ResourceGuardError:
             raise ResourceGuardError(
-                f"enumerating action sets of size {size} needs {explored} "
-                f"combinations, above the cap of {enum_cap}")
-        # The empty set comes first: p already winning costs 0.
-        if tally.wins(p) if not size else _first_win(tally, base, flips, needs_p, p, size,
-                                                     0, chosen):
+                f"enumerating action sets of size {size} examines more than "
+                f"the cap of {enum_cap} cells") from None
+        if won:
             actions = []
             for i in reversed(chosen):
                 v, flip = flips[i]
@@ -182,7 +180,7 @@ def unpriced_type_enum(instance: BriberyInstance, rule: Rule, *,
 
 
 def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], needs_p: int,
-               p: int, size: int, start: int, chosen: list[int]) -> bool:
+               p: int, size: int, start: int, chosen: list[int], left: list[int]) -> bool:
     """Walk the sets of ``size`` more cells from index ``start`` on, in
     lexicographic order, on a tally moved by the cells chosen above.
 
@@ -195,8 +193,14 @@ def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], nee
     voter's cells targeting p come first, so only canonical sets are walked,
     those in which every changed vote of ``needs_p`` gains p.  On the first
     set that makes p win its cells are appended to ``chosen``, the last cell
-    first, so no leaf pushes or pops; the tally is always left as it was found.
+    first, so no leaf pushes or pops; the tally is left as it was found unless
+    the walk raises ``ResourceGuardError``: on entry each frame takes the
+    cells its loop will examine from ``left[0]``, and raises below zero.
     """
+    stop = len(flips) - size + 1
+    left[0] -= stop - start
+    if left[0] < 0:
+        raise ResourceGuardError  # unpriced_type_enum names the size and the cap
     ballots = tally.ballots  # moved in place by tally.set
     # The voter of the last cell visited, its ballot on entry, the bits the
     # cells chosen in it above have flipped, and p's bit if its next cells
@@ -205,7 +209,7 @@ def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], nee
     v = flips[start][0]
     entry = ballots[v]
     moved, gate = entry ^ base[v], (needs_p >> v & ~entry >> p & 1) << p
-    for i in range(start, len(flips) - size + 1):
+    for i in range(start, stop):
         u, flip = flips[i]
         if u != v:
             tally.set(v, entry)
@@ -215,7 +219,7 @@ def _first_win(tally: _Tally, base: list[int], flips: list[tuple[int, int]], nee
             continue
         tally.set(v, entry ^ flip)
         if tally.wins(p) if size == 1 else _first_win(tally, base, flips, needs_p, p, size - 1,
-                                                      i + 1, chosen):
+                                                      i + 1, chosen, left):
             tally.set(v, entry)
             chosen.append(i)
             return True

@@ -30,11 +30,12 @@ picked, and first screens: with k candidates sure to be picked before the
 target, it loses without a greedy.  ``_Tally.wins`` asks it.
 
 CCAV and PAV keep every size-k committee's value in one packed integer,
-``_CommitteeValues``: lane j holds the value of the j-th committee of a
-table built once per (m, k), after the committee cap is checked.  A voter's
-row, its satisfaction with every committee, sums the cached member lanes of
-its approved candidates and turns the member counts into satisfaction with
-one threshold test per nonzero Thiele weight; no loop runs over committees.
+``_CommitteeValues``, built after the committee cap is checked: lane j holds
+the value of the j-th committee in lexicographic order, and only
+``winning_committees`` lists committees.  A voter's row, its satisfaction
+with every committee, sums the cached member lanes of its approved
+candidates and turns the member counts into satisfaction with one threshold
+test per nonzero Thiele weight; no loop runs over committees.
 The election's total is the sum of the rows, so a changed voter moves it by
 row(new) - row(old).  The best lanes are read by one descent over the bit
 planes.  A single target wins when one AND of the best lanes with its
@@ -159,16 +160,6 @@ def _committee_value(ballots: list[int], committee: int, satisfaction: tuple[int
     return value
 
 
-@lru_cache(maxsize=8)
-def _committee_table(m: int, k: int) -> tuple[int, ...]:
-    """Every size-k committee over m candidates as a bitmask.
-
-    Callers check comb(m, k) against their cap first, so a guarded size is
-    never built and each kept table holds at most cap entries.
-    """
-    return tuple(sum(1 << c for c in combo) for combo in itertools.combinations(range(m), k))
-
-
 def _lane_width(rule: Rule, k: int, n: int) -> int:
     """Bits per committee lane for n voters.
 
@@ -186,8 +177,8 @@ def _lane_ones(lanes: int, width: int) -> int:
 def _member_lanes(m: int, k: int, width: int) -> tuple[int, ...]:
     """members[c]: a 1 in the lane of each size-k committee holding c.
 
-    Lanes follow ``_committee_table``'s lexicographic order, in which the
-    size-j committees over candidates lo..m-1 are those holding lo, then
+    Lanes follow the order of ``itertools.combinations(range(m), k)``, in
+    which the size-j committees over lo..m-1 are those holding lo, then
     those not holding it.  Sweeping lo down from m-1 joins two blocks of the
     previous sweep per size with one shift per candidate; nothing loops
     over committees.
@@ -211,20 +202,21 @@ def _member_lanes(m: int, k: int, width: int) -> tuple[int, ...]:
 class _CommitteeValues:
     """Every size-k committee's CCAV or PAV value packed into one integer.
 
-    Lane j, the ``width`` bits from j * width up, holds the value of
-    ``_committee_table(m, k)[j]``.  A voter's row is the packed value that
+    Lane j, the ``width`` bits from j * width up, holds the value of the j-th
+    committee of ``itertools.combinations(range(m), k)``, the order
+    ``_member_lanes`` builds.  A voter's row is the packed value that
     one ballot contributes, so the election's total is the sum of its rows,
     and replacing one ballot moves the total by row(new) - row(old).  Lane
     values never go negative or reach 2**width, so packed sums need no
     carry handling.
     """
 
-    __slots__ = ("table", "width", "ones", "high", "members", "thresholds")
+    __slots__ = ("k", "width", "ones", "high", "members", "thresholds")
 
     def __init__(self, rule: Rule, m: int, k: int, width: int):
-        self.table = _committee_table(m, k)
+        self.k = k
         self.width = width
-        self.ones = _lane_ones(len(self.table), width)
+        self.ones = _lane_ones(comb(m, k), width)
         self.high = self.ones << width - 1  # every lane's top bit
         self.members = _member_lanes(m, k, width)
         # (weight, offset) per nonzero Thiele weight w(t): adding the offset
@@ -273,12 +265,13 @@ class _CommitteeValues:
                 mask |= 1 << c
         return mask
 
-    def committees(self, total: int) -> list[int]:
-        """Bitmasks of the committees of maximal value."""
+    def committees(self, total: int):
+        """The committees of maximal value, as candidate tuples in lane order."""
         # Read every lane's lowest bit off one binary string: peeling the
         # bits off the packed integer one by one takes quadratic time.
-        flags = format(self.best(total), "b")[::-1][::self.width]
-        return [committee for committee, flag in zip(self.table, flags) if flag == "1"]
+        flags = map(int, format(self.best(total), "b")[::-1][::self.width])
+        return itertools.compress(itertools.combinations(range(len(self.members)), self.k),
+                                  flags)
 
 
 @lru_cache(maxsize=8)
@@ -590,8 +583,7 @@ def winning_committees(e: Election, rule: Rule, k: int,
     if rule in (Rule.GAV, Rule.RAV):
         return {frozenset(_thiele_greedy(ballots, e.m, rule, k))}
     values = _committee_values(rule, e.m, k, e.n, cap)
-    return {frozenset(_iter_bits(committee))
-            for committee in values.committees(values.total(ballots))}
+    return set(map(frozenset, values.committees(values.total(ballots))))
 
 
 def is_cowinner(e: Election, rule: Rule, k: int, p: int, cap: int = COMMITTEE_ENUM_CAP) -> bool:

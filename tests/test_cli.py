@@ -361,8 +361,9 @@ def _guarded_file(tmp_path, solver):
         # C(20, 9) committees with p times 4 thresholds > 500,000 guesses
         candidates, ballots = twenty + ["p"], [twenty] * 3
     elif solver == "unit-type-enum":
-        # 3 candidates of each approver set over 4 voters: 2,400 single swaps,
-        # so the pairs exceed 2,000,000 action sets
+        # 3 candidates of each approver set over 4 voters: 2,400 single swaps.
+        # The walk examines 147,600 cells up to size 2 and passes 2,000,000
+        # during size 3
         types = [(f"t{t}x{j}", t) for t in range(16) for j in range(3)]
         candidates = [name for name, _ in types] + ["p"]
         ballots = [[name for name, t in types if t >> v & 1] for v in range(4)]
@@ -387,7 +388,7 @@ def _guarded_file(tmp_path, solver):
     ("av-priced-swap", ["--rule", "av", "--op", "swap", "--priced", "--k", "10", "--budget", "3"],
      "committee/threshold guesses"),
     ("unit-type-enum", ["--rule", "pav", "--op", "swap", "--k", "1", "--budget", "3"],
-     "action sets of size 2"),
+     "action sets of size 3"),
     ("priced-swap-enum", ["--rule", "pav", "--op", "swap", "--priced", "--restrict-to-p",
                           "--k", "1", "--budget", "3"], "approver subsets of a candidate type"),
     ("flow", ["--rule", "ccav", "--op", "delete", "--k", "1", "--budget", "31"],
@@ -397,6 +398,15 @@ def test_solver_guard_exits_3_with_default_caps(tmp_path, capsys, solver, flags,
     path = _guarded_file(tmp_path, solver)
     code, _, err = run(capsys, "bribe", path, "--p", "p", *flags)
     assert code == 3 and message in err, err
+
+
+def test_unit_type_enum_answers_below_its_guard(tmp_path, capsys):
+    # Budget 2 on the exit-3 file: C(2400, 2) pairs of single swaps exceed the
+    # default cap, but the canonical walk examines 147,600 cells and answers.
+    path = _guarded_file(tmp_path, "unit-type-enum")
+    code, out, err = run(capsys, "bribe", path, "--p", "p", "--rule", "pav", "--op", "swap",
+                         "--k", "1", "--budget", "2")
+    assert code == 1 and "feasible: no" in out, err
 
 
 @pytest.mark.parametrize("rule", [Rule.CCAV, Rule.GAV])

@@ -565,10 +565,11 @@ def test_flow_additions_restricted_to_p():
 def test_enumeration_guards_at_their_boundary():
     e = make_election(["a", "b", "p"],
                       [("v1", ["a", "b"]), ("v2", ["a"]), ("v3", ["b"]), ("v4", ["a"])])
-    # Budget 1: the empty set and the 8 single swaps, 9 action sets.
+    # Budget 1: the empty set and the 8 single swaps, 9 cells examined.
     unit = BriberyInstance(e, 2, 1, 1, Op.SWAP)
     assert unpriced_type_enum(unit, Rule.PAV, enum_cap=9).cost is None
-    with pytest.raises(ResourceGuardError, match="needs 9 combinations"):
+    with pytest.raises(ResourceGuardError,
+                       match="action sets of size 1 examines more than the cap of 8 cells"):
         unpriced_type_enum(unit, Rule.PAV, enum_cap=8)
     # v1 keeps its ballot or moves a or b to p, the others keep it or move
     # their one approval: within budget 1 the search visits the start and
@@ -577,6 +578,24 @@ def test_enumeration_guards_at_their_boundary():
     assert priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=6).cost is None
     with pytest.raises(ResourceGuardError, match="up to cost 1 visits more than the cap of 5 "):
         priced_swap_to_p_type_enum(priced, Rule.PAV, enum_cap=5)
+
+
+def test_enumeration_guard_counts_the_cells_walked():
+    # v1 and v2 lack p and may each swap c0, c1 or c3 to it: 6 single swaps,
+    # 1 + 6 + 15 = 22 sets up to size 2.  The walk examines 1 + 6 cells up to
+    # size 1, then 5 at the top of size 2 and 5 below its first cell, whose
+    # partner swap in v2 wins: 17 cells.
+    cfg = SuiteConfig(op=Op.SWAP, count=43, seed=3, max_candidates=5, max_voters=4,
+                      max_budget=2)
+    inst = list(suite_instances(cfg))[42]
+    assert (ballot_masks(inst.election), inst.p, inst.k, inst.budget) == ([15, 11, 11], 2, 1, 2)
+    expected = verdict(oracle_bribery(inst, Rule.PAV))
+    assert expected == (True, 2)
+    for cap in (17, 21):
+        assert verdict(unpriced_type_enum(inst, Rule.PAV, enum_cap=cap)) == expected
+    with pytest.raises(ResourceGuardError,
+                       match="action sets of size 2 examines more than the cap of 16 cells"):
+        unpriced_type_enum(inst, Rule.PAV, enum_cap=16)
 
 
 @pytest.mark.parametrize("rule", [Rule.GAV, Rule.RAV, Rule.PAV])

@@ -134,19 +134,35 @@ def test_winning_committees_guard(e0):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_committee_guard_boundary(e0, rule, k):
     # C(4, k) committees: a cap of exactly that passes, one less trips before
-    # the committee table or its member lanes are built.
+    # the member lanes are built.
     size = math.comb(e0.m, k)
-    caches = (rules._committee_table, rules._committee_lanes)
-    for cache in caches:
-        cache.cache_clear()
+    rules._committee_lanes.cache_clear()
     for check in (lambda cap: is_cowinner(e0, rule, k, 3, cap),
                   lambda cap: winning_committees(e0, rule, k, cap)):
         with pytest.raises(ResourceGuardError, match=f"C\\(4,{k}\\) committees"):
             check(size - 1)
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        assert rules._committee_lanes.cache_info().currsize == 0
     assert is_cowinner(e0, rule, k, 3, size) == is_cowinner(e0, rule, k, 3)
     assert winning_committees(e0, rule, k, size) == winning_committees(e0, rule, k)
-    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+    assert rules._committee_lanes.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("rule", [Rule.CCAV, Rule.PAV])
+def test_cowinner_questions_list_no_committees(e0, monkeypatch, rule):
+    # The co-winner questions read the member lanes alone, even while building
+    # them; only winning_committees walks the committees themselves.
+    expected = [is_cowinner(e0, rule, 2, p) for p in range(e0.m)]
+    for cached in vars(rules).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("committees listed")
+
+    monkeypatch.setattr(rules.itertools, "combinations", refuse)
+    assert [is_cowinner(e0, rule, 2, p) for p in range(e0.m)] == expected
+    with pytest.raises(AssertionError, match="committees listed"):
+        winning_committees(e0, rule, 2)
 
 
 def test_streaming_survives_huge_tie_families():
@@ -282,7 +298,7 @@ def _packed_winners(ballots, m, rule, k):
     """Winning committees and co-winner mask read off the packed values."""
     values = rules._committee_values(rule, m, k, len(ballots))
     total = values.total(ballots)
-    return ({frozenset(rules._iter_bits(w)) for w in values.committees(total)},
+    return (set(map(frozenset, values.committees(total))),
             values.cowinners(total))
 
 
@@ -364,10 +380,10 @@ def test_lanes_wider_than_64_bits():
 def test_member_lanes_follow_committee_table():
     for m in range(1, 9):
         for k in range(1, m + 1):
-            table = rules._committee_table(m, k)
+            table = list(itertools.combinations(range(m), k))
             for width in (2, 5, 70):
                 assert rules._member_lanes(m, k, width) == tuple(
-                    sum(1 << j * width for j, committee in enumerate(table) if committee >> c & 1)
+                    sum(1 << j * width for j, committee in enumerate(table) if c in committee)
                     for c in range(m)), (m, k, width)
 
 
